@@ -21,6 +21,7 @@ from .errors import (
     DimensionError,
     DomainError,
     IndependenceError,
+    InvariantError,
     InvalidTreeError,
     NotNegativeTypeError,
     ParseError,

@@ -6,7 +6,7 @@ type), search (conjecture scan), verify (exhaustive identity suites).
 Structured output is JSON with rationals as strings, so exactness
 survives serialization. Exit codes: 0 success, 1 search violations or
 failed verification, 2 parse errors, 3 domain errors, 4 budget/cap
-refusals.
+refusals, 5 a failed internal invariant.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import sys
 
 from . import identities, negtype, search, trees, verify
 from .cube import parse_point_set_file
-from .errors import CubedistError, DomainError
+from .errors import CubedistError, DomainError, InvariantError
 from .trees import parse_tree_file
 
 
@@ -45,7 +45,8 @@ def _cmd_tree(args) -> int:
     t = parse_tree_file(args.input)
     direct = trees.tree_det_direct(t)
     formula = trees.graham_pollak_det(t)
-    assert direct == formula, f"tree determinant {direct} != closed form {formula}"
+    if direct != formula:
+        raise InvariantError(f"tree determinant {direct} != closed form {formula}")
     payload = {
         "vertex_count": t.vertex_count,
         "n": t.n,
@@ -74,7 +75,7 @@ def _cmd_search(args) -> int:
     else:
         if args.trials < 0:
             raise DomainError(f"--trials must be nonnegative, got {args.trials}")
-        result = search.random_probe(args.n, args.m, args.trials, args.seed)
+        result = search.random_probe(args.n, args.m, args.trials, args.seed, budget=args.budget)
     text = result.to_json()
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -139,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="RNG seed in random mode")
     p.add_argument("--workers", type=int, default=1, help="parallel workers in exhaustive mode")
     p.add_argument("--budget", type=int, default=search.DEFAULT_BUDGET,
-                   help="refuse enumerations larger than this")
+                   help="refuse enumerations (or random trials) larger than this")
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_search)
 

@@ -2,7 +2,8 @@
 
 Each class carries the CLI exit code it maps to: 2 for malformed input,
 3 for domain errors (degenerate metric, bad tree, out-of-range
-parameter), 4 for refused work (budget or cap exceeded).
+parameter), 4 for refused work (budget or cap exceeded), 5 for a failed
+internal invariant (a defect in the program, never the input's fault).
 """
 
 
@@ -88,3 +89,12 @@ class CapExceededError(CubedistError):
     """No root found below the scan cap."""
 
     exit_code = 4
+
+
+class InvariantError(CubedistError):
+    """An identity the computation relies on failed to hold.
+
+    Raised instead of `assert`, so the check also runs under `python -O`.
+    """
+
+    exit_code = 5

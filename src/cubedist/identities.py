@@ -23,7 +23,7 @@ from typing import Optional
 
 from . import cube
 from .cube import PointSet, normalize
-from .errors import DependenceError, IndependenceError, SingularMatrixError
+from .errors import DependenceError, IndependenceError, InvariantError, SingularMatrixError
 from .ratlinalg import RationalVector, det_int
 
 
@@ -131,7 +131,8 @@ def bordered_distance_det(s: PointSet) -> Fraction:
     direct = det_int(_bordered_distance_rows(s.bits()))
     det_g = det_int(cube.gram_rows(s.bits()[1:])[0])
     formula = (-1) ** (m - 1) * (1 << m) * det_g
-    assert direct == formula, f"bordered distance det {direct} != formula {formula}"
+    if direct != formula:
+        raise InvariantError(f"bordered distance det {direct} != formula {formula}")
     return Fraction(direct)
 
 

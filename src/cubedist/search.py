@@ -3,22 +3,44 @@
 Translation invariance lets every subset be represented with the origin
 as base point, so the search space for (n, m) is the C(2^n - 1, m)
 m-subsets of the nonzero patterns. For each affinely independent subset
-the target value is computed exactly from two integer determinants:
+the target value is exact:
 
-    <D^{-1}1, 1> = 2 / <G^{-1}u, u> = -2 det(G) / det [[0, u^T], [u, G]]
+    <D^{-1}1, 1> = 2 / <G^{-1}u, u> = -2 det(G) / det [[G, u], [u^T, 0]]
 
-and compared against the conjectured floor 2/n. Minima are tracked as
-exact rationals with a (value, lexicographic-witness) tie-break, so
-splitting the enumeration into contiguous index ranges across workers
-cannot change the result: identical runs produce identical JSON, byte
-for byte, whatever the worker count. Random probing is sequential by
-design for the same reason.
+and it is compared against the conjectured floor 2/n.
+
+Kernel. The exhaustive scan is one depth-first walk of the lexicographic
+combination tree of {1, ..., 2^n - 1}. Each level of the walk appends one
+point and keeps one row of a fraction-free, no-pivot, symmetric Bareiss
+elimination (Bareiss 1968) of the bordered Gram matrix [[G, u], [u^T, 0]],
+points first and border last: the point's column history, its pivot
+(the Gram determinant of the prefix), its border entry and the running
+corner (the bordered determinant of the prefix). Appending to a prefix of
+k points costs O(k^2) integer operations, shared by every set below it;
+a leaf's value is -2 pivot / corner.
+
+Pruning. G = B B^T is positive semidefinite, so its leading principal
+minors are nonnegative, and one of them is zero exactly when the points
+so far are linearly dependent. A zero pivot therefore proves that every
+set in the subtree is affinely dependent: the walk skips the subtree and
+counts its comb(2^n - 1 - x, m - k - 1) sets as examined. No separate
+rank test is needed.
+
+Determinism. Minima are tracked as exact rationals with a (value,
+lexicographic witness) tie-break. Workers take contiguous groups of
+first-element subtrees, balanced by subtree size and split at depth two
+when one subtree outweighs a group's share; the merge is an associative
+min-reduction, so identical runs produce identical JSON, byte for byte,
+whatever the worker count. Random probing is sequential by design for
+the same reason, and pushes each sampled tail through the same level
+routine as the walk.
 """
 
 from __future__ import annotations
 
 import json
 import multiprocessing
+import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,8 +49,8 @@ from typing import Iterator, Optional
 
 from . import cube
 from .cube import PointSet
-from .errors import BudgetExceededError, DomainError
-from .ratlinalg import det_int
+from .errors import BudgetExceededError, DomainError, InvariantError
+from .ratlinalg import det_int  # noqa: F401  (module attribute that tracing tools patch by name)
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -51,75 +73,174 @@ def enumerate_normalized(n: int, m: int) -> Iterator[PointSet]:
         yield PointSet.from_bits(n, (0,) + tail)
 
 
-def _eval_tail(tail: tuple[int, ...], n: int) -> Optional[Fraction]:
-    """Exact <D^{-1}1, 1> of {0} + tail, or None when the tail is
-    linearly dependent (singular distance matrix)."""
-    m = len(tail)
-    if m > n or cube.rank_of_bits(tail, n) != m:
-        return None
-    g, u = cube.gram_rows(tail)
-    bord = [[0] + u] + [[u[i]] + g[i] for i in range(m)]
-    det_g = det_int(g)
-    det_bord = det_int(bord)
-    return Fraction(-2 * det_g, det_bord)
+def _push(x, points, hists, pivots, borders, corner):
+    """Eliminate point x appended to an independent prefix.
+
+    For prefix point i (0-based), hists[i][s] = a^(s)_{s,i} for s < i is
+    its column history, pivots[i] = a^(i)_{i,i} is the Gram determinant
+    of points[:i + 1] and borders[i] = a^(i)_{i,b} its border entry;
+    `corner` = a^(k)_{b,b} is the bordered determinant of the k-point
+    prefix (0 for the empty one). Returns the same four values for the
+    prefix extended by x. Intermediate entries are minors of the input,
+    so every division is exact; a zero pivot means x lies in the span of
+    the prefix.
+    """
+    hist = []
+    piv = bord = x.bit_count()
+    prev = 1
+    for q, h, p, b in zip(points, hists, pivots, borders):
+        a = (q & x).bit_count()
+        pv = 1
+        for ps, hs, vs in zip(pivots, h, hist):
+            a = (ps * a - hs * vs) // pv
+            pv = ps
+        hist.append(a)
+        piv = (p * piv - a * a) // prev
+        bord = (p * bord - a * b) // prev
+        prev = p
+    return hist, piv, bord, (piv * corner - bord * bord) // prev
 
 
-def _unrank_combo(total_values: int, m: int, rank: int) -> list[int]:
-    """The rank-th (0-based) lex m-combination of {1..total_values}."""
-    out = []
-    x = 1
-    for i in range(m):
-        while True:
-            c = comb(total_values - x, m - 1 - i)
-            if rank < c:
-                out.append(x)
-                x += 1
-                break
-            rank -= c
-            x += 1
-    return out
+def _eliminate(tail: tuple[int, ...]):
+    """The level state (points, hists, pivots, borders, corner) after
+    pushing the tail's points in order, or None when they are linearly
+    dependent (singular distance matrix). For an independent tail,
+    pivots[-1] = det G and corner = det [[G, u], [u^T, 0]]."""
+    points: list[int] = []
+    hists: list[list[int]] = []
+    pivots: list[int] = []
+    borders: list[int] = []
+    corner = 0
+    for x in tail:
+        hist, piv, bord, corner = _push(x, points, hists, pivots, borders, corner)
+        if not piv:
+            return None
+        points.append(x)
+        hists.append(hist)
+        pivots.append(piv)
+        borders.append(bord)
+    return points, hists, pivots, borders, corner
 
 
-def _next_combo(cur: list[int], total_values: int) -> bool:
-    """Advance to the lex successor in place; False when exhausted."""
-    m = len(cur)
-    i = m - 1
-    while i >= 0 and cur[i] == total_values - (m - 1 - i):
-        i -= 1
-    if i < 0:
-        return False
-    cur[i] += 1
-    for j in range(i + 1, m):
-        cur[j] = cur[j - 1] + 1
-    return True
+class _Tally:
+    """The partial reduction (examined, independent, best, violations) of
+    one scan. An independent set's value -2 pivot / corner is positive
+    (pivot > 0, corner < 0), so values compare by cross-multiplication
+    and a Fraction is built only for the reported ones."""
+
+    def __init__(self, n: int, m: int):
+        self.n = n
+        self.full_dim = m == n
+        self.examined = 0
+        self.independent = 0
+        self.best: Optional[tuple[int, int, tuple[int, ...]]] = None  # (num, den, tail)
+        self.violations: list[tuple[tuple[int, ...], Fraction]] = []
+
+    def add(self, tail: tuple[int, ...], pivot: int, corner: int) -> None:
+        """Count the independent set {0} + tail."""
+        self.examined += 1
+        self.independent += 1
+        num, den, n = 2 * pivot, -corner, self.n
+        if self.full_dim and num * n != 2 * den:
+            raise InvariantError(
+                f"full-dimensional set {tail} gave {Fraction(num, den)}, expected {Fraction(2, n)}"
+            )
+        if num * n < 2 * den:
+            self.violations.append((tail, Fraction(num, den)))
+        best = self.best
+        if best is not None:
+            diff = num * best[1] - best[0] * den
+            if diff > 0 or (diff == 0 and tail > best[2]):
+                return
+        self.best = (num, den, tail)
+
+    def parts(self):
+        best = self.best
+        if best is not None:
+            best = (Fraction(best[0], best[1]), best[2])
+        return self.examined, self.independent, best, self.violations
 
 
-def _scan_range(task: tuple[int, int, int, int]):
-    """Scan combination indices [start, stop); returns the partial
-    reduction (examined, independent, best, violations)."""
-    n, m, start, stop = task
-    total_values = (1 << n) - 1
-    floor = Fraction(2, n)
-    cur = _unrank_combo(total_values, m, start)
-    examined = 0
-    independent = 0
-    best: Optional[tuple[Fraction, tuple[int, ...]]] = None
-    violations: list[tuple[tuple[int, ...], Fraction]] = []
-    for _ in range(stop - start):
-        tail = tuple(cur)
-        examined += 1
-        val = _eval_tail(tail, n)
-        if val is not None:
-            independent += 1
-            if m == n:
-                assert val == floor, f"full-dimensional set {tail} gave {val}, expected {floor}"
-            if val < floor:
-                violations.append((tail, val))
-            if best is None or val < best[0]:
-                best = (val, tail)
-        if not _next_combo(cur, total_values):
-            break
-    return examined, independent, best, violations
+def _descend(xs, top, m, points, hists, pivots, borders, corner, tally) -> None:
+    """Visit, in lex order, every m-subset of {1..top} that extends
+    `points` by a value from xs and then by larger values."""
+    need = m - len(points) - 1
+    for x in xs:
+        hist, piv, bord, c = _push(x, points, hists, pivots, borders, corner)
+        if not piv:
+            tally.examined += comb(top - x, need)
+        elif not need:
+            tally.add((*points, x), piv, c)
+        else:
+            points.append(x)
+            hists.append(hist)
+            pivots.append(piv)
+            borders.append(bord)
+            _descend(range(x + 1, top - need + 2), top, m, points, hists, pivots, borders, c, tally)
+            points.pop()
+            hists.pop()
+            pivots.pop()
+            borders.pop()
+
+
+def _scan_group(task: tuple[int, int, list[tuple[tuple[int, ...], int, int]]]):
+    """Walk the pieces of one group (see `_subtree_groups`); returns the
+    partial reduction (examined, independent, best, violations)."""
+    n, m, pieces = task
+    tally = _Tally(n, m)
+    for prefix, lo, hi in pieces:
+        # A prefix holds at most one point, and a nonzero point is independent.
+        _descend(range(lo, hi), (1 << n) - 1, m, *_eliminate(prefix), tally)
+    return tally.parts()
+
+
+def _subtree_groups(n: int, m: int, groups: int) -> list[list[tuple[tuple[int, ...], int, int]]]:
+    """Split the m-subsets of {1..2^n - 1} into at most `groups` runs,
+    contiguous in lex order and balanced by size.
+
+    A run is a list of pieces (prefix, lo, hi): the sets that start with
+    `prefix` and continue with a value in [lo, hi). Runs are cut between
+    first-element subtrees where the running size crosses a multiple of
+    total / groups, or between second-element subtrees when the largest
+    first-element subtree alone outweighs that share. Subtrees are
+    counted on the fly, so memory stays O(groups) on wide, shallow trees.
+    """
+    top = (1 << n) - 1
+    if groups == 1:
+        return [[((), 1, top - m + 2)]]
+    total = comb(top, m)
+    if m >= 2 and comb(top - 1, m - 1) * groups > total:
+        units = (
+            ((x,), y, comb(top - y, m - 2))
+            for x in range(1, top - m + 2)
+            for y in range(x + 1, top - m + 3)
+        )
+    else:
+        units = (((), x, comb(top - x, m - 1)) for x in range(1, top - m + 2))
+    runs: list[list[tuple[tuple[int, ...], int, int]]] = []
+    run: list[tuple[tuple[int, ...], int, int]] = []
+    done = 0
+    cut = 1
+    for prefix, x, size in units:
+        if run and run[-1][0] == prefix:
+            run[-1] = (prefix, run[-1][1], x + 1)
+        else:
+            run.append((prefix, x, x + 1))
+        done += size
+        if cut < groups and done * groups >= cut * total:
+            runs.append(run)
+            run = []
+            while cut < groups and done * groups >= cut * total:
+                cut += 1
+    if run:
+        runs.append(run)
+    return runs
+
+
+def _pool_size(workers: int, tasks: int) -> int:
+    """Processes to start: never more than requested, than there are
+    tasks, or than the machine has CPUs."""
+    return max(1, min(workers, tasks, os.cpu_count() or 1))
 
 
 def _merge_best(a, b):
@@ -207,9 +328,9 @@ def min_dinv_ones(
     normalized (m+1)-point set in H_n.
 
     Refuses enumerations larger than `budget`. Work splits into
-    contiguous combination-index ranges; the merge is an associative
-    min-reduction with lexicographic tie-break, so the result does not
-    depend on the worker count.
+    contiguous groups of subtrees of the combination tree; the merge is
+    an associative min-reduction with lexicographic tie-break, so the
+    result does not depend on the worker count.
     """
     _validate_params(n, m)
     total = comb((1 << n) - 1, m)
@@ -218,20 +339,12 @@ def min_dinv_ones(
             f"enumeration of ({n}, {m}) needs {total} subsets, over budget {budget}",
             required=total,
         )
-    workers = max(1, int(workers))
-    if workers == 1 or total < 2 * workers:
-        parts = [_scan_range((n, m, 0, total))]
+    tasks = [(n, m, run) for run in _subtree_groups(n, m, _pool_size(int(workers), total))]
+    if len(tasks) == 1:
+        parts = [_scan_group(tasks[0])]
     else:
-        base, rem = divmod(total, workers)
-        tasks = []
-        start = 0
-        for w in range(workers):
-            size = base + (1 if w < rem else 0)
-            if size:
-                tasks.append((n, m, start, start + size))
-            start += size
-        with multiprocessing.Pool(workers) as pool:
-            parts = pool.map(_scan_range, tasks)
+        with multiprocessing.Pool(len(tasks)) as pool:
+            parts = pool.map(_scan_group, tasks)
     examined = sum(p[0] for p in parts)
     independent = sum(p[1] for p in parts)
     best = None
@@ -242,35 +355,34 @@ def min_dinv_ones(
     return _result_from_parts(n, m, MODE_EXHAUSTIVE, examined, independent, best, violations)
 
 
-def random_probe(n: int, m: int, trials: int, seed: int) -> SearchResult:
+def random_probe(
+    n: int, m: int, trials: int, seed: int, budget: int = DEFAULT_BUDGET
+) -> SearchResult:
     """Sample `trials` subsets uniformly (m distinct nonzero patterns by
     rejection), skip dependent ones, and track the exact minimum.
 
-    Sampling is sequential and driven only by the seed, so a rerun with
-    the same arguments reproduces the result exactly.
+    Refuses more than `budget` trials. Sampling is sequential and driven
+    only by the seed, so a rerun with the same arguments reproduces the
+    result exactly.
     """
     _validate_params(n, m)
     if trials < 0:
         raise DomainError(f"trials must be nonnegative, got {trials}")
+    if trials > budget:
+        raise BudgetExceededError(
+            f"random probe of {trials} trials is over budget {budget}", required=trials
+        )
     rng = random.Random(seed)
-    floor = Fraction(2, n)
-    examined = 0
-    independent = 0
-    best = None
-    violations: list[tuple[tuple[int, ...], Fraction]] = []
+    tally = _Tally(n, m)
     for _ in range(trials):
         chosen: set[int] = set()
         while len(chosen) < m:
             chosen.add(rng.randrange(1, 1 << n))
         tail = tuple(sorted(chosen))
-        examined += 1
-        val = _eval_tail(tail, n)
-        if val is None:
-            continue
-        independent += 1
-        if m == n:
-            assert val == floor, f"full-dimensional set {tail} gave {val}, expected {floor}"
-        if val < floor:
-            violations.append((tail, val))
-        best = _merge_best(best, (val, tail))
+        state = _eliminate(tail)
+        if state is None:
+            tally.examined += 1
+        else:
+            tally.add(tail, state[2][-1], state[4])
+    examined, independent, best, violations = tally.parts()
     return _result_from_parts(n, m, MODE_RANDOM, examined, independent, best, violations, seed=seed)

@@ -18,6 +18,7 @@ from itertools import combinations
 
 from . import cube, identities, trees
 from .cube import PointSet
+from .errors import InvariantError
 from .ratlinalg import RationalMatrix, det_int
 
 
@@ -87,7 +88,7 @@ def check_point_set(tail: tuple[int, ...], n: int, report: SweepReport) -> None:
     try:
         bord_val = identities.bordered_distance_det(s)
         report.counter("bordered_distance_det").add(True)
-    except AssertionError:
+    except InvariantError:
         bord_val = None
         report.counter("bordered_distance_det").add(False, tail)
     independent = cube.linear_independent(s)

@@ -5,10 +5,18 @@ elimination code: determinants by permutation expansion, distances by
 summing coordinate differences, Gram matrices by explicit dot products
 over signed integers. Tests compute expected values through these and
 compare the package's fast routes against them.
+
+The exception is the search section at the end: the per-subset evaluator
+that the search kernel replaced (a rank test, a Gram rebuild and two
+pivoting Bareiss determinants for every subset), kept as the slow path
+the prefix-sharing kernel is compared against.
 """
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
+
+from cubedist import cube
+from cubedist.ratlinalg import det_int
 
 
 def leibniz_det(rows):
@@ -51,3 +59,34 @@ def gram_of_differences(coords_list):
 
 def matvec(rows, vec):
     return [sum(a * b for a, b in zip(row, vec)) for row in rows]
+
+
+def eval_tail_oracle(tail, n):
+    """Exact <D^{-1}1, 1> of {0} + tail, or None when the tail is
+    linearly dependent (singular distance matrix)."""
+    m = len(tail)
+    if m > n or cube.rank_of_bits(tail, n) != m:
+        return None
+    g, u = cube.gram_rows(tail)
+    bord = [[0] + u] + [[u[i]] + g[i] for i in range(m)]
+    return Fraction(-2 * det_int(g), det_int(bord))
+
+
+def scan_oracle(n, m):
+    """(examined, independent, best, violations) of the (n, m) slice, one
+    subset at a time in lex order, as search.min_dinv_ones reduces it."""
+    floor = Fraction(2, n)
+    examined = independent = 0
+    best = None
+    violations = []
+    for tail in combinations(range(1, 1 << n), m):
+        examined += 1
+        val = eval_tail_oracle(tail, n)
+        if val is None:
+            continue
+        independent += 1
+        if val < floor:
+            violations.append((tail, val))
+        if best is None or val < best[0]:
+            best = (val, tail)
+    return examined, independent, best, violations

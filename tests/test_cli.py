@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import cubedist
 from cubedist.cli import main
 
 H3_FILE = "3 4\n000\n100\n010\n111\n"
@@ -82,6 +84,13 @@ class TestTree:
         f.write_text("3\n0 1\nnope\n")
         assert main(["tree", str(f)]) == 2
 
+    def test_wrong_closed_form_exit_5(self, monkeypatch, tmp_path, capsys):
+        f = tmp_path / "star.txt"
+        f.write_text(STAR4_TREE)
+        monkeypatch.setattr("cubedist.cli.trees.graham_pollak_det", lambda t: 7)
+        assert main(["tree", str(f)]) == 5
+        assert "closed form 7" in capsys.readouterr().err
+
 
 class TestNegtype:
     def test_path_wp(self, capsys, tmp_path):
@@ -144,6 +153,12 @@ class TestSearch:
         assert js["seed"] == 5
         assert js["sets_examined"] == 50
 
+    def test_random_budget_exit_4(self, capsys):
+        argv = ["search", "--n", "6", "--m", "3", "--mode", "random", "--trials", "50"]
+        assert main(argv + ["--budget", "49"]) == 4
+        assert "over budget 49" in capsys.readouterr().err
+        assert main(argv + ["--budget", "50"]) == 0
+
     def test_worker_flag_equivalence(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         assert main(["search", "--n", "4", "--m", "3", "--workers", "1", "-o", str(a)]) == 0
@@ -188,3 +203,33 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["min_value"] == "1"
+
+
+def _run_optimized(args):
+    """Run the interpreter with -O (asserts stripped) on this package."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cubedist.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-O", *args], capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_search_under_optimize():
+    proc = _run_optimized(["-m", "cubedist.cli", "search", "--n", "3", "--m", "3"])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["min_value"] == "2/3"
+
+
+def test_invariant_checked_under_optimize():
+    script = (
+        "import sys\n"
+        "from cubedist import search\n"
+        "from cubedist.cli import main\n"
+        "real = search._push\n"
+        "def wrong(*args):\n"
+        "    hist, piv, bord, corner = real(*args)\n"
+        "    return hist, piv, bord, corner - 1\n"
+        "search._push = wrong\n"
+        "sys.exit(main(['search', '--n', '3', '--m', '3']))\n"
+    )
+    proc = _run_optimized(["-c", script])
+    assert proc.returncode == 5, proc.stderr
+    assert "full-dimensional set" in proc.stderr

@@ -4,9 +4,14 @@ from itertools import combinations
 
 import pytest
 
-from cubedist import cube, identities
+from cubedist import cube, identities, verify
 from cubedist.cube import PointSet
-from cubedist.errors import DependenceError, IndependenceError, SingularMatrixError
+from cubedist.errors import (
+    DependenceError,
+    IndependenceError,
+    InvariantError,
+    SingularMatrixError,
+)
 from cubedist.ratlinalg import RationalMatrix, ones
 from oracle import distance_matrix_from_coords, leibniz_det, matvec
 
@@ -136,6 +141,15 @@ class TestBorderedDistanceDet:
 
     def test_dependent_gives_zero(self):
         assert identities.bordered_distance_det(FULL_H2) == 0
+
+    def test_wrong_determinant_raises_and_verify_counts_it(self, monkeypatch):
+        real = identities.det_int
+        monkeypatch.setattr(identities, "det_int", lambda rows: real(rows) + 1)
+        with pytest.raises(InvariantError):
+            identities.bordered_distance_det(H3_SET)
+        report = verify.SweepReport("injected")
+        verify.check_point_set(H3_SET.bits()[1:], 3, report)
+        assert report.counter("bordered_distance_det").failed == 1
 
 
 class TestDinvOnes:

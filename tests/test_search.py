@@ -1,11 +1,15 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cubedist import identities, search
 from cubedist.cube import PointSet
-from cubedist.errors import BudgetExceededError, DomainError
+from cubedist.errors import BudgetExceededError, DomainError, InvariantError
 from cubedist.search import _merge_best
+from oracle import eval_tail_oracle, scan_oracle
 
 F = Fraction
 
@@ -85,6 +89,48 @@ class TestWorkers:
         r = search.min_dinv_ones(2, 1, workers=4)
         assert r.sets_examined == 3
 
+    def test_uneven_subtrees_agree_bytewise(self):
+        # (4, 5): first-element subtrees hold 1001, 715, 495, ... sets, and
+        # four groups split them at depth two.
+        r1 = search.min_dinv_ones(4, 5, workers=1)
+        for w in (2, 3, 4):
+            assert search.min_dinv_ones(4, 5, workers=w).to_json() == r1.to_json()
+
+    @pytest.mark.parametrize("n,m", [(4, 5), (3, 5), (5, 2), (4, 1), (3, 7)])
+    @pytest.mark.parametrize("groups", [2, 3, 4, 7])
+    def test_subtree_groups_merge_to_serial(self, n, m, groups):
+        """Every split, scanned in-process and merged, equals the serial
+        scan; the runs are contiguous in lex order and cover each subset
+        once."""
+        split = search._subtree_groups(n, m, groups)
+        assert 1 <= len(split) <= groups
+        units = [(*prefix, x) for run in split for prefix, lo, hi in run for x in range(lo, hi)]
+        assert units == sorted(set(units))
+        top = (1 << n) - 1
+        assert sum(comb(top - u[-1], m - len(u)) for u in units) == comb(top, m)
+        parts = [search._scan_group((n, m, run)) for run in split]
+        best = None
+        for p in parts:
+            best = _merge_best(best, p[2])
+        serial = _serial_scan(n, m)
+        assert sum(p[0] for p in parts) == serial[0]
+        assert sum(p[1] for p in parts) == serial[1]
+        assert best == serial[2]
+        assert [v for p in parts for v in p[3]] == serial[3]
+
+    def test_pool_size_clamps(self, monkeypatch):
+        monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+        assert search._pool_size(1, 1000) == 1
+        assert search._pool_size(4, 1000) == 2
+        assert search._pool_size(10**6, 10**6) == 2
+        assert search._pool_size(4, 1) == 1
+        assert search._pool_size(0, 1000) == 1
+        monkeypatch.setattr(search.os, "cpu_count", lambda: None)
+        assert search._pool_size(8, 1000) == 1
+        monkeypatch.setattr(search.os, "cpu_count", lambda: 64)
+        assert search._pool_size(8, 1000) == 8
+        assert search._pool_size(8, 3) == 3
+
     def test_merge_tie_breaks_lexicographically(self):
         a = (F(1, 2), (1, 4))
         b = (F(1, 2), (1, 3))
@@ -122,6 +168,12 @@ class TestRandomProbe:
         with pytest.raises(DomainError):
             search.random_probe(4, 2, -1, seed=0)
 
+    def test_budget_refusal(self):
+        with pytest.raises(BudgetExceededError) as err:
+            search.random_probe(4, 2, 11, seed=0, budget=10)
+        assert err.value.required == 11
+        assert search.random_probe(4, 2, 10, seed=0, budget=10).sets_examined == 10
+
     def test_json_has_seed_only_in_random_mode(self):
         r = search.min_dinv_ones(3, 2)
         assert "seed" not in r.to_json_dict()
@@ -142,3 +194,82 @@ class TestResultShape:
         res = search.min_dinv_ones(3, 2)
         assert isinstance(res.witness, PointSet)
         assert res.witness.normalized
+
+
+@st.composite
+def _random_tails(draw):
+    n = draw(st.integers(2, 8))
+    m = draw(st.integers(1, min(n + 2, (1 << n) - 1)))
+    tail = draw(st.sets(st.integers(1, (1 << n) - 1), min_size=m, max_size=m))
+    return n, tuple(sorted(tail))
+
+
+@st.composite
+def _dependent_tails(draw):
+    """Tails holding x, y and x | y for disjoint x, y: always linearly
+    dependent, so the kernel's zero-pivot exit is exercised."""
+    n = draw(st.integers(2, 8))
+    x = draw(st.integers(1, (1 << n) - 1))
+    y = draw(st.integers(1, (1 << n) - 1)) & ~x
+    assume(y)
+    others = draw(st.sets(st.integers(1, (1 << n) - 1), max_size=n - 1))
+    return n, tuple(sorted(others | {x, y, x | y}))
+
+
+def _serial_scan(n, m):
+    (run,) = search._subtree_groups(n, m, 1)
+    return search._scan_group((n, m, run))
+
+
+def _kernel_value(tail):
+    state = search._eliminate(tail)
+    return None if state is None else Fraction(-2 * state[2][-1], state[4])
+
+
+class TestKernelAgainstOracle:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_random_tails())
+    def test_random_tails(self, case):
+        n, tail = case
+        assert _kernel_value(tail) == eval_tail_oracle(tail, n)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_dependent_tails())
+    def test_dependent_tails(self, case):
+        n, tail = case
+        assert eval_tail_oracle(tail, n) is None
+        assert _kernel_value(tail) is None
+
+    @pytest.mark.parametrize(
+        "n,m", [(n, m) for n in (2, 3, 4) for m in range(1, 1 << n)]
+    )
+    def test_full_scan_matches_oracle(self, n, m):
+        assert _serial_scan(n, m) == scan_oracle(n, m)
+
+    @pytest.mark.parametrize("n,m", [(4, 6), (3, 5), (2, 3), (4, 9)])
+    def test_pruned_slices_count_every_subset(self, n, m):
+        res = search.min_dinv_ones(n, m)
+        assert res.sets_examined == comb((1 << n) - 1, m)
+        assert res.independent_count < res.sets_examined
+
+
+def _corner_off_by_one(monkeypatch):
+    real = search._push
+
+    def wrong(*args):
+        hist, piv, bord, corner = real(*args)
+        return hist, piv, bord, corner - 1
+
+    monkeypatch.setattr(search, "_push", wrong)
+
+
+class TestFullDimensionalInvariant:
+    def test_exhaustive_raises(self, monkeypatch):
+        _corner_off_by_one(monkeypatch)
+        with pytest.raises(InvariantError):
+            search.min_dinv_ones(3, 3)
+
+    def test_random_raises(self, monkeypatch):
+        _corner_off_by_one(monkeypatch)
+        with pytest.raises(InvariantError):
+            search.random_probe(3, 3, 50, seed=4)
