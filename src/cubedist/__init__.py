@@ -41,7 +41,6 @@ from .identities import (
 from .negtype import (
     MuruganClassification,
     NegTypeReport,
-    PMetricMatrix,
     dp_matrix,
     is_p_negative_type,
     murugan_classify,
@@ -53,7 +52,6 @@ from .ratlinalg import Rational, RationalMatrix, RationalVector
 from .search import (
     SearchResult,
     Violation,
-    enumerate_normalized,
     min_dinv_ones,
     random_probe,
 )

@@ -6,16 +6,30 @@ A PointSet is an ordered, duplicate-free list of points; the first
 listed point is the translation base, and `normalize` XORs the whole
 set by it, which leaves all pairwise distances unchanged.
 
-The `distance_rows` / `gram_rows` helpers build the distance and Gram
-matrices as plain integer row lists for the enumeration sweeps; `derive`
-wraps the same data in exact RationalMatrix form.
+The `distance_rows` / `bordered_rows` / `gram_rows` helpers build the
+distance and Gram matrices as plain integer row lists for the
+enumeration sweeps; `derive` wraps the same data in exact RationalMatrix
+form.
+
+Gram kernel. `gram_push` is the package's one exact elimination of the
+Gram matrix of bit patterns: it appends a point to a prefix and carries
+one row of a fraction-free, no-pivot, symmetric Bareiss elimination
+(Bareiss 1968) of the bordered Gram matrix [[G, u], [u^T, 0]], points
+first and border last. Its pivots are the leading minors of G and its
+corner is the bordered determinant, so an independent tail of m points
+yields det G = pivots[-1] and <G^{-1}u, u> = -corner / det G. G = B B^T
+is positive semidefinite, so the first zero pivot is the first point in
+the span of its predecessors; that point's column history is the right
+side of the prefix's triangular system U c = h (U[i][t] = hists[t][i],
+U[i][i] = pivots[i]), whose solution c expresses the point in the
+prefix and gives a kernel vector of D. `gram_eliminate` runs the
+kernel over a whole tail; the search walk calls `gram_push` directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import DegenerateMetricError, DimensionError, ParseError
 from .ratlinalg import RationalMatrix, RationalVector, rank_int
@@ -137,6 +151,11 @@ def distance_rows(bits: Sequence[int]) -> list[list[int]]:
     return [[(a ^ b).bit_count() for b in bits] for a in bits]
 
 
+def bordered_rows(rows: Sequence[list[int]]) -> list[list[int]]:
+    """The matrix [[0, 1^T], [1, rows]] as new int rows."""
+    return [[0] + [1] * len(rows)] + [[1] + row for row in rows]
+
+
 def gram_rows(tail_bits: Sequence[int]) -> tuple[list[list[int]], list[int]]:
     """Gram matrix and its diagonal for 0/1 points given as bit patterns.
 
@@ -145,6 +164,63 @@ def gram_rows(tail_bits: Sequence[int]) -> tuple[list[list[int]], list[int]]:
     g = [[(a & b).bit_count() for b in tail_bits] for a in tail_bits]
     u = [g[i][i] for i in range(len(tail_bits))]
     return g, u
+
+
+def gram_push(x, points, hists, pivots, borders, corner):
+    """Eliminate point x appended to an independent prefix.
+
+    For prefix point i (0-based), hists[i][s] = a^(s)_{s,i} for s < i is
+    its column history, pivots[i] = a^(i)_{i,i} is the Gram determinant
+    of points[:i + 1] and borders[i] = a^(i)_{i,b} its border entry;
+    `corner` = a^(k)_{b,b} is the bordered determinant of the k-point
+    prefix (0 for the empty one). Returns the same four values for the
+    prefix extended by x. Intermediate entries are minors of the input,
+    so every division is exact; a zero pivot means x lies in the span of
+    the prefix.
+    """
+    hist = []
+    piv = bord = x.bit_count()
+    prev = 1
+    for q, h, p, b in zip(points, hists, pivots, borders):
+        a = (q & x).bit_count()
+        pv = 1
+        for ps, hs, vs in zip(pivots, h, hist):
+            a = (ps * a - hs * vs) // pv
+            pv = ps
+        hist.append(a)
+        piv = (p * piv - a * a) // prev
+        bord = (p * bord - a * b) // prev
+        prev = p
+    return hist, piv, bord, (piv * corner - bord * bord) // prev
+
+
+def gram_eliminate(tail: Sequence[int]):
+    """Push the tail's points through `gram_push` in order, stopping at
+    the first one in the span of its predecessors.
+
+    Returns (points, hists, pivots, borders, corner, dependent): the
+    state of the independent prefix, and `dependent` = (x, hist), the
+    first dependent point and its column history, or None when the
+    whole tail is linearly independent. Then pivots[-1] = det G and
+    corner = det [[G, u], [u^T, 0]].
+    """
+    points: list[int] = []
+    hists: list[list[int]] = []
+    pivots: list[int] = []
+    borders: list[int] = []
+    corner = 0
+    dependent: Optional[tuple[int, list[int]]] = None
+    for x in tail:
+        hist, piv, bord, c = gram_push(x, points, hists, pivots, borders, corner)
+        if not piv:
+            dependent = (x, hist)
+            break
+        points.append(x)
+        hists.append(hist)
+        pivots.append(piv)
+        borders.append(bord)
+        corner = c
+    return points, hists, pivots, borders, corner, dependent
 
 
 def _gf2_rank(vals: Iterable[int]) -> int:
@@ -202,25 +278,21 @@ def affinely_independent(s: PointSet) -> bool:
 
 @dataclass(frozen=True)
 class DerivedMatrices:
-    """The coordinate matrix B, Gram matrix G = B B^T, its diagonal u,
-    and the full distance matrix D of a point set."""
+    """The Gram matrix G = B B^T of the translated tail B, its diagonal
+    u, and the full distance matrix D of a point set."""
 
-    B: RationalMatrix
     G: RationalMatrix
     u: RationalVector
     D: RationalMatrix
 
 
 def derive(s: PointSet) -> DerivedMatrices:
-    """Build B, G, u, D. Normalizes internally, so B holds the
-    translated tail points and D equals the input's distance matrix."""
+    """Build G, u, D. Normalizes internally, so G is the Gram matrix of
+    the translated tail and D equals the input's distance matrix."""
     sn = normalize(s)
-    tail = sn.bits()[1:]
-    b_rows = [[(b >> k) & 1 for k in range(sn.n)] for b in tail]
-    g, u = gram_rows(tail)
+    g, u = gram_rows(sn.bits()[1:])
     d = distance_rows(sn.bits())
     return DerivedMatrices(
-        B=RationalMatrix.from_rows(b_rows),
         G=RationalMatrix.from_rows(g),
         u=RationalVector.of(u),
         D=RationalMatrix.from_rows(d),
@@ -276,8 +348,3 @@ def parse_point_set_file(path) -> PointSet:
 def format_point_set(s: PointSet) -> str:
     return "\n".join([f"{s.n} {len(s.points)}"] + s.to_strings()) + "\n"
 
-
-def all_subsets_with_base(n: int, m: int) -> Iterator[tuple[int, ...]]:
-    """Yield the tails (x_1..x_m bit patterns, ascending) of every
-    normalized m+1 point set in H_n, in lexicographic order."""
-    yield from combinations(range(1, 1 << n), m)

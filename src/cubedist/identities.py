@@ -10,15 +10,17 @@ diagonal u, the distance matrix D satisfies
 
 and det(D) = 0 exactly when the tail is linearly dependent, in which
 case a rational kernel vector of D can be written down from the
-dependence. Each identity below is computed along one route; the test
-sweeps recompute everything by direct elimination and compare exactly.
+dependence. det G, the bordered Gram determinant and the dependence
+all come from one pass of the Gram kernel (`cube.gram_eliminate`); the
+other routes here (pivoting determinants, a rational solve) stay
+separate so that the sweeps compare two computations of each identity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Optional
 
 from . import cube
@@ -38,9 +40,13 @@ def _bordered_gram_rows(tail: tuple[int, ...]) -> list[list[int]]:
     return [[0] + u] + [[u[i]] + g[i] for i in range(len(tail))]
 
 
-def _bordered_distance_rows(bits: tuple[int, ...]) -> list[list[int]]:
-    d = cube.distance_rows(bits)
-    return [[0] + [1] * len(bits)] + [[1] + row for row in d]
+def _gram_dets(tail: tuple[int, ...]) -> tuple[int, Optional[int]]:
+    """(det G, det [[G, u], [u^T, 0]]) from one Gram-kernel pass; a
+    dependent tail gives (0, None)."""
+    _, _, pivots, _, corner, dependent = cube.gram_eliminate(tail)
+    if dependent is not None:
+        return 0, None
+    return pivots[-1], corner
 
 
 def det_distance_matrix(s: PointSet) -> Fraction:
@@ -94,42 +100,40 @@ def kernel_witness(s: PointSet) -> RationalVector:
     beyond the points involved) and c_0 = -(c_1 + ... + c_m). Entries
     are scaled to coprime integers with the first nonzero tail entry
     positive.
+
+    The coefficients solve the Gram kernel's triangular system for the
+    independent prefix, U y = det(G_k) h with U[i][t] = hists[t][i] and
+    U[i][i] = pivots[i], h the dependent point's column history; y is
+    det(G_k) times the coefficients, an integer vector by Cramer's rule,
+    so the back-substitution divides exactly.
     """
     _require_normalized(s)
     tail = s.bits()[1:]
-    n, m = s.n, s.m
-    basis: list[tuple[list[Fraction], dict[int, Fraction]]] = []
-    for j, b in enumerate(tail):
-        vec = [Fraction((b >> k) & 1) for k in range(n)]
-        combo = {j: Fraction(1)}
-        for bvec, bcombo in basis:
-            lead = next(i for i, e in enumerate(bvec) if e != 0)
-            if vec[lead] != 0:
-                f = vec[lead] / bvec[lead]
-                vec = [a - f * c for a, c in zip(vec, bvec)]
-                for idx, coef in bcombo.items():
-                    combo[idx] = combo.get(idx, Fraction(0)) - f * coef
-        if all(e == 0 for e in vec):
-            c_tail = [combo.get(i, Fraction(0)) for i in range(m)]
-            scale = lcm(*(c.denominator for c in c_tail))
-            ints = [int(c * scale) for c in c_tail]
-            g = gcd(*ints)
-            ints = [v // g for v in ints]
-            first = next(v for v in ints if v)
-            if first < 0:
-                ints = [-v for v in ints]
-            return RationalVector.of([-sum(ints)] + ints)
-        basis.append((vec, combo))
-    raise IndependenceError("tail points are linearly independent; D has trivial kernel")
+    _, hists, pivots, _, _, dependent = cube.gram_eliminate(tail)
+    if dependent is None:
+        raise IndependenceError("tail points are linearly independent; D has trivial kernel")
+    h = dependent[1]
+    k = len(pivots)
+    scale = pivots[-1]
+    y = [0] * k
+    for i in range(k - 1, -1, -1):
+        y[i] = (scale * h[i] - sum(hists[t][i] * y[t] for t in range(i + 1, k))) // pivots[i]
+    ints = [-v for v in y] + [scale] + [0] * (len(tail) - k - 1)
+    g = gcd(*ints)
+    ints = [v // g for v in ints]
+    if next(v for v in ints if v) < 0:
+        ints = [-v for v in ints]
+    return RationalVector.of([-sum(ints)] + ints)
 
 
 def bordered_distance_det(s: PointSet) -> Fraction:
     """det [[0, 1^T], [1, D]], computed both by direct elimination and
-    as (-1)^(m-1) 2^m det(G); the two must coincide."""
+    as (-1)^(m-1) 2^m det(G), det(G) from the Gram kernel; the two must
+    coincide."""
     _require_normalized(s)
     m = s.m
-    direct = det_int(_bordered_distance_rows(s.bits()))
-    det_g = det_int(cube.gram_rows(s.bits()[1:])[0])
+    det_g, _ = _gram_dets(s.bits()[1:])
+    direct = det_int(cube.bordered_rows(cube.distance_rows(s.bits())))
     formula = (-1) ** (m - 1) * (1 << m) * det_g
     if direct != formula:
         raise InvariantError(f"bordered distance det {direct} != formula {formula}")
@@ -183,15 +187,14 @@ def full_report(s: PointSet) -> DetReport:
     require invertibility are absent (None) rather than zeroed."""
     sn = normalize(s)
     det_d = det_distance_matrix(sn)
-    det_g = Fraction(det_int(cube.gram_rows(sn.bits()[1:])[0]))
-    independent = cube.linear_independent(sn)
-    gq = gram_quad(sn) if independent else None
+    det_g, corner = _gram_dets(sn.bits()[1:])
+    gq = Fraction(-corner, det_g) if corner is not None else None
     dio = 2 / gq if gq is not None else None
     return DetReport(
         det_D=det_d,
-        det_G=det_g,
-        vol_sq=det_g,
-        affinely_independent=independent,
+        det_G=Fraction(det_g),
+        vol_sq=Fraction(det_g),
+        affinely_independent=gq is not None,
         gram_quad=gq,
         dinv_ones=dio,
     )

@@ -41,26 +41,18 @@ ROOT_BORDERED = "bordered"
 ROOT_NONE_BELOW_CAP = "none-below-cap"
 
 
-@dataclass(frozen=True, eq=False)
-class PMetricMatrix:
-    """Entrywise p-th power of a distance matrix, at machine precision."""
-
-    p: float
-    entries: np.ndarray
-
-
-def dp_matrix(s: PointSet, p: float) -> PMetricMatrix:
-    """The matrix (d(x_i, x_j)^p); requires p >= 1."""
+def dp_matrix(s: PointSet, p: float) -> np.ndarray:
+    """The matrix (d(x_i, x_j)^p) at machine precision; requires p >= 1."""
     if p < 1:
         raise DomainError(f"exponent {p} below 1")
     base = np.array(cube.distance_rows(s.bits()), dtype=float)
-    return PMetricMatrix(p=float(p), entries=np.power(base, p))
+    return np.power(base, p)
 
 
 def is_p_negative_type(s: PointSet, p: float, tol: float = DEFAULT_TOL) -> bool:
     """Negative semidefiniteness of the restricted form, with a
     Frobenius-scaled eigenvalue tolerance."""
-    dp = dp_matrix(s, p).entries
+    dp = dp_matrix(s, p)
     q = dp[1:, 1:] - dp[1:, 0:1] - dp[0:1, 1:]
     q = 0.5 * (q + q.T)
     top = float(np.linalg.eigvalsh(q)[-1])
@@ -185,11 +177,6 @@ class NegTypeReport:
         return out
 
 
-def _bordered_rows(rows: list[list[int]]) -> list[list[int]]:
-    k = len(rows)
-    return [[0] + [1] * k] + [[1] + row for row in rows]
-
-
 def _scan_for_roots(
     d_float: np.ndarray,
     exact_det_sign: Optional[int],
@@ -268,7 +255,7 @@ def sanchez_wp(
         )
     rows = cube.distance_rows(bits)
     exact_det = det_int([row[:] for row in rows])
-    exact_bord = det_int(_bordered_rows(rows))
+    exact_bord = det_int(cube.bordered_rows(rows))
     d_float = np.array(rows, dtype=float)
     hit = _scan_for_roots(
         d_float,
@@ -300,10 +287,10 @@ def strict_p_negative_type(s: PointSet, p: float, tol: float = DEFAULT_TOL) -> b
     rows = cube.distance_rows(sn.bits())
     if p == 1:
         det1 = det_int([row[:] for row in rows])
-        bord1 = det_int(_bordered_rows(rows))
+        bord1 = det_int(cube.bordered_rows(rows))
         return det1 != 0 and bord1 != 0
     d_float = np.array(rows, dtype=float)
-    bord = np.array(_bordered_rows(rows), dtype=float)
+    bord = np.array(cube.bordered_rows(rows), dtype=float)
     log_tol = math.log(tol)
     sign_d, ratio_d = _det_signal(np.power(d_float, p), tol)
     if sign_d == 0 or ratio_d <= log_tol:

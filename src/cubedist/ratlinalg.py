@@ -146,9 +146,6 @@ class RationalVector:
             raise DimensionError(f"dot of dim {len(self)} with dim {len(other)}")
         return sum((a * b for a, b in zip(self.entries, other.entries)), Fraction(0))
 
-    def is_zero(self) -> bool:
-        return all(e == 0 for e in self.entries)
-
     def to_strings(self) -> list[str]:
         return [str(e) for e in self.entries]
 
@@ -194,52 +191,12 @@ class RationalMatrix:
     def entry(self, i: int, j: int) -> Fraction:
         return self.entries[i][j]
 
-    def row(self, i: int) -> RationalVector:
-        return RationalVector(self.entries[i])
-
-    def is_symmetric(self) -> bool:
-        if not self.is_square:
-            return False
-        e = self.entries
-        return all(e[i][j] == e[j][i] for i in range(self.rows) for j in range(i))
-
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(tuple(zip(*self.entries))) if self.entries else self
-
-    def matmul(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.cols != other.rows:
-            raise DimensionError(f"matmul {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        cols = list(zip(*other.entries))
-        return RationalMatrix(
-            tuple(
-                tuple(sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in cols)
-                for row in self.entries
-            )
-        )
-
-    def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
-        return self.matmul(other)
-
     def matvec(self, v: RationalVector) -> RationalVector:
         if self.cols != len(v):
             raise DimensionError(f"matvec {self.rows}x{self.cols} by dim {len(v)}")
         return RationalVector(
             tuple(sum((a * b for a, b in zip(row, v.entries)), Fraction(0)) for row in self.entries)
         )
-
-    def scale(self, s) -> "RationalMatrix":
-        f = Fraction(s)
-        return RationalMatrix(tuple(tuple(f * e for e in row) for row in self.entries))
-
-    def bordered(self, v: RationalVector, corner) -> "RationalMatrix":
-        """Extend by one row and column: ``[[corner, v^T], [v, M]]``."""
-        if not self.is_square:
-            raise DimensionError("bordered extension needs a square matrix")
-        if len(v) != self.rows:
-            raise DimensionError(f"border vector dim {len(v)} for {self.rows}x{self.cols} matrix")
-        top = (Fraction(corner),) + v.entries
-        body = tuple((v.entries[i],) + self.entries[i] for i in range(self.rows))
-        return RationalMatrix((top,) + body)
 
     def _scaled_int_rows(self) -> tuple[list[list[int]], Fraction]:
         """Clear denominators row by row; return integer rows and the

@@ -11,13 +11,13 @@ and it is compared against the conjectured floor 2/n.
 
 Kernel. The exhaustive scan is one depth-first walk of the lexicographic
 combination tree of {1, ..., 2^n - 1}. Each level of the walk appends one
-point and keeps one row of a fraction-free, no-pivot, symmetric Bareiss
-elimination (Bareiss 1968) of the bordered Gram matrix [[G, u], [u^T, 0]],
-points first and border last: the point's column history, its pivot
-(the Gram determinant of the prefix), its border entry and the running
-corner (the bordered determinant of the prefix). Appending to a prefix of
-k points costs O(k^2) integer operations, shared by every set below it;
-a leaf's value is -2 pivot / corner.
+point through `cube.gram_push`, the package's fraction-free, no-pivot,
+symmetric Bareiss elimination (Bareiss 1968) of the bordered Gram matrix
+[[G, u], [u^T, 0]], and keeps that point's row: its column history, its
+pivot (the Gram determinant of the prefix), its border entry and the
+running corner (the bordered determinant of the prefix). Appending to a
+prefix of k points costs O(k^2) integer operations, shared by every set
+below it; a leaf's value is -2 pivot / corner.
 
 Pruning. G = B B^T is positive semidefinite, so its leading principal
 minors are nonnegative, and one of them is zero exactly when the points
@@ -32,8 +32,8 @@ first-element subtrees, balanced by subtree size and split at depth two
 when one subtree outweighs a group's share; the merge is an associative
 min-reduction, so identical runs produce identical JSON, byte for byte,
 whatever the worker count. Random probing is sequential by design for
-the same reason, and pushes each sampled tail through the same level
-routine as the walk.
+the same reason, and pushes each sampled tail through the same kernel
+(`cube.gram_eliminate`).
 """
 
 from __future__ import annotations
@@ -45,10 +45,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Iterator, Optional
+from typing import Optional
 
 from . import cube
-from .cube import PointSet
+from .cube import PointSet, gram_eliminate, gram_push
 from .errors import BudgetExceededError, DomainError, InvariantError
 from .ratlinalg import det_int  # noqa: F401  (module attribute that tracing tools patch by name)
 
@@ -63,63 +63,6 @@ def _validate_params(n: int, m: int) -> None:
         raise DomainError(f"dimension {n} outside [{cube.MIN_DIM}, {cube.MAX_DIM}]")
     if not 1 <= m <= (1 << n) - 1:
         raise DomainError(f"subset size {m} outside [1, {(1 << n) - 1}] for dimension {n}")
-
-
-def enumerate_normalized(n: int, m: int) -> Iterator[PointSet]:
-    """Every normalized set {0, x_1, ..., x_m} in H_n exactly once, in
-    lexicographic bit-pattern order."""
-    _validate_params(n, m)
-    for tail in cube.all_subsets_with_base(n, m):
-        yield PointSet.from_bits(n, (0,) + tail)
-
-
-def _push(x, points, hists, pivots, borders, corner):
-    """Eliminate point x appended to an independent prefix.
-
-    For prefix point i (0-based), hists[i][s] = a^(s)_{s,i} for s < i is
-    its column history, pivots[i] = a^(i)_{i,i} is the Gram determinant
-    of points[:i + 1] and borders[i] = a^(i)_{i,b} its border entry;
-    `corner` = a^(k)_{b,b} is the bordered determinant of the k-point
-    prefix (0 for the empty one). Returns the same four values for the
-    prefix extended by x. Intermediate entries are minors of the input,
-    so every division is exact; a zero pivot means x lies in the span of
-    the prefix.
-    """
-    hist = []
-    piv = bord = x.bit_count()
-    prev = 1
-    for q, h, p, b in zip(points, hists, pivots, borders):
-        a = (q & x).bit_count()
-        pv = 1
-        for ps, hs, vs in zip(pivots, h, hist):
-            a = (ps * a - hs * vs) // pv
-            pv = ps
-        hist.append(a)
-        piv = (p * piv - a * a) // prev
-        bord = (p * bord - a * b) // prev
-        prev = p
-    return hist, piv, bord, (piv * corner - bord * bord) // prev
-
-
-def _eliminate(tail: tuple[int, ...]):
-    """The level state (points, hists, pivots, borders, corner) after
-    pushing the tail's points in order, or None when they are linearly
-    dependent (singular distance matrix). For an independent tail,
-    pivots[-1] = det G and corner = det [[G, u], [u^T, 0]]."""
-    points: list[int] = []
-    hists: list[list[int]] = []
-    pivots: list[int] = []
-    borders: list[int] = []
-    corner = 0
-    for x in tail:
-        hist, piv, bord, corner = _push(x, points, hists, pivots, borders, corner)
-        if not piv:
-            return None
-        points.append(x)
-        hists.append(hist)
-        pivots.append(piv)
-        borders.append(bord)
-    return points, hists, pivots, borders, corner
 
 
 class _Tally:
@@ -166,7 +109,7 @@ def _descend(xs, top, m, points, hists, pivots, borders, corner, tally) -> None:
     `points` by a value from xs and then by larger values."""
     need = m - len(points) - 1
     for x in xs:
-        hist, piv, bord, c = _push(x, points, hists, pivots, borders, corner)
+        hist, piv, bord, c = gram_push(x, points, hists, pivots, borders, corner)
         if not piv:
             tally.examined += comb(top - x, need)
         elif not need:
@@ -190,7 +133,7 @@ def _scan_group(task: tuple[int, int, list[tuple[tuple[int, ...], int, int]]]):
     tally = _Tally(n, m)
     for prefix, lo, hi in pieces:
         # A prefix holds at most one point, and a nonzero point is independent.
-        _descend(range(lo, hi), (1 << n) - 1, m, *_eliminate(prefix), tally)
+        _descend(range(lo, hi), (1 << n) - 1, m, *gram_eliminate(prefix)[:5], tally)
     return tally.parts()
 
 
@@ -379,10 +322,10 @@ def random_probe(
         while len(chosen) < m:
             chosen.add(rng.randrange(1, 1 << n))
         tail = tuple(sorted(chosen))
-        state = _eliminate(tail)
-        if state is None:
-            tally.examined += 1
+        _, _, pivots, _, corner, dependent = gram_eliminate(tail)
+        if dependent is None:
+            tally.add(tail, pivots[-1], corner)
         else:
-            tally.add(tail, state[2][-1], state[4])
+            tally.examined += 1
     examined, independent, best, violations = tally.parts()
     return _result_from_parts(n, m, MODE_RANDOM, examined, independent, best, violations, seed=seed)

@@ -109,12 +109,10 @@ def check_point_set(tail: tuple[int, ...], n: int, report: SweepReport) -> None:
         report.counter("dependent_kernel").add(ok, tail)
         return
     gq = identities.gram_quad(s)
-    g_rows, u = cube.gram_rows(tail)
-    bord_g = [[0] + u] + [[u[i]] + g_rows[i] for i in range(m)]
-    det_g = det_int(g_rows)
-    det_bord_g = det_int(bord_g)
+    _, _, pivots, _, corner, dependent = cube.gram_eliminate(tail)
+    det_g = pivots[-1] if dependent is None else 0
     report.counter("gram_quad_two_routes").add(
-        det_g != 0 and gq == Fraction(-det_bord_g, det_g), tail
+        dependent is None and gq == Fraction(-corner, det_g), tail
     )
     report.counter("det_via_gram_quad").add(
         det_direct != 0 and identities.det_via_gram_quad(s) == det_direct, tail

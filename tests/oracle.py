@@ -6,17 +6,20 @@ summing coordinate differences, Gram matrices by explicit dot products
 over signed integers. Tests compute expected values through these and
 compare the package's fast routes against them.
 
-The exception is the search section at the end: the per-subset evaluator
-that the search kernel replaced (a rank test, a Gram rebuild and two
-pivoting Bareiss determinants for every subset), kept as the slow path
-the prefix-sharing kernel is compared against.
+The exceptions are the slow paths that the Gram kernel replaced, kept
+so that the fast routes are compared against them: the `Fraction`
+Gaussian elimination that built kernel witnesses, and, in the search
+section at the end, the per-subset evaluator (a rank test, a Gram
+rebuild and two pivoting Bareiss determinants for every subset).
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import gcd, lcm
 
 from cubedist import cube
-from cubedist.ratlinalg import det_int
+from cubedist.errors import IndependenceError
+from cubedist.ratlinalg import RationalVector, det_int
 
 
 def leibniz_det(rows):
@@ -59,6 +62,50 @@ def gram_of_differences(coords_list):
 
 def matvec(rows, vec):
     return [sum(a * b for a, b in zip(row, vec)) for row in rows]
+
+
+def matmul(a, b):
+    """Product of two matrices given as row lists."""
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+
+
+def bordered(rows, vec, corner):
+    """The matrix [[corner, vec^T], [vec, rows]] as row lists."""
+    return [[corner, *vec]] + [[v, *row] for v, row in zip(vec, rows)]
+
+
+def kernel_witness_oracle(s):
+    """Kernel vector of D for a normalized set with a dependent tail, by
+    Fraction Gaussian elimination of the coordinate rows: the first tail
+    point that reduces to zero gives the dependence, scaled to coprime
+    integers with the first nonzero tail entry positive and
+    c_0 = -(c_1 + ... + c_m)."""
+    tail = s.bits()[1:]
+    n, m = s.n, s.m
+    basis = []
+    for j, b in enumerate(tail):
+        vec = [Fraction((b >> k) & 1) for k in range(n)]
+        combo = {j: Fraction(1)}
+        for bvec, bcombo in basis:
+            lead = next(i for i, e in enumerate(bvec) if e != 0)
+            if vec[lead] != 0:
+                f = vec[lead] / bvec[lead]
+                vec = [a - f * c for a, c in zip(vec, bvec)]
+                for idx, coef in bcombo.items():
+                    combo[idx] = combo.get(idx, Fraction(0)) - f * coef
+        if all(e == 0 for e in vec):
+            c_tail = [combo.get(i, Fraction(0)) for i in range(m)]
+            scale = lcm(*(c.denominator for c in c_tail))
+            ints = [int(c * scale) for c in c_tail]
+            g = gcd(*ints)
+            ints = [v // g for v in ints]
+            first = next(v for v in ints if v)
+            if first < 0:
+                ints = [-v for v in ints]
+            return RationalVector.of([-sum(ints)] + ints)
+        basis.append((vec, combo))
+    raise IndependenceError("tail points are linearly independent; D has trivial kernel")
 
 
 def eval_tail_oracle(tail, n):

@@ -195,21 +195,23 @@ class TestVerify:
         assert "FAIL" in capsys.readouterr().out
 
 
-def test_console_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "cubedist.cli", "search", "--n", "2", "--m", "1"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["min_value"] == "1"
+def _run_python(args):
+    """Run a fresh interpreter that imports this package, wherever it
+    was imported from here."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cubedist.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
 
 
 def _run_optimized(args):
     """Run the interpreter with -O (asserts stripped) on this package."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cubedist.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-O", *args], capture_output=True, text=True, env=env, timeout=120)
+    return _run_python(["-O", *args])
+
+
+def test_console_entry_point():
+    proc = _run_python(["-m", "cubedist.cli", "search", "--n", "2", "--m", "1"])
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["min_value"] == "1"
 
 
 def test_search_under_optimize():
@@ -221,13 +223,13 @@ def test_search_under_optimize():
 def test_invariant_checked_under_optimize():
     script = (
         "import sys\n"
-        "from cubedist import search\n"
+        "from cubedist import cube, search\n"
         "from cubedist.cli import main\n"
-        "real = search._push\n"
+        "real = cube.gram_push\n"
         "def wrong(*args):\n"
         "    hist, piv, bord, corner = real(*args)\n"
         "    return hist, piv, bord, corner - 1\n"
-        "search._push = wrong\n"
+        "search.gram_push = cube.gram_push = wrong\n"
         "sys.exit(main(['search', '--n', '3', '--m', '3']))\n"
     )
     proc = _run_optimized(["-c", script])

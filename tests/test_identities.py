@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cubedist import cube, identities, verify
 from cubedist.cube import PointSet
@@ -12,8 +14,14 @@ from cubedist.errors import (
     InvariantError,
     SingularMatrixError,
 )
-from cubedist.ratlinalg import RationalMatrix, ones
-from oracle import distance_matrix_from_coords, leibniz_det, matvec
+from cubedist.ratlinalg import RationalMatrix, det_int, ones
+from oracle import (
+    bordered,
+    distance_matrix_from_coords,
+    kernel_witness_oracle,
+    leibniz_det,
+    matvec,
+)
 
 F = Fraction
 
@@ -114,6 +122,66 @@ class TestKernelWitness:
             identities.kernel_witness(H3_SET)
 
 
+@st.composite
+def _random_tails(draw):
+    n = draw(st.integers(2, 8))
+    m = draw(st.integers(1, min(2 * n + 3, (1 << n) - 1)))
+    tail = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=m, max_size=m, unique=True))
+    return n, tail
+
+
+@st.composite
+def _dependent_tails(draw):
+    """Tails holding x, y and x | y for disjoint x, y, in random order."""
+    n = draw(st.integers(2, 8))
+    x = draw(st.integers(1, (1 << n) - 1))
+    y = draw(st.integers(1, (1 << n) - 1)) & ~x
+    assume(y)
+    others = draw(st.sets(st.integers(1, (1 << n) - 1), max_size=n))
+    tail = draw(st.permutations(sorted(others | {x, y, x | y})))
+    return n, tail
+
+
+def _witness_or_error(fn, s):
+    try:
+        return fn(s)
+    except IndependenceError:
+        return IndependenceError
+
+
+class TestKernelWitnessAgainstOracle:
+    """The Gram-kernel witness equals the Fraction-elimination one."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_random_tails())
+    def test_random_tails(self, case):
+        n, tail = case
+        s = PointSet.from_bits(n, [0, *tail])
+        want = _witness_or_error(kernel_witness_oracle, s)
+        assert _witness_or_error(identities.kernel_witness, s) == want
+        assert (want is IndependenceError) == cube.linear_independent(s)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_dependent_tails())
+    def test_dependent_tails(self, case):
+        n, tail = case
+        s = PointSet.from_bits(n, [0, *tail])
+        assert identities.kernel_witness(s) == kernel_witness_oracle(s)
+
+    def test_every_dependent_h3_tail(self):
+        checked = 0
+        for m in range(1, 8):
+            for tail in combinations(range(1, 8), m):
+                s = PointSet.from_bits(3, (0,) + tail)
+                if cube.linear_independent(s):
+                    continue
+                checked += 1
+                c = identities.kernel_witness(s)
+                assert c == kernel_witness_oracle(s)
+                assert matvec(cube.distance_rows(s.bits()), [int(v) for v in c]) == [0] * (m + 1)
+        assert checked == 70
+
+
 class TestGramQuad:
     def test_pair_values(self):
         assert identities.gram_quad(PAIR_A) == 3
@@ -209,6 +277,20 @@ class TestFullReport:
         js = rep.to_json_dict()
         assert js["dinv_ones"] == "3/4"
 
+    def test_every_h3_subset_matches_separate_routes(self):
+        for m in range(1, 8):
+            for tail in combinations(range(1, 8), m):
+                s = PointSet.from_bits(3, (0,) + tail)
+                rep = identities.full_report(s)
+                det_g = det_int(cube.gram_rows(tail)[0])
+                independent = cube.linear_independent(s)
+                gq = identities.gram_quad(s) if independent else None
+                assert rep.det_D == det_int(cube.distance_rows(s.bits()))
+                assert rep.det_G == det_g and rep.vol_sq == det_g
+                assert rep.affinely_independent == independent
+                assert rep.gram_quad == gq
+                assert rep.dinv_ones == (2 / gq if independent else None)
+
     def test_report_normalizes_internally(self):
         rep = identities.full_report(PointSet.from_bits(2, [1, 2]))
         assert rep.det_D == -4  # distance 2 pair
@@ -248,6 +330,6 @@ class TestCrossIdentities:
             n = rng.randint(2, 5)
             size = rng.randint(2, min(7, 1 << n))
             s = PointSet.from_bits(n, [0] + sorted(rng.sample(range(1, 1 << n), size - 1)))
-            d = cube.derive(s)
-            reduced = d.G.scale(-2).bordered(d.u, 0)
-            assert d.D.det() == reduced.det()
+            g, u = cube.gram_rows(s.bits()[1:])
+            reduced = bordered([[-2 * e for e in row] for row in g], u, 0)
+            assert det_int(cube.distance_rows(s.bits())) == det_int(reduced)

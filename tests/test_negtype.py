@@ -30,16 +30,16 @@ def random_sets(seed, count, dims=(3, 4, 5)):
 class TestDpMatrix:
     def test_p1_equals_distance_matrix(self):
         dp = negtype.dp_matrix(H3_SET, 1.0)
-        assert np.array_equal(dp.entries, np.array(cube.distance_rows(H3_SET.bits()), float))
+        assert np.array_equal(dp, np.array(cube.distance_rows(H3_SET.bits()), float))
 
     def test_path_squared(self):
         dp = negtype.dp_matrix(PATH3, 2.0)
-        off = sorted([dp.entries[0, 1], dp.entries[1, 2], dp.entries[0, 2]])
+        off = sorted([dp[0, 1], dp[1, 2], dp[0, 2]])
         assert off == [1.0, 1.0, 4.0]
 
     def test_cube_power(self):
         dp = negtype.dp_matrix(PATH3, 3.0)
-        assert dp.entries[0, 2] == 8.0
+        assert dp[0, 2] == 8.0
 
     def test_below_one_rejected(self):
         with pytest.raises(DomainError):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cubedist import identities, search
+from cubedist import cube, identities, search
 from cubedist.cube import PointSet
 from cubedist.errors import BudgetExceededError, DomainError, InvariantError
 from cubedist.search import _merge_best
@@ -15,27 +15,12 @@ F = Fraction
 
 
 class TestEnumerate:
-    def test_n2_m1(self):
-        sets = list(search.enumerate_normalized(2, 1))
-        assert [s.to_strings() for s in sets] == [["00", "10"], ["00", "01"], ["00", "11"]]
-
-    def test_n2_m3(self):
-        sets = list(search.enumerate_normalized(2, 3))
-        assert len(sets) == 1
-        assert sets[0].bits() == (0, 1, 2, 3)
-
-    def test_n3_m2_count(self):
-        assert sum(1 for _ in search.enumerate_normalized(3, 2)) == 21
-
-    def test_all_normalized_and_lexicographic(self):
-        tails = [s.bits()[1:] for s in search.enumerate_normalized(3, 2)]
-        assert tails == sorted(tails)
-        assert all(s.normalized for s in search.enumerate_normalized(3, 2))
+    """The exhaustive enumeration's parameter domain."""
 
     @pytest.mark.parametrize("n,m", [(1, 1), (65, 1), (3, 0), (3, 8)])
     def test_out_of_range(self, n, m):
         with pytest.raises(DomainError):
-            list(search.enumerate_normalized(n, m))
+            search.min_dinv_ones(n, m)
 
 
 class TestExhaustive:
@@ -222,8 +207,8 @@ def _serial_scan(n, m):
 
 
 def _kernel_value(tail):
-    state = search._eliminate(tail)
-    return None if state is None else Fraction(-2 * state[2][-1], state[4])
+    _, _, pivots, _, corner, dependent = cube.gram_eliminate(tail)
+    return None if dependent is not None else Fraction(-2 * pivots[-1], corner)
 
 
 class TestKernelAgainstOracle:
@@ -254,13 +239,16 @@ class TestKernelAgainstOracle:
 
 
 def _corner_off_by_one(monkeypatch):
-    real = search._push
+    """Perturb the Gram kernel at both bindings the search reads: the
+    walk's own name and the one `cube.gram_eliminate` calls."""
+    real = cube.gram_push
 
     def wrong(*args):
         hist, piv, bord, corner = real(*args)
         return hist, piv, bord, corner - 1
 
-    monkeypatch.setattr(search, "_push", wrong)
+    monkeypatch.setattr(search, "gram_push", wrong)
+    monkeypatch.setattr(cube, "gram_push", wrong)
 
 
 class TestFullDimensionalInvariant:
