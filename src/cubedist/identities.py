@@ -40,10 +40,13 @@ def _bordered_gram_rows(tail: tuple[int, ...]) -> list[list[int]]:
     return [[0] + u] + [[u[i]] + g[i] for i in range(len(tail))]
 
 
-def _gram_dets(tail: tuple[int, ...]) -> tuple[int, Optional[int]]:
+def _gram_dets(tail: tuple[int, ...], kernel=None) -> tuple[int, Optional[int]]:
     """(det G, det [[G, u], [u^T, 0]]) from one Gram-kernel pass; a
-    dependent tail gives (0, None)."""
-    _, _, pivots, _, corner, dependent = cube.gram_eliminate(tail)
+    dependent tail gives (0, None). `kernel`, when given, is
+    `cube.gram_eliminate(tail)` already computed by the caller."""
+    if kernel is None:
+        kernel = cube.gram_eliminate(tail)
+    _, _, pivots, _, corner, dependent = kernel
     if dependent is not None:
         return 0, None
     return pivots[-1], corner
@@ -76,10 +79,20 @@ def det_via_gram_quad(s: PointSet) -> Fraction:
     _require_normalized(s)
     if not cube.linear_independent(s):
         raise DependenceError("tail points are linearly dependent; det(D) = 0 by the kernel route")
-    m = s.m
+    return det_from_gram_quad(s.m, *gram_solve(s))
+
+
+def gram_solve(s: PointSet) -> tuple[Fraction, Fraction]:
+    """(det G, <G^{-1}u, u>) along the rational route: one `cube.derive`,
+    a pivoting determinant of G and one exact solve G w = u. The caller
+    has checked that the tail is linearly independent."""
     d = cube.derive(s)
-    quad = d.G.quad_form_inv(d.u)
-    return Fraction((-1) ** m * (1 << (m - 1))) * d.G.det() * quad
+    return d.G.det(), d.G.quad_form_inv(d.u)
+
+
+def det_from_gram_quad(m: int, det_g: Fraction, quad: Fraction) -> Fraction:
+    """det(D) = (-1)^m 2^(m-1) det(G) <G^{-1}u, u> for an m-point tail."""
+    return Fraction((-1) ** m * (1 << (m - 1))) * det_g * quad
 
 
 def gram_quad(s: PointSet) -> Fraction:
@@ -92,7 +105,7 @@ def gram_quad(s: PointSet) -> Fraction:
     return d.G.quad_form_inv(d.u)
 
 
-def kernel_witness(s: PointSet) -> RationalVector:
+def kernel_witness(s: PointSet, kernel=None) -> RationalVector:
     """A nonzero rational vector c with D c = 0 and sum(c) = 0.
 
     Built from the first tail point that is a rational combination of
@@ -105,11 +118,14 @@ def kernel_witness(s: PointSet) -> RationalVector:
     independent prefix, U y = det(G_k) h with U[i][t] = hists[t][i] and
     U[i][i] = pivots[i], h the dependent point's column history; y is
     det(G_k) times the coefficients, an integer vector by Cramer's rule,
-    so the back-substitution divides exactly.
+    so the back-substitution divides exactly. `kernel`, when given, is
+    `cube.gram_eliminate` of the tail, already computed by the caller.
     """
     _require_normalized(s)
     tail = s.bits()[1:]
-    _, hists, pivots, _, _, dependent = cube.gram_eliminate(tail)
+    if kernel is None:
+        kernel = cube.gram_eliminate(tail)
+    _, hists, pivots, _, _, dependent = kernel
     if dependent is None:
         raise IndependenceError("tail points are linearly independent; D has trivial kernel")
     h = dependent[1]
@@ -126,13 +142,14 @@ def kernel_witness(s: PointSet) -> RationalVector:
     return RationalVector.of([-sum(ints)] + ints)
 
 
-def bordered_distance_det(s: PointSet) -> Fraction:
+def bordered_distance_det(s: PointSet, kernel=None) -> Fraction:
     """det [[0, 1^T], [1, D]], computed both by direct elimination and
     as (-1)^(m-1) 2^m det(G), det(G) from the Gram kernel; the two must
-    coincide."""
+    coincide. `kernel`, when given, is `cube.gram_eliminate` of the
+    tail, already computed by the caller."""
     _require_normalized(s)
     m = s.m
-    det_g, _ = _gram_dets(s.bits()[1:])
+    det_g, _ = _gram_dets(s.bits()[1:], kernel)
     direct = det_int(cube.bordered_rows(cube.distance_rows(s.bits())))
     formula = (-1) ** (m - 1) * (1 << m) * det_g
     if direct != formula:

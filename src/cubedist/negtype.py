@@ -12,6 +12,22 @@ determinant det [[0, 1^T], [1, D_p]] = -det(D_p) <D_p^{-1}1, 1>, which
 avoids inverting D_p. Both functions are scanned on a grid and the
 earliest sign change bisected.
 
+The scan works in stacked batches, because a single slogdet of a matrix
+this small costs mostly call overhead. Grid points are evaluated
+_GRID_CHUNK at a time with one np.power and one np.linalg.slogdet per
+matrix shape. Before each block of _BISECT_STEPS bisection steps, every
+midpoint the loop could visit next is computed with the loop's own
+arithmetic and evaluated in one batch; the unchanged bisection then
+walks through those values, so it takes the same path. The walk reads
+only signs, so a bordered bisection batch skips D_p. One memo keyed by
+p holds slogdet(D_p) for both scans, so each D_p is factorised once.
+The bordered scan runs first; the determinant scan then stops as soon
+as its grid walk or its bisection is past the bordered root with no
+zero band open, since any root it could still find is later and so
+cannot win (a tie goes to the determinant root, which that scan still
+finds). Every result equals the
+scalar one-matrix-per-call scan's exactly.
+
 Everything at p = 1 is decided in exact integer arithmetic (D_1 is
 integral); for p > 1 determinants are evaluated at machine precision via
 slogdet and classified as zero against a Hadamard-scaled threshold.
@@ -60,85 +76,232 @@ def is_p_negative_type(s: PointSet, p: float, tol: float = DEFAULT_TOL) -> bool:
     return top <= tol * scale
 
 
-def _log_hadamard(a: np.ndarray) -> float:
-    norms = np.sqrt((a * a).sum(axis=1))
-    if np.any(norms == 0.0):
-        return -math.inf
-    return float(np.log(norms).sum())
+# Exponents per stacked batch: grid points evaluated together, and the
+# bisection steps whose possible midpoints are evaluated ahead at once.
+_GRID_CHUNK = 8
+_BISECT_STEPS = 3
+
+_Signal = tuple[int, Optional[float]]
+# A batch signal maps exponents to (raw sign, log ratio), one per
+# exponent. With ratios=False it may leave the ratio of a nonzero sign
+# as None: the bisection walk reads ratios only at zero signs and at its
+# last midpoint, which it asks for with ratios.
+_BatchFn = Callable[..., list[_Signal]]
 
 
-def _det_signal(a: np.ndarray, tol: float) -> tuple[int, float]:
-    """Raw sign of det(a) and the log of |det| / Hadamard-bound.
+class _PowerSignals:
+    """Signals of det(D_p) and of the bordered determinant at exponents
+    p (the matrices are raised to p / alpha), evaluated in stacked
+    batches and memoised by p.
 
-    The sign is 0 only for a float-exact zero; callers decide zero
-    classification from the scale-free ratio. Near a simple root the
-    raw sign stays faithful far below the tol * Hadamard threshold, so
-    bisection can keep narrowing inside the classified-zero band.
+    The determinant signal is the raw sign of det(D_p) and the log of
+    |det| over its Hadamard bound. The sign is 0 only for a float-exact
+    zero; callers decide zero classification from the scale-free ratio.
+    Near a simple root the raw sign stays faithful far below the
+    tol * Hadamard threshold, so bisection can keep narrowing inside the
+    classified-zero band. The bordered signal's ratio is
+    log |det bordered / det D_p| = log |<D_p^{-1}1, 1>|, the
+    dimensionless quantity whose vanishing is scanned (the bordered
+    matrix's own Hadamard bound overscales it). slogdet(D_p) is memoised
+    by p for both signals, so each D_p is factorised once; a bordered
+    batch factorises the D_p block of its raised bordered matrices, and
+    skips it when asked for signs only (ratios=False), since the sign of
+    the bordered determinant alone is the bordered signal's sign.
+
+    `anchor` = (lo, det sign, bordered sign) fixes both signals at lo to
+    exact signs with ratio 0, so no batch ever evaluates lo.
     """
-    logh = _log_hadamard(a)
-    if logh == -math.inf:
-        return 0, -math.inf
-    sign, logabs = np.linalg.slogdet(a)
-    if sign == 0.0:
-        return 0, -math.inf
-    return (1 if sign > 0 else -1), logabs - logh
+
+    def __init__(self, d_float: np.ndarray, alpha: float = 1.0, anchor=None):
+        k = d_float.shape[0]
+        bord = np.zeros((k + 1, k + 1))
+        bord[0, 1:] = 1.0
+        bord[1:, 0] = 1.0
+        bord[1:, 1:] = d_float
+        self._d = d_float
+        self._bord = bord
+        self._alpha = alpha
+        self._slogdet: dict[float, tuple[float, float]] = {}
+        self._bordered_slogdet: dict[float, tuple[float, float]] = {}
+        self._det: dict[float, _Signal] = {}
+        self._bordered: dict[float, _Signal] = {}
+        if anchor is not None:
+            lo, det_sign, bord_sign = anchor
+            self._det[lo] = (det_sign, 0.0)
+            self._bordered[lo] = (bord_sign, 0.0)
+
+    def _raise(self, base: np.ndarray, ps: list[float]) -> np.ndarray:
+        return np.power(base, (np.array(ps) / self._alpha)[:, None, None])
+
+    def _factorise(self, ps: list[float], dp: np.ndarray) -> list[tuple[float, float]]:
+        known = [self._slogdet.get(p) for p in ps]
+        if None in known:
+            sign, logabs = np.linalg.slogdet(dp)
+            known = list(zip(sign.tolist(), logabs.tolist()))
+            self._slogdet.update(zip(ps, known))
+        return known
+
+    def det(self, ps: list[float], ratios: bool = True) -> list[_Signal]:
+        # the factorisation that gives the sign gives the ratio too, so
+        # determinant signals always carry it, whatever `ratios` asks
+        memo = self._det
+        missing = [p for p in ps if p not in memo]
+        if missing:
+            dp = self._raise(self._d, missing)
+            norms = np.sqrt((dp * dp).sum(axis=2))
+            # a zero row bounds |det| by 0: the signal is 0 without a log
+            flat = (norms == 0.0).any(axis=1)
+            norms[flat] = 1.0
+            logh = np.log(norms).sum(axis=1).tolist()
+            for p, (sd, ld), lh, zero in zip(missing, self._factorise(missing, dp), logh, flat.tolist()):
+                memo[p] = (0, -math.inf) if zero or sd == 0.0 else ((1 if sd > 0 else -1), ld - lh)
+        return [memo[p] for p in ps]
+
+    def bordered(self, ps: list[float], ratios: bool = True) -> list[_Signal]:
+        memo = self._bordered
+        missing = [p for p in ps if p not in memo]
+        if not missing:
+            return [memo[p] for p in ps]
+        new = [p for p in missing if p not in self._bordered_slogdet]
+        if new:
+            full = self._raise(self._bord, new)
+            sign, logabs = np.linalg.slogdet(full)
+            self._bordered_slogdet.update(zip(new, zip(sign.tolist(), logabs.tolist())))
+            if ratios:
+                self._factorise(new, full[:, 1:, 1:])
+        if not ratios:
+            # the sign of the bordered determinant needs no D_p
+            return [
+                memo[p] if p in memo else _sign_only(self._bordered_slogdet[p][0]) for p in ps
+            ]
+        rest = [p for p in missing if p not in self._slogdet]
+        if rest:
+            self._factorise(rest, self._raise(self._d, rest))
+        for p in missing:
+            sb, lb = self._bordered_slogdet[p]
+            sd, ld = self._slogdet[p]
+            if sb == 0.0:
+                memo[p] = (0, -math.inf)
+            elif sd == 0.0:
+                # D_p itself is float-singular here; the determinant scan
+                # owns this root, so report the bordered value as nonzero
+                memo[p] = ((1 if sb > 0 else -1), 0.0)
+            else:
+                memo[p] = ((1 if sb > 0 else -1), lb - ld)
+        return [memo[p] for p in ps]
 
 
-_SignFn = Callable[[float], tuple[int, float]]
+def _sign_only(sign: float) -> _Signal:
+    return (0, -math.inf) if sign == 0.0 else ((1 if sign > 0 else -1), None)
 
 
 def _residual(ratio: float) -> float:
     return math.exp(min(ratio, 0.0))
 
 
-def _bisect_root(sign_at: _SignFn, lo: float, hi: float, s_lo: int, tol: float):
+def _prefetch(signal: _BatchFn, known: dict, lo: float, hi: float, tol: float) -> None:
+    """Evaluate, in one batch, the midpoint of every interval that the
+    bisection loop can reach from (lo, hi) within _BISECT_STEPS steps,
+    computed with the loop's own arithmetic and stopping rules."""
+    ps = []
+    level = [(lo, hi)]
+    for _ in range(_BISECT_STEPS):
+        nxt = []
+        for a, b in level:
+            mid = 0.5 * (a + b)
+            ps.append(mid)
+            if b - a > tol and a < mid < b:
+                nxt += ((a, mid), (mid, b))
+        level = nxt
+    known.update(zip(ps, signal(ps, ratios=False)))
+
+
+def _bisect_root(
+    signal: _BatchFn, lo: float, hi: float, s_lo: int, tol: float, stop: Optional[float] = None
+):
+    """Bisection on raw signs from the bracket (lo, hi); None once lo has
+    passed `stop`, since the root it would return is at least lo."""
+    known: dict[float, _Signal] = {}
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        s, ratio = sign_at(mid)
+        if mid not in known:
+            _prefetch(signal, known, lo, hi, tol)
+        s, ratio = known[mid]
         if s == 0:
             return mid, (mid, mid), _residual(ratio)
         if s == s_lo:
             lo = mid
+            if stop is not None and lo > stop:
+                return None
         else:
             hi = mid
     mid = 0.5 * (lo + hi)
-    _, ratio = sign_at(mid)
-    return mid, (lo, hi), _residual(ratio)
+    return mid, (lo, hi), _residual(signal([mid])[0][1])
 
 
-def _first_root(sign_at: _SignFn, lo: float, cap: float, grid: float, tol: float):
-    """Earliest root of sign_at on [lo, cap]: a sign change (refined by
-    bisection on raw signs) or a zero-classified run the scan cannot
+def _first_root(
+    signal: _BatchFn,
+    lo: float,
+    cap: float,
+    grid: float,
+    tol: float,
+    stop: Optional[float] = None,
+):
+    """Earliest root of the signal on [lo, cap]: a sign change (refined
+    by bisection on raw signs) or a zero-classified run the scan cannot
     cross (touch-zero or a run against an endpoint). None when the sign
-    never changes below the cap."""
+    never changes below the cap, and also, when `stop` is given, once
+    the scan or its bisection has passed `stop` with no zero run open:
+    any root it could still find lies strictly above `stop`. Grid points
+    are evaluated _GRID_CHUNK at a time."""
     log_tol = math.log(tol)
     steps = int(math.ceil((cap - lo) / grid - 1e-12))
     last_p: float | None = None
     last_s = 0
     band: tuple[float, float] | None = None
-    for k in range(steps + 1):
-        p = min(lo + k * grid, cap)
-        s, ratio = sign_at(p)
-        if s == 0 or ratio <= log_tol:
-            band = (p, p) if band is None else (band[0], p)
-            continue
-        if last_p is None:
-            if band is not None:
-                # the scan started inside a zero band; earliest root there
-                return band[0], band, _residual(sign_at(band[0])[1])
+    band_ratio = 0.0
+    for start in range(0, steps + 1, _GRID_CHUNK):
+        ps = [min(lo + k * grid, cap) for k in range(start, min(start + _GRID_CHUNK, steps + 1))]
+        for p, (s, ratio) in zip(ps, signal(ps)):
+            if s == 0 or ratio <= log_tol:
+                if band is None:
+                    band, band_ratio = (p, p), ratio
+                else:
+                    band = (band[0], p)
+                continue
+            if last_p is None:
+                if band is not None:
+                    # the scan started inside a zero band; earliest root there
+                    return band[0], band, _residual(band_ratio)
+            elif s != last_s:
+                return _bisect_root(signal, last_p, p, last_s, tol, stop)
+            elif band is not None:
+                # equal signs around a zero-classified run: touch-zero root
+                mid = 0.5 * (band[0] + band[1])
+                return mid, band, _residual(signal([mid])[0][1])
             last_p, last_s = p, s
-            continue
-        if s != last_s:
-            return _bisect_root(sign_at, last_p, p, last_s, tol)
-        if band is not None:
-            # equal signs around a zero-classified run: touch-zero root
-            mid = 0.5 * (band[0] + band[1])
-            return mid, band, _residual(sign_at(mid)[1])
-        last_p, last_s = p, s
+            if stop is not None and last_p > stop:
+                return None
     if band is not None:
-        return band[0], band, _residual(sign_at(band[0])[1])
+        return band[0], band, _residual(band_ratio)
+    return None
+
+
+def _scan_for_roots(signals, lo: float, cap: float, grid: float, tol: float):
+    """Earliest root of det(D_p) and of the bordered determinant over
+    [lo, cap] as (root, kind, bracket, residual), the determinant root
+    on a tie; None when neither has a root below the cap. `signals`
+    supplies both batch signals (a `_PowerSignals`). The bordered scan
+    runs first, so the determinant scan can stop once it is past the
+    bordered root."""
+    bord = _first_root(signals.bordered, lo, cap, grid, tol)
+    det = _first_root(signals.det, lo, cap, grid, tol, stop=None if bord is None else bord[0])
+    if det is not None and (bord is None or det[0] <= bord[0]):
+        return det[0], ROOT_DETERMINANT, det[1], det[2]
+    if bord is not None:
+        return bord[0], ROOT_BORDERED, bord[1], bord[2]
     return None
 
 
@@ -177,58 +340,6 @@ class NegTypeReport:
         return out
 
 
-def _scan_for_roots(
-    d_float: np.ndarray,
-    exact_det_sign: Optional[int],
-    exact_bord_sign: Optional[int],
-    lo: float,
-    cap: float,
-    grid: float,
-    tol: float,
-    alpha: float = 1.0,
-):
-    """Earliest root of det(D_p) and of the bordered determinant over
-    [lo, cap]; exponents are divided by alpha (metric-transform scans
-    pass alpha = p). Exact signs, when given, anchor the endpoint lo."""
-    k = d_float.shape[0]
-    bord = np.zeros((k + 1, k + 1))
-    bord[0, 1:] = 1.0
-    bord[1:, 0] = 1.0
-    bord[1:, 1:] = d_float
-
-    def det_sign(p: float) -> tuple[int, float]:
-        if exact_det_sign is not None and p == lo:
-            return exact_det_sign, 0.0
-        return _det_signal(np.power(d_float, p / alpha), tol)
-
-    def bord_sign(p: float) -> tuple[int, float]:
-        # ratio is log |det bordered / det D_p| = log |<D_p^{-1}1, 1>|,
-        # the dimensionless quantity whose vanishing is being scanned;
-        # the bordered matrix's own Hadamard bound overscales it.
-        if exact_bord_sign is not None and p == lo:
-            return exact_bord_sign, 0.0
-        sign_b, logabs_b = np.linalg.slogdet(np.power(bord, p / alpha))
-        if sign_b == 0.0:
-            return 0, -math.inf
-        sign_d, logabs_d = np.linalg.slogdet(np.power(d_float, p / alpha))
-        if sign_d == 0.0:
-            # D_p itself is float-singular here; the determinant scan
-            # owns this root, so report the bordered value as nonzero
-            return (1 if sign_b > 0 else -1), 0.0
-        return (1 if sign_b > 0 else -1), logabs_b - logabs_d
-
-    found = []
-    hit = _first_root(det_sign, lo, cap, grid, tol)
-    if hit is not None:
-        found.append((hit[0], ROOT_DETERMINANT, hit[1], hit[2]))
-    hit = _first_root(bord_sign, lo, cap, grid, tol)
-    if hit is not None:
-        found.append((hit[0], ROOT_BORDERED, hit[1], hit[2]))
-    if not found:
-        return None
-    return min(found, key=lambda item: item[0])
-
-
 def sanchez_wp(
     s: PointSet,
     cap: float = DEFAULT_CAP,
@@ -244,7 +355,6 @@ def sanchez_wp(
     if cap < 1:
         raise DomainError(f"cap {cap} below 1")
     sn = normalize(s)
-    bits = sn.bits()
     if not cube.linear_independent(sn):
         return NegTypeReport(
             wp=1.0,
@@ -253,19 +363,14 @@ def sanchez_wp(
             residual=0.0,
             cap=float(cap),
         )
-    rows = cube.distance_rows(bits)
+    rows = cube.distance_rows(sn.bits())
     exact_det = det_int([row[:] for row in rows])
     exact_bord = det_int(cube.bordered_rows(rows))
-    d_float = np.array(rows, dtype=float)
-    hit = _scan_for_roots(
-        d_float,
-        1 if exact_det > 0 else -1,
-        1 if exact_bord > 0 else -1,
-        1.0,
-        float(cap),
-        grid,
-        tol,
+    signals = _PowerSignals(
+        np.array(rows, dtype=float),
+        anchor=(1.0, 1 if exact_det > 0 else -1, 1 if exact_bord > 0 else -1),
     )
+    hit = _scan_for_roots(signals, 1.0, float(cap), grid, tol)
     if hit is None:
         return NegTypeReport(
             wp=float(cap),
@@ -289,18 +394,13 @@ def strict_p_negative_type(s: PointSet, p: float, tol: float = DEFAULT_TOL) -> b
         det1 = det_int([row[:] for row in rows])
         bord1 = det_int(cube.bordered_rows(rows))
         return det1 != 0 and bord1 != 0
-    d_float = np.array(rows, dtype=float)
-    bord = np.array(cube.bordered_rows(rows), dtype=float)
+    # one bordered batch factorises D_p once for both signals;
+    # <D_p^{-1}1, 1> nonzero is judged by the dimensionless bordered ratio
+    signals = _PowerSignals(np.array(rows, dtype=float))
+    (sign_b, ratio_b), = signals.bordered([p])
+    (sign_d, ratio_d), = signals.det([p])
     log_tol = math.log(tol)
-    sign_d, ratio_d = _det_signal(np.power(d_float, p), tol)
-    if sign_d == 0 or ratio_d <= log_tol:
-        return False
-    # <D_p^{-1}1, 1> nonzero, judged by the dimensionless bordered ratio
-    sign_b, logabs_b = np.linalg.slogdet(np.power(bord, p))
-    if sign_b == 0.0:
-        return False
-    _, logabs_dp = np.linalg.slogdet(np.power(d_float, p))
-    return logabs_b - logabs_dp > log_tol
+    return sign_d != 0 and ratio_d > log_tol and sign_b != 0 and ratio_b > log_tol
 
 
 @dataclass(frozen=True)
@@ -364,9 +464,8 @@ def transform_scaling_check(
         # dependent: D_1 is exactly singular at q = p, and no root can
         # occur earlier, so the scaled supremum is exactly p
         return (float(p), p * wp1)
-    rows = cube.distance_rows(sn.bits())
-    d_float = np.array(rows, dtype=float)
-    hit = _scan_for_roots(d_float, None, None, 1.0, p * float(cap), p * grid, tol, alpha=p)
+    signals = _PowerSignals(np.array(cube.distance_rows(sn.bits()), dtype=float), alpha=p)
+    hit = _scan_for_roots(signals, 1.0, p * float(cap), p * grid, tol)
     if hit is None:
         raise CapExceededError(f"no root below {p * cap} for the transformed metric")
     return (hit[0], p * wp1)

@@ -85,8 +85,11 @@ def check_point_set(tail: tuple[int, ...], n: int, report: SweepReport) -> None:
     report.counter("det_via_bordered_gram").add(
         identities.det_via_bordered_gram(s) == det_direct, tail
     )
+    # one Gram-kernel pass, one rank test and (below) one rational solve
+    # serve every check; each check still compares two separate routes
+    kernel = cube.gram_eliminate(tail)
     try:
-        bord_val = identities.bordered_distance_det(s)
+        bord_val = identities.bordered_distance_det(s, kernel)
         report.counter("bordered_distance_det").add(True)
     except InvariantError:
         bord_val = None
@@ -94,7 +97,7 @@ def check_point_set(tail: tuple[int, ...], n: int, report: SweepReport) -> None:
     independent = cube.linear_independent(s)
     report.counter("affine_criterion").add((det_direct != 0) == independent, tail)
     if not independent:
-        c_vec = [int(x) for x in identities.kernel_witness(s)]
+        c_vec = [int(x) for x in identities.kernel_witness(s, kernel)]
         drows = cube.distance_rows(bits)
         live = [j for j, cj in enumerate(c_vec) if cj]
         annihilates = all(
@@ -108,14 +111,14 @@ def check_point_set(tail: tuple[int, ...], n: int, report: SweepReport) -> None:
         )
         report.counter("dependent_kernel").add(ok, tail)
         return
-    gq = identities.gram_quad(s)
-    _, _, pivots, _, corner, dependent = cube.gram_eliminate(tail)
+    solve_det_g, gq = identities.gram_solve(s)
+    _, _, pivots, _, corner, dependent = kernel
     det_g = pivots[-1] if dependent is None else 0
     report.counter("gram_quad_two_routes").add(
         dependent is None and gq == Fraction(-corner, det_g), tail
     )
     report.counter("det_via_gram_quad").add(
-        det_direct != 0 and identities.det_via_gram_quad(s) == det_direct, tail
+        det_direct != 0 and identities.det_from_gram_quad(m, solve_det_g, gq) == det_direct, tail
     )
     if bord_val is not None:
         dinv_direct = Fraction(-bord_val, det_direct)

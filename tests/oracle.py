@@ -6,19 +6,25 @@ summing coordinate differences, Gram matrices by explicit dot products
 over signed integers. Tests compute expected values through these and
 compare the package's fast routes against them.
 
-The exceptions are the slow paths that the Gram kernel replaced, kept
-so that the fast routes are compared against them: the `Fraction`
-Gaussian elimination that built kernel witnesses, and, in the search
-section at the end, the per-subset evaluator (a rank test, a Gram
-rebuild and two pivoting Bareiss determinants for every subset).
+The exceptions are the slow paths that faster code replaced, kept so
+that the fast routes are compared against them: the `Fraction`
+Gaussian elimination that built kernel witnesses; in the search
+section, the per-subset evaluator (a rank test, a Gram rebuild and two
+pivoting Bareiss determinants for every subset); and, in the
+negative-type section at the end, the scalar root scan (one `slogdet`
+per matrix and exponent, each scan run to its end).
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import gcd, lcm
 
-from cubedist import cube
-from cubedist.errors import IndependenceError
+import numpy as np
+
+from cubedist import cube, negtype
+from cubedist.cube import normalize
+from cubedist.errors import CapExceededError, DomainError, IndependenceError, NotNegativeTypeError
 from cubedist.ratlinalg import RationalVector, det_int
 
 
@@ -137,3 +143,188 @@ def scan_oracle(n, m):
         if best is None or val < best[0]:
             best = (val, tail)
     return examined, independent, best, violations
+
+
+# --- negative type: the scalar root scan ---------------------------------
+
+
+def _log_hadamard(a):
+    norms = np.sqrt((a * a).sum(axis=1))
+    if np.any(norms == 0.0):
+        return -math.inf
+    return float(np.log(norms).sum())
+
+
+def _det_signal(a):
+    """Raw sign of det(a) and the log of |det| / Hadamard bound."""
+    logh = _log_hadamard(a)
+    if logh == -math.inf:
+        return 0, -math.inf
+    sign, logabs = np.linalg.slogdet(a)
+    if sign == 0.0:
+        return 0, -math.inf
+    return (1 if sign > 0 else -1), logabs - logh
+
+
+def _residual(ratio):
+    return math.exp(min(ratio, 0.0))
+
+
+def bisect_root_oracle(sign_at, lo, hi, s_lo, tol):
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        s, ratio = sign_at(mid)
+        if s == 0:
+            return mid, (mid, mid), _residual(ratio)
+        if s == s_lo:
+            lo = mid
+        else:
+            hi = mid
+    mid = 0.5 * (lo + hi)
+    _, ratio = sign_at(mid)
+    return mid, (lo, hi), _residual(ratio)
+
+
+def first_root_oracle(sign_at, lo, cap, grid, tol):
+    """Earliest root of the scalar function sign_at on [lo, cap]: a
+    sign change refined by bisection, or a zero-classified run the scan
+    cannot cross; None when the sign never changes below the cap."""
+    log_tol = math.log(tol)
+    steps = int(math.ceil((cap - lo) / grid - 1e-12))
+    last_p = None
+    last_s = 0
+    band = None
+    for k in range(steps + 1):
+        p = min(lo + k * grid, cap)
+        s, ratio = sign_at(p)
+        if s == 0 or ratio <= log_tol:
+            band = (p, p) if band is None else (band[0], p)
+            continue
+        if last_p is None:
+            if band is not None:
+                return band[0], band, _residual(sign_at(band[0])[1])
+            last_p, last_s = p, s
+            continue
+        if s != last_s:
+            return bisect_root_oracle(sign_at, last_p, p, last_s, tol)
+        if band is not None:
+            mid = 0.5 * (band[0] + band[1])
+            return mid, band, _residual(sign_at(mid)[1])
+        last_p, last_s = p, s
+    if band is not None:
+        return band[0], band, _residual(sign_at(band[0])[1])
+    return None
+
+
+def earliest_root_oracle(det_sign, bord_sign, lo, cap, grid, tol):
+    """Both scans run to their ends; the earlier root wins, the
+    determinant root on a tie."""
+    found = []
+    hit = first_root_oracle(det_sign, lo, cap, grid, tol)
+    if hit is not None:
+        found.append((hit[0], negtype.ROOT_DETERMINANT, hit[1], hit[2]))
+    hit = first_root_oracle(bord_sign, lo, cap, grid, tol)
+    if hit is not None:
+        found.append((hit[0], negtype.ROOT_BORDERED, hit[1], hit[2]))
+    if not found:
+        return None
+    return min(found, key=lambda item: item[0])
+
+
+def scan_for_roots_oracle(d_float, exact_det_sign, exact_bord_sign, lo, cap, grid, tol, alpha=1.0):
+    k = d_float.shape[0]
+    bord = np.zeros((k + 1, k + 1))
+    bord[0, 1:] = 1.0
+    bord[1:, 0] = 1.0
+    bord[1:, 1:] = d_float
+
+    def det_sign(p):
+        if exact_det_sign is not None and p == lo:
+            return exact_det_sign, 0.0
+        return _det_signal(np.power(d_float, p / alpha))
+
+    def bord_sign(p):
+        if exact_bord_sign is not None and p == lo:
+            return exact_bord_sign, 0.0
+        sign_b, logabs_b = np.linalg.slogdet(np.power(bord, p / alpha))
+        if sign_b == 0.0:
+            return 0, -math.inf
+        sign_d, logabs_d = np.linalg.slogdet(np.power(d_float, p / alpha))
+        if sign_d == 0.0:
+            return (1 if sign_b > 0 else -1), 0.0
+        return (1 if sign_b > 0 else -1), logabs_b - logabs_d
+
+    return earliest_root_oracle(det_sign, bord_sign, lo, cap, grid, tol)
+
+
+def sanchez_wp_oracle(s, cap=negtype.DEFAULT_CAP, tol=negtype.DEFAULT_TOL, grid=negtype.DEFAULT_GRID):
+    """`negtype.sanchez_wp` on the scalar scan."""
+    if cap < 1:
+        raise DomainError(f"cap {cap} below 1")
+    sn = normalize(s)
+    if not cube.linear_independent(sn):
+        return negtype.NegTypeReport(1.0, negtype.ROOT_DETERMINANT, (1.0, 1.0), 0.0, float(cap))
+    rows = cube.distance_rows(sn.bits())
+    exact_det = det_int([row[:] for row in rows])
+    exact_bord = det_int(cube.bordered_rows(rows))
+    hit = scan_for_roots_oracle(
+        np.array(rows, dtype=float),
+        1 if exact_det > 0 else -1,
+        1 if exact_bord > 0 else -1,
+        1.0,
+        float(cap),
+        grid,
+        tol,
+    )
+    if hit is None:
+        return negtype.NegTypeReport(
+            float(cap), negtype.ROOT_NONE_BELOW_CAP, (float(cap), float(cap)), None, float(cap)
+        )
+    root, kind, bracket, residual = hit
+    return negtype.NegTypeReport(root, kind, bracket, residual, float(cap))
+
+
+def transform_scaling_check_oracle(
+    s, p, cap=negtype.DEFAULT_CAP, tol=negtype.DEFAULT_TOL, grid=negtype.DEFAULT_GRID
+):
+    """`negtype.transform_scaling_check` on the scalar scan."""
+    if p < 1:
+        raise DomainError(f"exponent {p} below 1")
+    base = sanchez_wp_oracle(s, cap=cap, tol=tol, grid=grid)
+    if base.is_lower_bound:
+        raise CapExceededError(f"no root below cap {cap} for the base metric")
+    wp1 = base.wp
+    if math.isinf(p):
+        return (math.inf, math.inf)
+    if p == 1.0:
+        return (wp1, wp1)
+    sn = normalize(s)
+    if not cube.linear_independent(sn):
+        return (float(p), p * wp1)
+    d_float = np.array(cube.distance_rows(sn.bits()), dtype=float)
+    hit = scan_for_roots_oracle(d_float, None, None, 1.0, p * float(cap), p * grid, tol, alpha=p)
+    if hit is None:
+        raise CapExceededError(f"no root below {p * cap} for the transformed metric")
+    return (hit[0], p * wp1)
+
+
+def strict_p_negative_type_oracle(s, p, tol=negtype.DEFAULT_TOL):
+    """`negtype.strict_p_negative_type` with separate scalar `slogdet`
+    calls (D_p factorised twice for p > 1)."""
+    if not negtype.is_p_negative_type(s, p, tol):
+        raise NotNegativeTypeError(f"set does not have {p}-negative type")
+    rows = cube.distance_rows(normalize(s).bits())
+    if p == 1:
+        return det_int([row[:] for row in rows]) != 0 and det_int(cube.bordered_rows(rows)) != 0
+    d_float = np.array(rows, dtype=float)
+    log_tol = math.log(tol)
+    sign_d, ratio_d = _det_signal(np.power(d_float, p))
+    if sign_d == 0 or ratio_d <= log_tol:
+        return False
+    sign_b, logabs_b = np.linalg.slogdet(np.power(np.array(cube.bordered_rows(rows), dtype=float), p))
+    if sign_b == 0.0:
+        return False
+    _, logabs_dp = np.linalg.slogdet(np.power(d_float, p))
+    return logabs_b - logabs_dp > log_tol

@@ -7,6 +7,8 @@ import pytest
 
 import cubedist
 from cubedist.cli import main
+from cubedist.cube import parse_point_set
+from oracle import sanchez_wp_oracle
 
 H3_FILE = "3 4\n000\n100\n010\n111\n"
 DEP_FILE = "2 4\n00\n10\n01\n11\n"
@@ -235,3 +237,26 @@ def test_invariant_checked_under_optimize():
     proc = _run_optimized(["-c", script])
     assert proc.returncode == 5, proc.stderr
     assert "full-dimensional set" in proc.stderr
+
+
+# (point-set file, root kind the scan reports with the default flags)
+NEGTYPE_GOLDEN = {
+    "path": (PATH_FILE, "bordered"),
+    "h2": (DEP_FILE, "determinant"),
+    "two_points": ("3 2\n000\n110\n", "none-below-cap"),
+    "dependent_h3": ("3 5\n000\n100\n010\n001\n111\n", "determinant"),
+    "determinant_root": ("4 4\n0000\n1000\n0110\n1101\n", "determinant"),
+    "bordered_root": ("4 4\n0000\n1000\n0100\n1110\n", "bordered"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEGTYPE_GOLDEN))
+def test_negtype_json_matches_scalar_scan(name, tmp_path):
+    text, kind = NEGTYPE_GOLDEN[name]
+    f = tmp_path / f"{name}.txt"
+    f.write_text(text)
+    proc = _run_python(["-m", "cubedist.cli", "negtype", str(f)])
+    assert proc.returncode == 0, proc.stderr
+    want = sanchez_wp_oracle(parse_point_set(text)).to_json_dict()
+    assert proc.stdout == json.dumps(want, sort_keys=True, indent=2) + "\n"
+    assert want["root_kind"] == kind

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -218,6 +219,60 @@ class TestBorderedDistanceDet:
         report = verify.SweepReport("injected")
         verify.check_point_set(H3_SET.bits()[1:], 3, report)
         assert report.counter("bordered_distance_det").failed == 1
+
+
+class TestCheckPointSetSharesWork:
+    """One Gram-kernel pass, one rank test and one rational solve per
+    set; the checks that read them still compare two routes."""
+
+    def _count(self, monkeypatch, tail, n):
+        calls = Counter()
+
+        def counted(owner, name):
+            real = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        for name in ("gram_eliminate", "rank_of_bits", "derive"):
+            counted(cube, name)
+        counted(RationalMatrix, "solve")
+        report = verify.SweepReport("count")
+        verify.check_point_set(tail, n, report)
+        assert report.ok
+        return calls
+
+    def test_independent_set(self, monkeypatch):
+        calls = self._count(monkeypatch, H3_SET.bits()[1:], 3)
+        assert calls == {"gram_eliminate": 1, "rank_of_bits": 1, "derive": 1, "solve": 1}
+
+    def test_dependent_set(self, monkeypatch):
+        calls = self._count(monkeypatch, FULL_H2.bits()[1:], 2)
+        assert calls == {"gram_eliminate": 1, "rank_of_bits": 1}
+
+    def test_wrong_solve_fails_both_solve_checks(self, monkeypatch):
+        real = RationalMatrix.quad_form_inv
+        monkeypatch.setattr(RationalMatrix, "quad_form_inv", lambda m, v: real(m, v) + 1)
+        report = verify.SweepReport("injected")
+        verify.check_point_set(H3_SET.bits()[1:], 3, report)
+        failed = {name for name, c in report.counters.items() if c.failed}
+        assert {"gram_quad_two_routes", "det_via_gram_quad"} <= failed
+
+    def test_wrong_kernel_corner_spares_the_solve_route(self, monkeypatch):
+        real = cube.gram_eliminate
+
+        def wrong(tail):
+            points, hists, pivots, borders, corner, dependent = real(tail)
+            return points, hists, pivots, borders, corner + 1, dependent
+
+        monkeypatch.setattr(cube, "gram_eliminate", wrong)
+        report = verify.SweepReport("injected")
+        verify.check_point_set(H3_SET.bits()[1:], 3, report)
+        assert report.counter("gram_quad_two_routes").failed == 1
+        assert report.counter("det_via_gram_quad").failed == 0
 
 
 class TestDinvOnes:

@@ -1,15 +1,25 @@
+import json
 import math
 import random
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubedist import cube, identities, negtype
 from cubedist.cube import PointSet
-from cubedist.errors import CapExceededError, DomainError, NotNegativeTypeError
+from cubedist.errors import CapExceededError, CubedistError, DomainError, NotNegativeTypeError
 from cubedist.ratlinalg import det_int
-from oracle import leibniz_det
+from oracle import (
+    earliest_root_oracle,
+    leibniz_det,
+    sanchez_wp_oracle,
+    strict_p_negative_type_oracle,
+    transform_scaling_check_oracle,
+)
 
 PATH3 = PointSet.from_coords([(0, 0), (1, 0), (1, 1)])
 FULL_H2 = PointSet.from_bits(2, [0, 1, 2, 3])
@@ -221,6 +231,193 @@ class TestExactFloatAgreement:
             approx = float(one @ np.linalg.solve(d, one))
             exact = float(identities.dinv_ones(s))
             assert abs(approx - exact) <= 1e-9 * max(1.0, abs(exact))
+
+
+def _outcome(fn, *args, **kwargs):
+    """A report's fields and JSON bytes, or the class of the error raised."""
+    try:
+        out = fn(*args, **kwargs)
+    except CubedistError as exc:
+        return type(exc)
+    if isinstance(out, negtype.NegTypeReport):
+        fields = (out.wp, out.root_kind, out.bracket, out.residual, out.cap)
+        return fields, json.dumps(out.to_json_dict(), sort_keys=True)
+    return out
+
+
+@st.composite
+def _point_sets(draw):
+    n = draw(st.integers(2, 6))
+    k = draw(st.integers(2, min(9, 1 << n)))
+    bits = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=k, max_size=k, unique=True))
+    return PointSet.from_bits(n, bits)
+
+
+class TestBatchedScanAgainstOracle:
+    """The batched scan gives exactly the scalar scan's answers."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        _point_sets(),
+        st.sampled_from([2.0, 8.0, 16.0]),
+        st.sampled_from([0.125, 0.25, 0.3]),
+        st.sampled_from([1e-9, 1e-6]),
+    )
+    def test_random_sets(self, s, cap, grid, tol):
+        got = _outcome(negtype.sanchez_wp, s, cap=cap, tol=tol, grid=grid)
+        assert got == _outcome(sanchez_wp_oracle, s, cap=cap, tol=tol, grid=grid)
+
+    def test_every_normalized_h3_subset(self):
+        count = 0
+        for m in range(1, 8):
+            for tail in combinations(range(1, 8), m):
+                s = PointSet.from_bits(3, (0,) + tail)
+                assert _outcome(negtype.sanchez_wp, s) == _outcome(sanchez_wp_oracle, s)
+                count += 1
+        assert count == 127
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_point_sets(), st.sampled_from([1.5, 2.0, 3.0]))
+    def test_transform_scaling(self, s, p):
+        got = _outcome(negtype.transform_scaling_check, s, p)
+        assert got == _outcome(transform_scaling_check_oracle, s, p)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(_point_sets(), st.sampled_from([1.25, 1.5, 2.0, 3.0]))
+    def test_strict_p_negative_type(self, s, p):
+        got = _outcome(negtype.strict_p_negative_type, s, p)
+        assert got == _outcome(strict_p_negative_type_oracle, s, p)
+
+    def test_strict_p_negative_type_factorises_d_p_once(self, monkeypatch):
+        calls = []
+        real = np.linalg.slogdet
+
+        def counted(a):
+            calls.append(a.shape)
+            return real(a)
+
+        monkeypatch.setattr(np.linalg, "slogdet", counted)
+        assert negtype.strict_p_negative_type(PATH3, 1.5)
+        assert calls == [(1, 4, 4), (1, 3, 3)]
+
+
+def _crossing(root, sign=1):
+    """Sign `sign` below root and -sign above it; the ratio is the log
+    distance to the root."""
+
+    def f(p):
+        if p == root:
+            return 0, -math.inf
+        return (sign if p < root else -sign), math.log(abs(p - root))
+
+    return f
+
+
+def _band(a, b, before=1, after=1):
+    """Zero-classified (ratio -50) on [a, b] with sign `before`; sign
+    `before` below the band and `after` above it, ratio 0 there."""
+
+    def f(p):
+        if a <= p <= b:
+            return before, -50.0
+        return (before if p < a else after), 0.0
+
+    return f
+
+
+def _constant(sign=1):
+    return lambda p: (sign, 0.0)
+
+
+def _batched(f, seen):
+    """A batch signal over f that, like the package's, leaves out the
+    ratio of a nonzero sign when asked for signs only."""
+
+    def signal(ps, ratios=True):
+        seen.extend(ps)
+        out = [f(p) for p in ps]
+        return out if ratios else [(s, r if s == 0 else None) for s, r in out]
+
+    return signal
+
+
+def _scan(det_f, bord_f, lo=1.0, cap=16.0, grid=0.125, tol=1e-9):
+    det_seen, bord_seen = [], []
+    signals = SimpleNamespace(det=_batched(det_f, det_seen), bordered=_batched(bord_f, bord_seen))
+    got = negtype._scan_for_roots(signals, lo, cap, grid, tol)
+    assert got == earliest_root_oracle(det_f, bord_f, lo, cap, grid, tol)
+    return got, det_seen
+
+
+class TestEarlyStop:
+    """`_scan_for_roots` with synthetic signals equals both scalar scans
+    run to their ends followed by `min`."""
+
+    def test_determinant_root_first(self):
+        got, _ = _scan(_crossing(2.3), _crossing(5.1))
+        assert got[1] == negtype.ROOT_DETERMINANT and abs(got[0] - 2.3) < 1e-8
+
+    def test_bordered_root_first_stops_the_determinant_scan(self):
+        got, det_seen = _scan(_crossing(9.7), _crossing(2.3, sign=-1))
+        assert got[1] == negtype.ROOT_BORDERED and abs(got[0] - 2.3) < 1e-8
+        assert max(det_seen) < 2.3 + negtype._GRID_CHUNK * 0.125
+
+    def test_equal_roots_go_to_the_determinant(self):
+        got, _ = _scan(_crossing(3.37), _crossing(3.37, sign=-1))
+        assert got[1] == negtype.ROOT_DETERMINANT
+
+    def test_roots_in_one_grid_cell(self):
+        got, _ = _scan(_crossing(3.3701), _crossing(3.37))
+        assert got[1] == negtype.ROOT_BORDERED
+        got, _ = _scan(_crossing(3.37), _crossing(3.3701))
+        assert got[1] == negtype.ROOT_DETERMINANT
+
+    def test_bordered_root_first_stops_the_determinant_bisection(self):
+        got, det_seen = _scan(_crossing(3.37), _crossing(3.26))
+        assert got[1] == negtype.ROOT_BORDERED
+        full = []
+        negtype._first_root(_batched(_crossing(3.37), full), 1.0, 16.0, 0.125, 1e-9)
+        off_grid = lambda ps: [p for p in ps if p % 0.125]
+        assert 0 < len(off_grid(det_seen)) <= 2 ** negtype._BISECT_STEPS - 1 < len(off_grid(full))
+
+    def test_zero_band_at_scan_start(self):
+        got, _ = _scan(_crossing(4.0), _band(0.5, 1.3))
+        assert got[1] == negtype.ROOT_BORDERED and got[2] == (1.0, 1.25)
+        got, _ = _scan(_band(0.5, 1.3), _band(0.5, 1.3))
+        assert got[1] == negtype.ROOT_DETERMINANT and got[0] == 1.0
+
+    def test_zero_band_into_the_cap(self):
+        got, _ = _scan(_band(6.1, 20.0), _crossing(7.0))
+        assert got[1] == negtype.ROOT_DETERMINANT and got[2] == (6.125, 16.0)
+        got, _ = _scan(_constant(-1), _band(6.1, 20.0))
+        assert got[1] == negtype.ROOT_BORDERED and got[0] == 6.125
+
+    def test_touch_zero_band_before_the_other_root(self):
+        got, _ = _scan(_crossing(5.0), _band(2.2, 2.6))
+        assert got[1] == negtype.ROOT_BORDERED and got[2] == (2.25, 2.5)
+
+    def test_no_root_below_cap(self):
+        got, det_seen = _scan(_constant(1), _constant(-1))
+        assert got is None and max(det_seen) == 16.0
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_random_signals(self, data):
+        def signal_fn():
+            kind = data.draw(st.sampled_from(["crossing", "band", "constant"]))
+            sign = data.draw(st.sampled_from([1, -1]))
+            if kind == "crossing":
+                return _crossing(data.draw(st.floats(0.5, 6.0)), sign)
+            if kind == "band":
+                a = data.draw(st.floats(0.5, 6.0))
+                b = a + data.draw(st.floats(0.0, 2.0))
+                return _band(a, b, sign, data.draw(st.sampled_from([1, -1])))
+            return _constant(sign)
+
+        cap = data.draw(st.sampled_from([2.0, 4.0, 5.3]))
+        grid = data.draw(st.sampled_from([0.125, 0.25, 0.3]))
+        tol = data.draw(st.sampled_from([1e-9, 1e-6]))
+        _scan(signal_fn(), signal_fn(), cap=cap, grid=grid, tol=tol)
 
 
 def test_linf_is_symbolically_infinite():
