@@ -1,11 +1,9 @@
 """Exact distance-matrix invariants of finite subsets of the Hamming cube."""
 
 from .cube import (
-    DerivedMatrices,
     HammingPoint,
     PointSet,
     affinely_independent,
-    derive,
     distance,
     linear_independent,
     normalize,
@@ -56,7 +54,6 @@ from .search import (
     random_probe,
 )
 from .trees import (
-    TreeInverseEntries,
     UnweightedTree,
     embed_tree,
     enumerate_labeled_trees,
@@ -66,7 +63,6 @@ from .trees import (
     parse_tree_file,
     prufer_to_tree,
     tree_dinv_ones,
-    tree_distance_matrix,
 )
 
 __version__ = "0.1.0"

@@ -7,9 +7,8 @@ listed point is the translation base, and `normalize` XORs the whole
 set by it, which leaves all pairwise distances unchanged.
 
 The `distance_rows` / `bordered_rows` / `gram_rows` helpers build the
-distance and Gram matrices as plain integer row lists for the
-enumeration sweeps; `derive` wraps the same data in exact RationalMatrix
-form.
+distance and Gram matrices as plain integer row lists; everything in
+this module is integer arithmetic.
 
 Gram kernel. `gram_push` is the package's one exact elimination of the
 Gram matrix of bit patterns: it appends a point to a prefix and carries
@@ -24,6 +23,10 @@ side of the prefix's triangular system U c = h (U[i][t] = hists[t][i],
 U[i][i] = pivots[i]), whose solution c expresses the point in the
 prefix and gives a kernel vector of D. `gram_eliminate` runs the
 kernel over a whole tail; the search walk calls `gram_push` directly.
+
+`rank_of_bits`, behind `linear_independent`/`affinely_independent`, is
+a separate rank test; it runs only where independence is itself the
+reported or compared answer.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import DegenerateMetricError, DimensionError, ParseError
-from .ratlinalg import RationalMatrix, RationalVector, rank_int
+from .ratlinalg import rank_int
 
 MIN_DIM = 2
 MAX_DIM = 64
@@ -274,29 +277,6 @@ def affinely_independent(s: PointSet) -> bool:
     invariant under reordering and under translating the whole set.
     """
     return linear_independent(normalize(s))
-
-
-@dataclass(frozen=True)
-class DerivedMatrices:
-    """The Gram matrix G = B B^T of the translated tail B, its diagonal
-    u, and the full distance matrix D of a point set."""
-
-    G: RationalMatrix
-    u: RationalVector
-    D: RationalMatrix
-
-
-def derive(s: PointSet) -> DerivedMatrices:
-    """Build G, u, D. Normalizes internally, so G is the Gram matrix of
-    the translated tail and D equals the input's distance matrix."""
-    sn = normalize(s)
-    g, u = gram_rows(sn.bits()[1:])
-    d = distance_rows(sn.bits())
-    return DerivedMatrices(
-        G=RationalMatrix.from_rows(g),
-        u=RationalVector.of(u),
-        D=RationalMatrix.from_rows(d),
-    )
 
 
 def parse_point_set(text: str) -> PointSet:

@@ -10,10 +10,14 @@ diagonal u, the distance matrix D satisfies
 
 and det(D) = 0 exactly when the tail is linearly dependent, in which
 case a rational kernel vector of D can be written down from the
-dependence. det G, the bordered Gram determinant and the dependence
-all come from one pass of the Gram kernel (`cube.gram_eliminate`); the
-other routes here (pivoting determinants, a rational solve) stay
-separate so that the sweeps compare two computations of each identity.
+dependence.
+
+One exact route per answer: the per-set invariants read det G,
+<G^{-1}u, u> and the dependence from one Gram-kernel pass
+(`cube.gram_eliminate`, through `kernel_quad`). The second routes
+(pivoting determinants, `gram_solve`'s rational solve) stay separate so
+that the sweeps compare two computations of each identity, and learn
+dependence from their own elimination. Nothing here runs a rank test.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from typing import Optional
 from . import cube
 from .cube import PointSet, normalize
 from .errors import DependenceError, IndependenceError, InvariantError, SingularMatrixError
-from .ratlinalg import RationalVector, det_int
+from .ratlinalg import RationalMatrix, RationalVector, det_int
 
 
 def _require_normalized(s: PointSet) -> PointSet:
@@ -40,16 +44,17 @@ def _bordered_gram_rows(tail: tuple[int, ...]) -> list[list[int]]:
     return [[0] + u] + [[u[i]] + g[i] for i in range(len(tail))]
 
 
-def _gram_dets(tail: tuple[int, ...], kernel=None) -> tuple[int, Optional[int]]:
-    """(det G, det [[G, u], [u^T, 0]]) from one Gram-kernel pass; a
-    dependent tail gives (0, None). `kernel`, when given, is
-    `cube.gram_eliminate(tail)` already computed by the caller."""
+def kernel_quad(tail: tuple[int, ...], kernel=None) -> tuple[int, Optional[Fraction]]:
+    """(det G, <G^{-1}u, u>) from one Gram-kernel pass, the quadratic
+    form as -det [[G, u], [u^T, 0]] / det G; a dependent tail gives
+    (0, None). `kernel`, when given, is `cube.gram_eliminate(tail)`
+    already computed by the caller."""
     if kernel is None:
         kernel = cube.gram_eliminate(tail)
     _, _, pivots, _, corner, dependent = kernel
     if dependent is not None:
         return 0, None
-    return pivots[-1], corner
+    return pivots[-1], Fraction(-corner, pivots[-1])
 
 
 def det_distance_matrix(s: PointSet) -> Fraction:
@@ -72,22 +77,23 @@ def det_via_bordered_gram(s: PointSet) -> Fraction:
 def det_via_gram_quad(s: PointSet) -> Fraction:
     """det(D) as (-1)^m 2^(m-1) det(G) <G^{-1}u, u>.
 
-    Needs a linearly independent tail; the quadratic form is evaluated
-    through an exact linear solve, a different elimination route from
+    Needs a linearly independent tail (DependenceError otherwise); both
+    factors come from `gram_solve`, a different elimination route from
     `det_via_bordered_gram`.
     """
-    _require_normalized(s)
-    if not cube.linear_independent(s):
-        raise DependenceError("tail points are linearly dependent; det(D) = 0 by the kernel route")
     return det_from_gram_quad(s.m, *gram_solve(s))
 
 
 def gram_solve(s: PointSet) -> tuple[Fraction, Fraction]:
-    """(det G, <G^{-1}u, u>) along the rational route: one `cube.derive`,
-    a pivoting determinant of G and one exact solve G w = u. The caller
-    has checked that the tail is linearly independent."""
-    d = cube.derive(s)
-    return d.G.det(), d.G.quad_form_inv(d.u)
+    """(det G, <G^{-1}u, u>) along the rational route: the pivoting
+    determinant of G and one exact Fraction solve G w = u. Raises
+    DependenceError when that determinant is 0."""
+    _require_normalized(s)
+    g, u = cube.gram_rows(s.bits()[1:])
+    det_g = det_int([row[:] for row in g])
+    if det_g == 0:
+        raise DependenceError("tail points are linearly dependent; det(D) = 0 by the kernel route")
+    return Fraction(det_g), RationalMatrix.from_rows(g).quad_form_inv(RationalVector.of(u))
 
 
 def det_from_gram_quad(m: int, det_g: Fraction, quad: Fraction) -> Fraction:
@@ -96,13 +102,13 @@ def det_from_gram_quad(m: int, det_g: Fraction, quad: Fraction) -> Fraction:
 
 
 def gram_quad(s: PointSet) -> Fraction:
-    """Exact <G^{-1}u, u> via a linear solve; positive by positive
+    """Exact <G^{-1}u, u> from the Gram kernel; positive by positive
     definiteness of G. Equals n whenever m = n."""
     _require_normalized(s)
-    if not cube.linear_independent(s):
+    _, quad = kernel_quad(s.bits()[1:])
+    if quad is None:
         raise DependenceError("Gram matrix is singular for a dependent tail")
-    d = cube.derive(s)
-    return d.G.quad_form_inv(d.u)
+    return quad
 
 
 def kernel_witness(s: PointSet, kernel=None) -> RationalVector:
@@ -149,7 +155,7 @@ def bordered_distance_det(s: PointSet, kernel=None) -> Fraction:
     tail, already computed by the caller."""
     _require_normalized(s)
     m = s.m
-    det_g, _ = _gram_dets(s.bits()[1:], kernel)
+    det_g, _ = kernel_quad(s.bits()[1:], kernel)
     direct = det_int(cube.bordered_rows(cube.distance_rows(s.bits())))
     formula = (-1) ** (m - 1) * (1 << m) * det_g
     if direct != formula:
@@ -160,12 +166,12 @@ def bordered_distance_det(s: PointSet, kernel=None) -> Fraction:
 def dinv_ones(s: PointSet) -> Fraction:
     """Exact <D^{-1}1, 1> = 2 / <G^{-1}u, u>, positive for every
     affinely independent set."""
-    sn = normalize(s)
-    if not cube.linear_independent(sn):
+    _, quad = kernel_quad(normalize(s).bits()[1:])
+    if quad is None:
         raise SingularMatrixError(
             "distance matrix is singular for an affinely dependent set", det=Fraction(0)
         )
-    return 2 / gram_quad(sn)
+    return 2 / quad
 
 
 @dataclass(frozen=True)
@@ -204,8 +210,7 @@ def full_report(s: PointSet) -> DetReport:
     require invertibility are absent (None) rather than zeroed."""
     sn = normalize(s)
     det_d = det_distance_matrix(sn)
-    det_g, corner = _gram_dets(sn.bits()[1:])
-    gq = Fraction(-corner, det_g) if corner is not None else None
+    det_g, gq = kernel_quad(sn.bits()[1:])
     dio = 2 / gq if gq is not None else None
     return DetReport(
         det_D=det_d,

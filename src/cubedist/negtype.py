@@ -31,8 +31,13 @@ scalar one-matrix-per-call scan's exactly.
 Everything at p = 1 is decided in exact integer arithmetic (D_1 is
 integral); for p > 1 determinants are evaluated at machine precision via
 slogdet and classified as zero against a Hadamard-scaled threshold.
-An affinely dependent set never reaches floating point: its distance
-matrix is exactly singular, so the supremal exponent is exactly 1.
+`sanchez_wp` takes the p = 1 anchors from one Gram-kernel pass
+(`cube.gram_eliminate`): a zero pivot means the set is affinely
+dependent, D_1 is exactly singular and the supremum is exactly 1 with
+no floating-point work; otherwise det G > 0 and the corner give
+sign det(D) = (-1)^(m-1) sign(corner) and sign det [[0, 1^T], [1, D]] =
+(-1)^(m-1). `strict_p_negative_type` at p = 1 keeps its own two
+`det_int` calls, so `murugan_classify`'s three views are three routes.
 """
 
 from __future__ import annotations
@@ -45,12 +50,16 @@ import numpy as np
 
 from . import cube
 from .cube import PointSet, normalize
-from .errors import CapExceededError, DomainError, NotNegativeTypeError
+from .errors import BudgetExceededError, CapExceededError, DomainError, NotNegativeTypeError
 from .ratlinalg import det_int
 
 DEFAULT_CAP = 16.0
 DEFAULT_TOL = 1e-9
 DEFAULT_GRID = 0.125
+
+# Larger scans are refused, not run: the memo keeps every exponent (at the
+# limit a 2-point set takes about 1 s and 60 MB, CPython 3.11, one core).
+MAX_GRID_POINTS = 100_000
 
 ROOT_DETERMINANT = "determinant"
 ROOT_BORDERED = "bordered"
@@ -340,6 +349,19 @@ class NegTypeReport:
         return out
 
 
+def _check_scan(cap: float, tol: float, grid: float) -> None:
+    if not (math.isfinite(cap) and math.isfinite(grid) and cap >= 1 and grid > 0 and 0 < tol < 1):
+        raise DomainError(
+            f"scan needs finite cap >= 1, grid > 0 and 0 < tol < 1; got cap={cap}, grid={grid}, tol={tol}"
+        )
+    points = (cap - 1) / grid + 1
+    if points > MAX_GRID_POINTS:
+        raise BudgetExceededError(
+            f"scan of [1, {cap}] in steps of {grid} needs {points:.4g} grid points, over {MAX_GRID_POINTS}",
+            required=points,
+        )
+
+
 def sanchez_wp(
     s: PointSet,
     cap: float = DEFAULT_CAP,
@@ -350,37 +372,29 @@ def sanchez_wp(
     bordered determinant on [1, cap].
 
     Affinely dependent sets short-circuit exactly: det(D_1) = 0, so the
-    supremum is 1 with no floating-point work.
+    supremum is 1 with no floating-point work. Raises DomainError unless
+    cap >= 1 and grid > 0 are finite and 0 < tol < 1, and
+    BudgetExceededError for more than MAX_GRID_POINTS grid points.
     """
-    if cap < 1:
-        raise DomainError(f"cap {cap} below 1")
-    sn = normalize(s)
-    if not cube.linear_independent(sn):
-        return NegTypeReport(
-            wp=1.0,
-            root_kind=ROOT_DETERMINANT,
-            bracket=(1.0, 1.0),
-            residual=0.0,
-            cap=float(cap),
-        )
-    rows = cube.distance_rows(sn.bits())
-    exact_det = det_int([row[:] for row in rows])
-    exact_bord = det_int(cube.bordered_rows(rows))
-    signals = _PowerSignals(
-        np.array(rows, dtype=float),
-        anchor=(1.0, 1 if exact_det > 0 else -1, 1 if exact_bord > 0 else -1),
-    )
+    _check_scan(cap, tol, grid)
+    return _scan_normalized(normalize(s), cap, tol, grid)[0]
+
+
+def _scan_normalized(sn: PointSet, cap: float, tol: float, grid: float):
+    """`sanchez_wp` of a normalized set with checked arguments, and the
+    set's distance matrix as floats (None for a dependent set)."""
+    _, _, _, _, corner, dependent = cube.gram_eliminate(sn.bits()[1:])
+    if dependent is not None:
+        return NegTypeReport(1.0, ROOT_DETERMINANT, (1.0, 1.0), 0.0, float(cap)), None
+    d_float = np.array(cube.distance_rows(sn.bits()), dtype=float)
+    # exact signs at p = 1 (module docstring); corner < 0 on an independent tail
+    parity = 1 if sn.m % 2 else -1  # (-1)^(m-1)
+    signals = _PowerSignals(d_float, anchor=(1.0, parity if corner > 0 else -parity, parity))
     hit = _scan_for_roots(signals, 1.0, float(cap), grid, tol)
     if hit is None:
-        return NegTypeReport(
-            wp=float(cap),
-            root_kind=ROOT_NONE_BELOW_CAP,
-            bracket=(float(cap), float(cap)),
-            residual=None,
-            cap=float(cap),
-        )
+        hit = float(cap), ROOT_NONE_BELOW_CAP, (float(cap), float(cap)), None
     root, kind, bracket, residual = hit
-    return NegTypeReport(wp=root, root_kind=kind, bracket=bracket, residual=residual, cap=float(cap))
+    return NegTypeReport(root, kind, bracket, residual, float(cap)), d_float
 
 
 def strict_p_negative_type(s: PointSet, p: float, tol: float = DEFAULT_TOL) -> bool:
@@ -422,13 +436,15 @@ def murugan_classify(
     tol: float = DEFAULT_TOL,
     grid: float = DEFAULT_GRID,
 ) -> MuruganClassification:
-    """Affine independence (exact), strict 1-negative type (exact), and
-    supremal type above 1 (from the root scan; a no-root-below-cap
-    outcome certifies the bound since the cap exceeds 1)."""
-    report = sanchez_wp(s, cap=cap, tol=tol, grid=grid)
+    """Affine independence (the rank test), strict 1-negative type (two
+    pivoting `det_int` calls) and supremal type above 1 (the Gram kernel
+    and the root scan; no root below the cap certifies the bound, since
+    the cap exceeds 1), all read from one normalized copy of the set."""
+    sn = normalize(s)
+    report = sanchez_wp(sn, cap=cap, tol=tol, grid=grid)
     return MuruganClassification(
-        affinely_independent=cube.affinely_independent(s),
-        strict_1_negative_type=strict_p_negative_type(s, 1.0, tol),
+        affinely_independent=cube.linear_independent(sn),
+        strict_1_negative_type=strict_p_negative_type(sn, 1.0, tol),
         wp_exceeds_1=report.wp > 1.0,
     )
 
@@ -447,11 +463,13 @@ def transform_scaling_check(
     The q-scan runs over [1, p * cap] with the grid scaled by p, so the
     resolution in q/p matches the base scan. For p = infinity the d_p
     metric is discrete and the supremum is infinite; that case is
-    reported symbolically, never scanned.
+    reported symbolically, never scanned. Both scans are bounded as in
+    `sanchez_wp`.
     """
-    if p < 1:
-        raise DomainError(f"exponent {p} below 1")
-    base = sanchez_wp(s, cap=cap, tol=tol, grid=grid)
+    if not p >= 1:
+        raise DomainError(f"exponent {p} is not at least 1")
+    _check_scan(cap, tol, grid)
+    base, d_float = _scan_normalized(normalize(s), cap, tol, grid)
     if base.is_lower_bound:
         raise CapExceededError(f"no root below cap {cap} for the base metric")
     wp1 = base.wp
@@ -459,12 +477,12 @@ def transform_scaling_check(
         return (math.inf, math.inf)
     if p == 1.0:
         return (wp1, wp1)
-    sn = normalize(s)
-    if not cube.linear_independent(sn):
+    if d_float is None:
         # dependent: D_1 is exactly singular at q = p, and no root can
         # occur earlier, so the scaled supremum is exactly p
         return (float(p), p * wp1)
-    signals = _PowerSignals(np.array(cube.distance_rows(sn.bits()), dtype=float), alpha=p)
+    _check_scan(p * float(cap), tol, p * grid)
+    signals = _PowerSignals(d_float, alpha=p)
     hit = _scan_for_roots(signals, 1.0, p * float(cap), p * grid, tol)
     if hit is None:
         raise CapExceededError(f"no root below {p * cap} for the transformed metric")

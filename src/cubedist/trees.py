@@ -118,11 +118,6 @@ def tree_distance_rows(t: UnweightedTree) -> list[list[int]]:
     return rows
 
 
-def tree_distance_matrix(t: UnweightedTree) -> RationalMatrix:
-    """Exact distance matrix under the graph metric."""
-    return RationalMatrix.from_rows(tree_distance_rows(t))
-
-
 def embed_bits(t: UnweightedTree) -> list[int]:
     """Cube images of the vertices: coordinate j is edge j (edges in
     sorted order), vertex v maps to the indicator of its root path."""
@@ -176,21 +171,10 @@ def scaled_inverse_rows(t: UnweightedTree) -> list[list[int]]:
     return out
 
 
-@dataclass(frozen=True)
-class TreeInverseEntries:
-    """Exact entries of the inverse of a tree's distance matrix."""
-
-    d_star: RationalMatrix
-
-    def entry_sum(self) -> Fraction:
-        return sum((e for row in self.d_star.entries for e in row), Fraction(0))
-
-
-def graham_lovasz_inverse(t: UnweightedTree) -> TreeInverseEntries:
+def graham_lovasz_inverse(t: UnweightedTree) -> RationalMatrix:
     """D^{-1} from the closed form; entries have denominator dividing 2n."""
     scale = Fraction(1, 2 * t.n)
-    rows = [[scale * v for v in row] for row in scaled_inverse_rows(t)]
-    return TreeInverseEntries(RationalMatrix.from_rows(rows))
+    return RationalMatrix.from_rows([[scale * v for v in row] for row in scaled_inverse_rows(t)])
 
 
 def tree_dinv_ones(t: UnweightedTree) -> Fraction:

@@ -14,11 +14,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
-from . import cube, identities, trees
+from . import cube, identities, search, trees
 from .cube import PointSet
-from .errors import InvariantError
+from .errors import BudgetExceededError, DomainError, InvariantError
 from .ratlinalg import RationalMatrix, det_int
 
 
@@ -112,11 +112,8 @@ def check_point_set(tail: tuple[int, ...], n: int, report: SweepReport) -> None:
         report.counter("dependent_kernel").add(ok, tail)
         return
     solve_det_g, gq = identities.gram_solve(s)
-    _, _, pivots, _, corner, dependent = kernel
-    det_g = pivots[-1] if dependent is None else 0
-    report.counter("gram_quad_two_routes").add(
-        dependent is None and gq == Fraction(-corner, det_g), tail
-    )
+    det_g, kernel_gq = identities.kernel_quad(tail, kernel)
+    report.counter("gram_quad_two_routes").add(gq == kernel_gq, tail)
     report.counter("det_via_gram_quad").add(
         det_direct != 0 and identities.det_from_gram_quad(m, solve_det_g, gq) == det_direct, tail
     )
@@ -212,7 +209,7 @@ def check_tree(t: trees.UnweightedTree, report: SweepReport, deep: bool = False)
     )
     if deep:
         inv = RationalMatrix.from_rows(drows).inverse()
-        d_star = trees.graham_lovasz_inverse(t).d_star
+        d_star = trees.graham_lovasz_inverse(t)
         report.counter("inverse_entries_direct").add(inv == d_star, t.edges)
         embedded = PointSet.from_bits(n, ebits)
         report.counter("embedded_dinv_value").add(
@@ -233,6 +230,10 @@ def tree_sweep(max_vertices: int = 8, deep_max_vertices: int = 6) -> SweepReport
     return report
 
 
+# A random identity sweep's sets hold up to 2^n - 1 points.
+RANDOM_DIM_RANGE = (2, 8)
+
+
 def run_default_verification(
     n_cap: int = 4,
     tree_cap: int = 8,
@@ -241,7 +242,30 @@ def run_default_verification(
     seed: int = 2024,
 ) -> list[SweepReport]:
     """The verify subcommand's workload: exhaustive identity sweeps for
-    2..n_cap, optional random sweeps, and the tree sweep."""
+    2..n_cap, optional random sweeps, and the tree sweep.
+
+    Refused before any sweep starts: a random dimension outside
+    RANDOM_DIM_RANGE (DomainError), and more sets, trees and samples in
+    total than `search.DEFAULT_BUDGET` (BudgetExceededError).
+    """
+    lo, hi = RANDOM_DIM_RANGE
+    if any(not lo <= n <= hi for n in random_dims):
+        raise DomainError(f"random sweep dimensions {list(random_dims)} outside [{lo}, {hi}]")
+    # lazy, because the exhaustive counts grow doubly exponentially
+    sizes = chain(
+        [len(random_dims) * max(random_samples, 0)],
+        ((1 << ((1 << n) - 1)) - 1 for n in range(2, n_cap + 1)),
+        (k ** (k - 2) for k in range(trees.MIN_VERTICES, tree_cap + 1)),
+    )
+    total = 0
+    for size in sizes:
+        total += size
+        if total > search.DEFAULT_BUDGET:
+            raise BudgetExceededError(
+                f"verification needs at least {total} sets, trees and samples, "
+                f"over budget {search.DEFAULT_BUDGET}",
+                required=total,
+            )
     reports = [identity_sweep_exhaustive(n) for n in range(2, n_cap + 1)]
     for n in random_dims:
         reports.append(identity_sweep_random(n, random_samples, seed))

@@ -8,7 +8,8 @@ compare the package's fast routes against them.
 
 The exceptions are the slow paths that faster code replaced, kept so
 that the fast routes are compared against them: the `Fraction`
-Gaussian elimination that built kernel witnesses; in the search
+Gaussian elimination that built kernel witnesses; the rank test and
+`Fraction` solve that gave <G^{-1}u, u> before the Gram kernel; in the search
 section, the per-subset evaluator (a rank test, a Gram rebuild and two
 pivoting Bareiss determinants for every subset); and, in the
 negative-type section at the end, the scalar root scan (one `slogdet`
@@ -16,6 +17,7 @@ per matrix and exponent, each scan run to its end).
 """
 
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import gcd, lcm
@@ -24,8 +26,29 @@ import numpy as np
 
 from cubedist import cube, negtype
 from cubedist.cube import normalize
-from cubedist.errors import CapExceededError, DomainError, IndependenceError, NotNegativeTypeError
-from cubedist.ratlinalg import RationalVector, det_int
+from cubedist.errors import (
+    CapExceededError,
+    DependenceError,
+    DomainError,
+    IndependenceError,
+    NotNegativeTypeError,
+)
+from cubedist.ratlinalg import RationalMatrix, RationalVector, det_int
+
+
+def count_calls(monkeypatch, owner, *names, calls=None):
+    """Wrap owner.<name> for each name so that every call adds one to
+    calls[name]; returns the Counter."""
+    calls = Counter() if calls is None else calls
+    for name in names:
+        real = getattr(owner, name)
+
+        def wrapper(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+    return calls
 
 
 def leibniz_det(rows):
@@ -112,6 +135,19 @@ def kernel_witness_oracle(s):
             return RationalVector.of([-sum(ints)] + ints)
         basis.append((vec, combo))
     raise IndependenceError("tail points are linearly independent; D has trivial kernel")
+
+
+def gram_quad_oracle(s):
+    """(det G, <G^{-1}u, u>) of a normalized set along the `Fraction`
+    route: a rank test, then the Fraction Gram matrix's pivoting
+    determinant and an exact solve G w = u. DependenceError for a
+    dependent tail."""
+    tail = s.bits()[1:]
+    if cube.rank_of_bits(tail, s.n) != s.m:
+        raise DependenceError("tail points are linearly dependent")
+    g, u = cube.gram_rows(tail)
+    gram = RationalMatrix.from_rows(g)
+    return gram.det(), gram.quad_form_inv(RationalVector.of(u))
 
 
 def eval_tail_oracle(tail, n):

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import cubedist
+from cubedist import negtype, verify
 from cubedist.cli import main
 from cubedist.cube import parse_point_set
 from oracle import sanchez_wp_oracle
@@ -13,6 +14,7 @@ from oracle import sanchez_wp_oracle
 H3_FILE = "3 4\n000\n100\n010\n111\n"
 DEP_FILE = "2 4\n00\n10\n01\n11\n"
 PATH_FILE = "2 3\n00\n10\n11\n"
+CORNER_FILE = "3 3\n000\n100\n010\n"
 STAR4_TREE = "4\n0 1\n0 2\n0 3\n"
 
 
@@ -125,6 +127,25 @@ class TestNegtype:
         f.write_text(PATH_FILE)
         assert main(["negtype", str(f), "--tol", "-1"]) == 3
 
+    @pytest.mark.parametrize(
+        "flags,code",
+        [
+            (["--cap", "inf"], 3),
+            (["--cap", "nan"], 3),
+            (["--grid", "nan"], 3),
+            (["--tol", "inf"], 3),
+            (["--grid", "1e-12"], 4),
+        ],
+    )
+    def test_bad_scan_flags_refused(self, monkeypatch, capsys, tmp_path, flags, code):
+        monkeypatch.setattr(negtype, "_scan_for_roots", None)  # refused before any scan
+        f = tmp_path / "corner.txt"
+        f.write_text(CORNER_FILE)
+        assert main(["negtype", str(f), *flags]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
     def test_deterministic_bytes(self, tmp_path):
         f = tmp_path / "path.txt"
         f.write_text(PATH_FILE)
@@ -185,16 +206,43 @@ class TestVerify:
         assert main(["verify", "--n-cap", "1"]) == 3
 
     def test_injected_fault_gives_nonzero_exit(self, monkeypatch, capsys):
-        from cubedist import verify as verify_mod
-
         def broken(*args, **kwargs):
-            report = verify_mod.SweepReport(label="injected")
+            report = verify.SweepReport(label="injected")
             report.counter("poisoned").add(False, "injected fault")
             return [report]
 
         monkeypatch.setattr("cubedist.cli.verify.run_default_verification", broken)
         assert main(["verify", "--n-cap", "2", "--tree-cap", "3"]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+    @staticmethod
+    def _stub_sweeps(monkeypatch, stub):
+        for name in ("identity_sweep_exhaustive", "identity_sweep_random", "tree_sweep"):
+            monkeypatch.setattr(verify, name, stub)
+
+    @pytest.mark.parametrize(
+        "flags,code",
+        [
+            (["--random-dim", "30"], 3),
+            (["--random-dim", "1"], 3),
+            (["--n-cap", "5"], 4),
+            (["--tree-cap", "12"], 4),
+            (["--random-dim", "6", "--random-samples", str(10**7)], 4),
+        ],
+    )
+    def test_runaway_sweeps_refused_before_starting(self, monkeypatch, capsys, flags, code):
+        self._stub_sweeps(monkeypatch, None)
+        assert main(["verify", *flags]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+    def test_sweeps_within_budget_run(self, monkeypatch):
+        self._stub_sweeps(monkeypatch, lambda *args, **kwargs: verify.SweepReport("stub"))
+        assert len(verify.run_default_verification()) == 4
+        assert len(verify.run_default_verification(random_dims=(6,), random_samples=2000)) == 5
+        # 32,901 sets + 5,063,360 trees + 20,000 samples
+        assert len(verify.run_default_verification(tree_cap=9, random_dims=(2, 8))) == 6
 
 
 def _run_python(args):

@@ -9,7 +9,6 @@ from cubedist.cube import (
     HammingPoint,
     PointSet,
     affinely_independent,
-    derive,
     distance,
     format_point_set,
     linear_independent,
@@ -116,53 +115,61 @@ class TestNormalize:
         assert cube.distance_rows(s.bits()) == cube.distance_rows(sn.bits())
 
 
+def derive(s):
+    """G and u of the normalized tail, and D, from the integer row
+    builders; D of the normalized set equals the input's."""
+    bits = normalize(s).bits()
+    g, u = cube.gram_rows(bits[1:])
+    return g, u, cube.distance_rows(bits)
+
+
 class TestDerive:
     def test_first_example(self):
-        d = derive(ps((0, 0, 0), (1, 1, 1), (1, 1, 0)))
-        assert d.G.to_strings() == [["3", "2"], ["2", "2"]]
-        assert list(d.u) == [3, 2]
-        assert d.D.to_strings() == [["0", "3", "2"], ["3", "0", "1"], ["2", "1", "0"]]
+        g, u, d = derive(ps((0, 0, 0), (1, 1, 1), (1, 1, 0)))
+        assert g == [[3, 2], [2, 2]]
+        assert u == [3, 2]
+        assert d == [[0, 3, 2], [3, 0, 1], [2, 1, 0]]
 
     def test_second_example(self):
-        d = derive(ps((0, 0, 0), (1, 0, 1), (1, 1, 0)))
-        assert d.G.to_strings() == [["2", "1"], ["1", "2"]]
-        assert list(d.u) == [2, 2]
-        assert d.D.to_strings() == [["0", "2", "2"], ["2", "0", "2"], ["2", "2", "0"]]
+        g, u, d = derive(ps((0, 0, 0), (1, 0, 1), (1, 1, 0)))
+        assert g == [[2, 1], [1, 2]]
+        assert u == [2, 2]
+        assert d == [[0, 2, 2], [2, 0, 2], [2, 2, 0]]
 
     def test_minimal_pair(self):
-        d = derive(ps((0, 0), (1, 0)))
-        assert d.G.to_strings() == [["1"]]
-        assert list(d.u) == [1]
-        assert d.D.to_strings() == [["0", "1"], ["1", "0"]]
+        g, u, d = derive(ps((0, 0), (1, 0)))
+        assert g == [[1]]
+        assert u == [1]
+        assert d == [[0, 1], [1, 0]]
 
     def test_matches_bruteforce_distances(self):
         rng = random.Random(23)
         for _ in range(50):
             n = rng.randint(2, 6)
             s = random_point_set(rng, n, rng.randint(2, min(8, 1 << n)))
-            d = derive(s)
+            _, _, d = derive(s)
             coords = [p.coords() for p in s.points]
-            assert [[int(e) for e in row] for row in d.D.entries] == distance_matrix_from_coords(coords)
+            assert d == distance_matrix_from_coords(coords)
 
     def test_polarization_identity(self):
         rng = random.Random(29)
         for _ in range(50):
             n = rng.randint(2, 6)
             s = random_point_set(rng, n, rng.randint(2, min(9, 1 << n)))
-            d = derive(s)
+            g, u, d = derive(s)
             m = s.m
             for i in range(m):
                 for j in range(m):
-                    assert d.D.entry(i + 1, j + 1) == d.u[i] + d.u[j] - 2 * d.G.entry(i, j)
+                    assert d[i + 1][j + 1] == u[i] + u[j] - 2 * g[i][j]
 
     def test_gram_matches_real_differences(self):
         rng = random.Random(31)
         for _ in range(50):
             n = rng.randint(2, 6)
             s = random_point_set(rng, n, rng.randint(2, min(8, 1 << n)))
-            d = derive(s)
+            g, _, _ = derive(s)
             coords = [p.coords() for p in s.points]
-            assert [[int(e) for e in row] for row in d.G.entries] == gram_of_differences(coords)
+            assert g == gram_of_differences(coords)
 
 
 class TestIndependence:

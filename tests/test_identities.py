@@ -1,5 +1,4 @@
 import random
-from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -10,6 +9,7 @@ from hypothesis import strategies as st
 from cubedist import cube, identities, verify
 from cubedist.cube import PointSet
 from cubedist.errors import (
+    CubedistError,
     DependenceError,
     IndependenceError,
     InvariantError,
@@ -18,7 +18,9 @@ from cubedist.errors import (
 from cubedist.ratlinalg import RationalMatrix, det_int, ones
 from oracle import (
     bordered,
+    count_calls,
     distance_matrix_from_coords,
+    gram_quad_oracle,
     kernel_witness_oracle,
     leibniz_det,
     matvec,
@@ -226,20 +228,8 @@ class TestCheckPointSetSharesWork:
     set; the checks that read them still compare two routes."""
 
     def _count(self, monkeypatch, tail, n):
-        calls = Counter()
-
-        def counted(owner, name):
-            real = getattr(owner, name)
-
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return real(*args, **kwargs)
-
-            monkeypatch.setattr(owner, name, wrapper)
-
-        for name in ("gram_eliminate", "rank_of_bits", "derive"):
-            counted(cube, name)
-        counted(RationalMatrix, "solve")
+        calls = count_calls(monkeypatch, cube, "gram_eliminate", "rank_of_bits", "gram_rows")
+        count_calls(monkeypatch, RationalMatrix, "solve", calls=calls)
         report = verify.SweepReport("count")
         verify.check_point_set(tail, n, report)
         assert report.ok
@@ -247,11 +237,12 @@ class TestCheckPointSetSharesWork:
 
     def test_independent_set(self, monkeypatch):
         calls = self._count(monkeypatch, H3_SET.bits()[1:], 3)
-        assert calls == {"gram_eliminate": 1, "rank_of_bits": 1, "derive": 1, "solve": 1}
+        # gram_rows: one for det_via_bordered_gram, one for gram_solve
+        assert calls == {"gram_eliminate": 1, "rank_of_bits": 1, "gram_rows": 2, "solve": 1}
 
     def test_dependent_set(self, monkeypatch):
         calls = self._count(monkeypatch, FULL_H2.bits()[1:], 2)
-        assert calls == {"gram_eliminate": 1, "rank_of_bits": 1}
+        assert calls == {"gram_eliminate": 1, "rank_of_bits": 1, "gram_rows": 1}
 
     def test_wrong_solve_fails_both_solve_checks(self, monkeypatch):
         real = RationalMatrix.quad_form_inv
@@ -273,6 +264,55 @@ class TestCheckPointSetSharesWork:
         verify.check_point_set(H3_SET.bits()[1:], 3, report)
         assert report.counter("gram_quad_two_routes").failed == 1
         assert report.counter("det_via_gram_quad").failed == 0
+
+
+class TestOneRoutePerAnswer:
+    """The per-set invariants read one Gram-kernel pass, and the
+    rational route learns dependence from its own determinant: neither
+    runs a rank test."""
+
+    @pytest.mark.parametrize(
+        "name,kernel_passes",
+        [("gram_quad", 1), ("dinv_ones", 1), ("det_via_gram_quad", 0)],
+    )
+    @pytest.mark.parametrize("s", [H3_SET, PAIR_B, FULL_H2], ids=["h3", "pair", "dependent"])
+    def test_no_rank_test(self, monkeypatch, name, kernel_passes, s):
+        calls = count_calls(monkeypatch, cube, "rank_of_bits", "gram_eliminate")
+        try:
+            getattr(identities, name)(s)
+        except (DependenceError, SingularMatrixError):
+            pass
+        assert calls["rank_of_bits"] == 0
+        assert calls["gram_eliminate"] == kernel_passes
+
+
+def _value_or_error(fn, s):
+    try:
+        return fn(s)
+    except CubedistError as exc:
+        return type(exc)
+
+
+class TestGramKernelAgainstOracle:
+    def test_every_normalized_h4_subset(self):
+        """gram_quad, dinv_ones and det_via_gram_quad equal the rank test
+        plus Fraction solve they replaced, or raise the same error."""
+        independent = 0
+        for m in range(1, 16):
+            for tail in combinations(range(1, 16), m):
+                s = PointSet.from_bits(4, (0,) + tail)
+                want = _value_or_error(gram_quad_oracle, s)
+                if want is DependenceError:
+                    assert _value_or_error(identities.gram_quad, s) is DependenceError
+                    assert _value_or_error(identities.dinv_ones, s) is SingularMatrixError
+                    assert _value_or_error(identities.det_via_gram_quad, s) is DependenceError
+                    continue
+                independent += 1
+                det_g, quad = want
+                assert identities.gram_quad(s) == quad
+                assert identities.dinv_ones(s) == 2 / quad
+                assert identities.det_via_gram_quad(s) == (-1) ** m * 2 ** (m - 1) * det_g * quad
+        assert independent == 15 + 105 + 430 + 940
 
 
 class TestDinvOnes:
@@ -358,7 +398,7 @@ class TestCrossIdentities:
         for tail in combinations(range(1, 8), 3):
             s = PointSet.from_bits(3, (0,) + tail)
             det_d = identities.det_distance_matrix(s)
-            det_g = cube.derive(s).G.det()
+            det_g = det_int(cube.gram_rows(tail)[0])
             if cube.linear_independent(s):
                 assert det_d == -3 * 4 * det_g
             else:

@@ -11,9 +11,16 @@ from hypothesis import strategies as st
 
 from cubedist import cube, identities, negtype
 from cubedist.cube import PointSet
-from cubedist.errors import CapExceededError, CubedistError, DomainError, NotNegativeTypeError
+from cubedist.errors import (
+    BudgetExceededError,
+    CapExceededError,
+    CubedistError,
+    DomainError,
+    NotNegativeTypeError,
+)
 from cubedist.ratlinalg import det_int
 from oracle import (
+    count_calls,
     earliest_root_oracle,
     leibniz_det,
     sanchez_wp_oracle,
@@ -25,6 +32,7 @@ PATH3 = PointSet.from_coords([(0, 0), (1, 0), (1, 1)])
 FULL_H2 = PointSet.from_bits(2, [0, 1, 2, 3])
 H3_SET = PointSet.from_coords([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 1)])
 TWO_POINTS = PointSet.from_coords([(0, 0, 0), (1, 1, 0)])
+CORNER3 = PointSet.from_coords([(0, 0, 0), (1, 0, 0), (0, 1, 0)])
 
 
 def random_sets(seed, count, dims=(3, 4, 5)):
@@ -186,6 +194,103 @@ class TestMurugan:
             for tail in combinations(range(1, 8), m):
                 c = negtype.murugan_classify(PointSet.from_bits(3, (0,) + tail))
                 assert c.consistent
+
+
+def _h3_subsets():
+    for m in range(1, 8):
+        for tail in combinations(range(1, 8), m):
+            yield PointSet.from_bits(3, (0,) + tail)
+
+
+class TestMuruganRoutes:
+    """The three views run three separate exact routes: the rank test,
+    pivoting det_int, and the Gram kernel plus the scan."""
+
+    def test_call_counts(self, monkeypatch):
+        calls = count_calls(monkeypatch, cube, "rank_of_bits", "gram_eliminate")
+        count_calls(monkeypatch, negtype, "det_int", calls=calls)
+        assert negtype.murugan_classify(H3_SET).consistent
+        assert calls == {"rank_of_bits": 1, "gram_eliminate": 1, "det_int": 2}
+
+    def test_scans_run_no_rank_test_and_no_det_int(self, monkeypatch):
+        calls = count_calls(monkeypatch, cube, "rank_of_bits")
+        count_calls(monkeypatch, negtype, "det_int", calls=calls)
+        for s in (H3_SET, FULL_H2, PATH3, CORNER3):
+            negtype.sanchez_wp(s)
+            negtype.transform_scaling_check(s, 2.0)
+        assert calls == {}
+
+    def _consistent_on_h3(self):
+        return all(negtype.murugan_classify(s).consistent for s in _h3_subsets())
+
+    def test_wrong_kernel_is_caught(self, monkeypatch):
+        real = cube.gram_eliminate
+
+        def wrong(tail):
+            points, hists, pivots, borders, corner, dependent = real(tail)
+            return points, hists, pivots, borders, corner, dependent or (tail[-1], [])
+
+        monkeypatch.setattr(cube, "gram_eliminate", wrong)
+        assert not self._consistent_on_h3()
+
+    def test_wrong_det_int_is_caught(self, monkeypatch):
+        real = negtype.det_int
+        monkeypatch.setattr(negtype, "det_int", lambda rows: real(rows) + 1)
+        assert not self._consistent_on_h3()
+
+    def test_wrong_rank_test_is_caught(self, monkeypatch):
+        real = cube.rank_of_bits
+        monkeypatch.setattr(cube, "rank_of_bits", lambda tail, n: real(tail, n) - 1)
+        assert not self._consistent_on_h3()
+
+
+class TestScanArguments:
+    """Scan parameters are checked once, in sanchez_wp."""
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"cap": math.inf},
+            {"cap": math.nan},
+            {"cap": 0.5},
+            {"grid": math.nan},
+            {"grid": math.inf},
+            {"grid": 0.0},
+            {"grid": -0.125},
+            {"tol": math.inf},
+            {"tol": math.nan},
+            {"tol": 0.0},
+            {"tol": 1.0},
+        ],
+    )
+    def test_domain_errors(self, kwargs):
+        with pytest.raises(DomainError):
+            negtype.sanchez_wp(CORNER3, **kwargs)
+        with pytest.raises(DomainError):
+            negtype.transform_scaling_check(CORNER3, 2.0, **kwargs)
+
+    def test_grid_point_budget(self, monkeypatch):
+        monkeypatch.setattr(negtype, "MAX_GRID_POINTS", 9)
+        assert negtype.sanchez_wp(TWO_POINTS, cap=2.0).is_lower_bound  # 9 grid points
+        with pytest.raises(BudgetExceededError):
+            negtype.sanchez_wp(TWO_POINTS, cap=2.125)
+
+    def test_tiny_grid_refused_before_scanning(self, monkeypatch):
+        monkeypatch.setattr(negtype, "_scan_for_roots", None)
+        with pytest.raises(BudgetExceededError):
+            negtype.sanchez_wp(CORNER3, grid=1e-12)
+
+    def test_transformed_scan_budget(self, monkeypatch):
+        # the base scan of [1, 3] has 17 grid points; the scan of [1, 9]
+        # in steps of 3/8 has 22.3, so it has its own check
+        monkeypatch.setattr(negtype, "MAX_GRID_POINTS", 17)
+        assert negtype.sanchez_wp(PATH3, cap=3.0).root_kind == negtype.ROOT_BORDERED
+        with pytest.raises(BudgetExceededError):
+            negtype.transform_scaling_check(PATH3, 3.0, cap=3.0)
+
+    def test_nan_exponent_rejected(self):
+        with pytest.raises(DomainError):
+            negtype.transform_scaling_check(CORNER3, math.nan)
 
 
 class TestTransformScaling:
