@@ -275,11 +275,6 @@ class TestScanArguments:
         with pytest.raises(BudgetExceededError):
             negtype.sanchez_wp(TWO_POINTS, cap=2.125)
 
-    def test_tiny_grid_refused_before_scanning(self, monkeypatch):
-        monkeypatch.setattr(negtype, "_scan_for_roots", None)
-        with pytest.raises(BudgetExceededError):
-            negtype.sanchez_wp(CORNER3, grid=1e-12)
-
     def test_transformed_scan_budget(self, monkeypatch):
         # the base scan of [1, 3] has 17 grid points; the scan of [1, 9]
         # in steps of 3/8 has 22.3, so it has its own check
