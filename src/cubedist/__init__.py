@@ -1,10 +1,8 @@
 """Exact distance-matrix invariants of finite subsets of the Hamming cube."""
 
 from .cube import (
-    HammingPoint,
     PointSet,
     affinely_independent,
-    distance,
     linear_independent,
     normalize,
     parse_point_set,
@@ -46,7 +44,7 @@ from .negtype import (
     strict_p_negative_type,
     transform_scaling_check,
 )
-from .ratlinalg import Rational, RationalMatrix, RationalVector
+from .ratlinalg import RationalMatrix
 from .search import (
     SearchResult,
     Violation,

@@ -64,15 +64,8 @@ def _cmd_search(args) -> int:
     if args.mode == search.MODE_EXHAUSTIVE:
         result = search.min_dinv_ones(args.n, args.m, budget=args.budget, workers=args.workers)
     else:
-        if args.trials < 0:
-            raise DomainError(f"--trials must be nonnegative, got {args.trials}")
         result = search.random_probe(args.n, args.m, args.trials, args.seed, budget=args.budget)
-    text = result.to_json()
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(result.to_json_dict(), args.output)
     return 1 if result.violations else 0
 
 

@@ -1,10 +1,13 @@
-"""Hamming-cube points and point sets.
+"""Hamming-cube point sets as bit patterns.
 
-A point of the n-cube is stored as a machine-int bit pattern
-(coordinate k = bit k, so n <= 64) and distances are popcounts of XORs.
-A PointSet is an ordered, duplicate-free list of points; the first
-listed point is the translation base, and `normalize` XORs the whole
-set by it, which leaves all pairwise distances unchanged.
+Every formula in the package reads a set {x_0, ..., x_m} of H_n only
+through its distance matrix D, its Gram matrix G = B B^T and u = diag G,
+and all three come from bit patterns. So a PointSet is just the
+dimension n and a tuple of patterns, one machine int per point
+(coordinate k = bit k, so n <= 64); distances are popcounts of XORs and
+dot products popcounts of ANDs. The set is ordered and duplicate-free;
+the first listed point is the translation base, and `normalize` XORs
+the whole set by it, which leaves all pairwise distances unchanged.
 
 The `distance_rows` / `bordered_rows` / `gram_rows` helpers build the
 distance and Gram matrices as plain integer row lists; everything in
@@ -41,100 +44,62 @@ MIN_DIM = 2
 MAX_DIM = 64
 
 
-@dataclass(frozen=True, order=True)
-class HammingPoint:
-    """A 0/1 vector of dimension n, stored as a bit pattern."""
-
-    n: int
-    bits: int
-
-    def __post_init__(self):
-        if not MIN_DIM <= self.n <= MAX_DIM:
-            raise DimensionError(f"cube dimension {self.n} outside [{MIN_DIM}, {MAX_DIM}]")
-        if not 0 <= self.bits < (1 << self.n):
-            raise DimensionError(f"bit pattern {self.bits:#x} does not fit in {self.n} coordinates")
-
-    @classmethod
-    def from_coords(cls, coords: Iterable[int]) -> "HammingPoint":
-        coords = tuple(coords)
-        if any(c not in (0, 1) for c in coords):
-            raise ValueError(f"coordinates must be 0 or 1, got {coords}")
-        bits = 0
-        for k, c in enumerate(coords):
-            bits |= c << k
-        return cls(len(coords), bits)
-
-    @classmethod
-    def from_string(cls, text: str) -> "HammingPoint":
-        if set(text) - {"0", "1"}:
-            raise ValueError(f"point string may contain only 0/1: {text!r}")
-        return cls.from_coords(int(ch) for ch in text)
-
-    def coords(self) -> tuple[int, ...]:
-        return tuple((self.bits >> k) & 1 for k in range(self.n))
-
-    def to_string(self) -> str:
-        return "".join(str(c) for c in self.coords())
-
-    def weight(self) -> int:
-        """Number of ones (distance to the zero point)."""
-        return self.bits.bit_count()
-
-    def __xor__(self, other: "HammingPoint") -> "HammingPoint":
-        if self.n != other.n:
-            raise DimensionError(f"xor of points in dimensions {self.n} and {other.n}")
-        return HammingPoint(self.n, self.bits ^ other.bits)
-
-
-def distance(x: HammingPoint, y: HammingPoint) -> int:
-    """Hamming distance: the popcount of the XOR."""
-    if x.n != y.n:
-        raise DimensionError(f"distance between dimensions {x.n} and {y.n}")
-    return (x.bits ^ y.bits).bit_count()
-
-
 @dataclass(frozen=True)
 class PointSet:
-    """Ordered list x_0, ..., x_m of distinct cube points (m >= 1)."""
+    """Ordered list x_0, ..., x_m of distinct points of H_n (m >= 1),
+    each stored as its bit pattern (coordinate k = bit k)."""
 
     n: int
-    points: tuple[HammingPoint, ...]
+    bits: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.points) < 2:
+        n, bits = self.n, self.bits
+        if not MIN_DIM <= n <= MAX_DIM:
+            raise DimensionError(f"cube dimension {n} outside [{MIN_DIM}, {MAX_DIM}]")
+        if len(bits) < 2:
             raise ValueError("a point set needs at least two points")
-        if any(p.n != self.n for p in self.points):
-            raise DimensionError("all points must share the set's dimension")
-        seen = set()
-        for i, p in enumerate(self.points):
-            if p.bits in seen:
-                raise DegenerateMetricError(f"point {i} repeats {p.to_string()}")
-            seen.add(p.bits)
+        if min(bits) < 0 or max(bits) >> n:
+            b = next(b for b in bits if not 0 <= b < (1 << n))
+            raise DimensionError(f"bit pattern {b:#x} does not fit in {n} coordinates")
+        if len(set(bits)) != len(bits):
+            i = next(i for i, b in enumerate(bits) if b in bits[:i])
+            raise DegenerateMetricError(f"point {i} repeats {_pattern_string(bits[i], n)}")
 
     @classmethod
     def from_bits(cls, n: int, bits: Iterable[int]) -> "PointSet":
-        return cls(n, tuple(HammingPoint(n, b) for b in bits))
+        return cls(n, tuple(bits))
 
     @classmethod
     def from_coords(cls, coords_list: Iterable[Iterable[int]]) -> "PointSet":
-        pts = tuple(HammingPoint.from_coords(c) for c in coords_list)
-        if not pts:
+        """Points given as 0/1 coordinate rows of one common length n."""
+        rows = [tuple(c) for c in coords_list]
+        if not rows:
             raise ValueError("a point set needs at least two points")
-        return cls(pts[0].n, pts)
+        n = len(rows[0])
+        bits = []
+        for row in rows:
+            if len(row) != n:
+                raise DimensionError(f"points of {n} and {len(row)} coordinates in one set")
+            if any(c not in (0, 1) for c in row):
+                raise ValueError(f"coordinates must be 0 or 1, got {row}")
+            bits.append(sum(c << k for k, c in enumerate(row)))
+        return cls(n, tuple(bits))
 
     @property
     def m(self) -> int:
-        return len(self.points) - 1
+        return len(self.bits) - 1
 
     @property
     def normalized(self) -> bool:
-        return self.points[0].bits == 0
-
-    def bits(self) -> tuple[int, ...]:
-        return tuple(p.bits for p in self.points)
+        return self.bits[0] == 0
 
     def to_strings(self) -> list[str]:
-        return [p.to_string() for p in self.points]
+        return [_pattern_string(b, self.n) for b in self.bits]
+
+
+def _pattern_string(bits: int, n: int) -> str:
+    """The point as n characters 0/1, coordinate k first-to-last."""
+    return format(bits, f"0{n}b")[::-1]
 
 
 def normalize(s: PointSet) -> PointSet:
@@ -145,8 +110,8 @@ def normalize(s: PointSet) -> PointSet:
     """
     if s.normalized:
         return s
-    base = s.points[0].bits
-    return PointSet.from_bits(s.n, (p.bits ^ base for p in s.points))
+    base = s.bits[0]
+    return PointSet(s.n, tuple(b ^ base for b in s.bits))
 
 
 def distance_rows(bits: Sequence[int]) -> list[list[int]]:
@@ -266,8 +231,7 @@ def linear_independent(s: PointSet) -> bool:
     """
     if not s.normalized:
         raise ValueError("linear_independent needs a normalized set; call normalize() first")
-    tail = s.bits()[1:]
-    return rank_of_bits(tail, s.n) == s.m
+    return rank_of_bits(s.bits[1:], s.n) == s.m
 
 
 def affinely_independent(s: PointSet) -> bool:
@@ -303,28 +267,21 @@ def parse_point_set(text: str) -> PointSet:
     body = [(i + 2, ln.strip()) for i, ln in enumerate(lines[1:]) if ln.strip()]
     if len(body) != count:
         raise ParseError(f"header promises {count} points but file has {len(body)}", line=1)
-    pts = []
+    bits = []
     seen: dict[int, int] = {}
     for lineno, token in body:
         if len(token) != n:
             raise ParseError(f"point has {len(token)} coordinates, expected {n}", line=lineno)
         if set(token) - {"0", "1"}:
             raise ParseError(f"characters outside 0/1 in {token!r}", line=lineno)
-        p = HammingPoint.from_string(token)
-        if p.bits in seen:
-            raise DegenerateMetricError(
-                f"line {lineno}: point {token} repeats line {seen[p.bits]}"
-            )
-        seen[p.bits] = lineno
-        pts.append(p)
-    return PointSet(n, tuple(pts))
+        b = int(token[::-1], 2)
+        if b in seen:
+            raise DegenerateMetricError(f"line {lineno}: point {token} repeats line {seen[b]}")
+        seen[b] = lineno
+        bits.append(b)
+    return PointSet(n, tuple(bits))
 
 
 def parse_point_set_file(path) -> PointSet:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_point_set(fh.read())
-
-
-def format_point_set(s: PointSet) -> str:
-    return "\n".join([f"{s.n} {len(s.points)}"] + s.to_strings()) + "\n"
-

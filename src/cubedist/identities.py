@@ -9,7 +9,7 @@ diagonal u, the distance matrix D satisfies
     <D^{-1}1, 1> = 2 / <G^{-1}u, u>                  (affinely independent)
 
 and det(D) = 0 exactly when the tail is linearly dependent, in which
-case a rational kernel vector of D can be written down from the
+case an integer kernel vector of D can be written down from the
 dependence.
 
 One exact route per answer: the per-set invariants read det G,
@@ -30,7 +30,7 @@ from typing import Optional
 from . import cube
 from .cube import PointSet, normalize
 from .errors import DependenceError, IndependenceError, InvariantError, SingularMatrixError
-from .ratlinalg import RationalMatrix, RationalVector, det_int
+from .ratlinalg import RationalMatrix, det_int
 
 
 def _require_normalized(s: PointSet) -> PointSet:
@@ -59,7 +59,7 @@ def kernel_quad(tail: tuple[int, ...], kernel=None) -> tuple[int, Optional[Fract
 
 def det_distance_matrix(s: PointSet) -> Fraction:
     """det(D) by direct fraction-free elimination."""
-    return Fraction(det_int(cube.distance_rows(s.bits())))
+    return Fraction(det_int(cube.distance_rows(s.bits)))
 
 
 def det_via_bordered_gram(s: PointSet) -> Fraction:
@@ -70,7 +70,7 @@ def det_via_bordered_gram(s: PointSet) -> Fraction:
     """
     _require_normalized(s)
     m = s.m
-    val = det_int(_bordered_gram_rows(s.bits()[1:]))
+    val = det_int(_bordered_gram_rows(s.bits[1:]))
     return Fraction((-1) ** (m - 1) * (1 << (m - 1)) * val)
 
 
@@ -89,11 +89,12 @@ def gram_solve(s: PointSet) -> tuple[Fraction, Fraction]:
     determinant of G and one exact Fraction solve G w = u. Raises
     DependenceError when that determinant is 0."""
     _require_normalized(s)
-    g, u = cube.gram_rows(s.bits()[1:])
+    g, u = cube.gram_rows(s.bits[1:])
     det_g = det_int([row[:] for row in g])
     if det_g == 0:
         raise DependenceError("tail points are linearly dependent; det(D) = 0 by the kernel route")
-    return Fraction(det_g), RationalMatrix.from_rows(g).quad_form_inv(RationalVector.of(u))
+    w = RationalMatrix.from_rows(g).solve(u)
+    return Fraction(det_g), sum((a * b for a, b in zip(w, u)), Fraction(0))
 
 
 def det_from_gram_quad(m: int, det_g: Fraction, quad: Fraction) -> Fraction:
@@ -105,14 +106,14 @@ def gram_quad(s: PointSet) -> Fraction:
     """Exact <G^{-1}u, u> from the Gram kernel; positive by positive
     definiteness of G. Equals n whenever m = n."""
     _require_normalized(s)
-    _, quad = kernel_quad(s.bits()[1:])
+    _, quad = kernel_quad(s.bits[1:])
     if quad is None:
         raise DependenceError("Gram matrix is singular for a dependent tail")
     return quad
 
 
-def kernel_witness(s: PointSet, kernel=None) -> RationalVector:
-    """A nonzero rational vector c with D c = 0 and sum(c) = 0.
+def kernel_witness(s: PointSet, kernel=None) -> tuple[int, ...]:
+    """A nonzero integer vector c with D c = 0 and sum(c) = 0.
 
     Built from the first tail point that is a rational combination of
     its predecessors: the combination coefficients fill c_1..c_m (zero
@@ -128,7 +129,7 @@ def kernel_witness(s: PointSet, kernel=None) -> RationalVector:
     `cube.gram_eliminate` of the tail, already computed by the caller.
     """
     _require_normalized(s)
-    tail = s.bits()[1:]
+    tail = s.bits[1:]
     if kernel is None:
         kernel = cube.gram_eliminate(tail)
     _, hists, pivots, _, _, dependent = kernel
@@ -145,7 +146,7 @@ def kernel_witness(s: PointSet, kernel=None) -> RationalVector:
     ints = [v // g for v in ints]
     if next(v for v in ints if v) < 0:
         ints = [-v for v in ints]
-    return RationalVector.of([-sum(ints)] + ints)
+    return (-sum(ints), *ints)
 
 
 def bordered_distance_det(s: PointSet, kernel=None) -> Fraction:
@@ -155,8 +156,8 @@ def bordered_distance_det(s: PointSet, kernel=None) -> Fraction:
     tail, already computed by the caller."""
     _require_normalized(s)
     m = s.m
-    det_g, _ = kernel_quad(s.bits()[1:], kernel)
-    direct = det_int(cube.bordered_rows(cube.distance_rows(s.bits())))
+    det_g, _ = kernel_quad(s.bits[1:], kernel)
+    direct = det_int(cube.bordered_rows(cube.distance_rows(s.bits)))
     formula = (-1) ** (m - 1) * (1 << m) * det_g
     if direct != formula:
         raise InvariantError(f"bordered distance det {direct} != formula {formula}")
@@ -166,7 +167,7 @@ def bordered_distance_det(s: PointSet, kernel=None) -> Fraction:
 def dinv_ones(s: PointSet) -> Fraction:
     """Exact <D^{-1}1, 1> = 2 / <G^{-1}u, u>, positive for every
     affinely independent set."""
-    _, quad = kernel_quad(normalize(s).bits()[1:])
+    _, quad = kernel_quad(normalize(s).bits[1:])
     if quad is None:
         raise SingularMatrixError(
             "distance matrix is singular for an affinely dependent set", det=Fraction(0)
@@ -210,7 +211,7 @@ def full_report(s: PointSet) -> DetReport:
     require invertibility are absent (None) rather than zeroed."""
     sn = normalize(s)
     det_d = det_distance_matrix(sn)
-    det_g, gq = kernel_quad(sn.bits()[1:])
+    det_g, gq = kernel_quad(sn.bits[1:])
     dio = 2 / gq if gq is not None else None
     return DetReport(
         det_D=det_d,

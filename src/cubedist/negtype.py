@@ -37,7 +37,8 @@ dependent, D_1 is exactly singular and the supremum is exactly 1 with
 no floating-point work; otherwise det G > 0 and the corner give
 sign det(D) = (-1)^(m-1) sign(corner) and sign det [[0, 1^T], [1, D]] =
 (-1)^(m-1). `strict_p_negative_type` at p = 1 keeps its own two
-`det_int` calls, so `murugan_classify`'s three views are three routes.
+`det_int` calls, so `murugan_classify`'s three views are three routes;
+they share the input, one list of distance rows built once per set.
 """
 
 from __future__ import annotations
@@ -68,16 +69,32 @@ ROOT_NONE_BELOW_CAP = "none-below-cap"
 
 def dp_matrix(s: PointSet, p: float) -> np.ndarray:
     """The matrix (d(x_i, x_j)^p) at machine precision; requires p >= 1."""
+    return _dp(cube.distance_rows(s.bits), p)
+
+
+def _dp(rows: list[list[int]], p: float) -> np.ndarray:
     if p < 1:
         raise DomainError(f"exponent {p} below 1")
-    base = np.array(cube.distance_rows(s.bits()), dtype=float)
-    return np.power(base, p)
+    return np.power(np.array(rows, dtype=float), p)
+
+
+def _check_tol(tol: float) -> None:
+    # 0 < tol < 1 is false for NaN and the infinities
+    if not 0 < tol < 1:
+        raise DomainError(f"tolerance needs 0 < tol < 1; got tol={tol}")
 
 
 def is_p_negative_type(s: PointSet, p: float, tol: float = DEFAULT_TOL) -> bool:
     """Negative semidefiniteness of the restricted form, with a
-    Frobenius-scaled eigenvalue tolerance."""
-    dp = dp_matrix(s, p)
+    Frobenius-scaled eigenvalue tolerance. Raises DomainError unless
+    0 < tol < 1."""
+    _check_tol(tol)
+    return _is_p_negative_type(cube.distance_rows(s.bits), p, tol)
+
+
+def _is_p_negative_type(rows: list[list[int]], p: float, tol: float) -> bool:
+    """`is_p_negative_type` of the set with distance rows `rows`."""
+    dp = _dp(rows, p)
     q = dp[1:, 1:] - dp[1:, 0:1] - dp[0:1, 1:]
     q = 0.5 * (q + q.T)
     top = float(np.linalg.eigvalsh(q)[-1])
@@ -350,10 +367,9 @@ class NegTypeReport:
 
 
 def _check_scan(cap: float, tol: float, grid: float) -> None:
-    if not (math.isfinite(cap) and math.isfinite(grid) and cap >= 1 and grid > 0 and 0 < tol < 1):
-        raise DomainError(
-            f"scan needs finite cap >= 1, grid > 0 and 0 < tol < 1; got cap={cap}, grid={grid}, tol={tol}"
-        )
+    _check_tol(tol)
+    if not (math.isfinite(cap) and math.isfinite(grid) and cap >= 1 and grid > 0):
+        raise DomainError(f"scan needs finite cap >= 1 and grid > 0; got cap={cap}, grid={grid}")
     points = (cap - 1) / grid + 1
     if points > MAX_GRID_POINTS:
         raise BudgetExceededError(
@@ -380,13 +396,17 @@ def sanchez_wp(
     return _scan_normalized(normalize(s), cap, tol, grid)[0]
 
 
-def _scan_normalized(sn: PointSet, cap: float, tol: float, grid: float):
+def _scan_normalized(sn: PointSet, cap: float, tol: float, grid: float, rows=None):
     """`sanchez_wp` of a normalized set with checked arguments, and the
-    set's distance matrix as floats (None for a dependent set)."""
-    _, _, _, _, corner, dependent = cube.gram_eliminate(sn.bits()[1:])
+    set's distance matrix as floats (None for a dependent set). `rows`,
+    when given, is `cube.distance_rows` of the set, already built by the
+    caller."""
+    _, _, _, _, corner, dependent = cube.gram_eliminate(sn.bits[1:])
     if dependent is not None:
         return NegTypeReport(1.0, ROOT_DETERMINANT, (1.0, 1.0), 0.0, float(cap)), None
-    d_float = np.array(cube.distance_rows(sn.bits()), dtype=float)
+    if rows is None:
+        rows = cube.distance_rows(sn.bits)
+    d_float = np.array(rows, dtype=float)
     # exact signs at p = 1 (module docstring); corner < 0 on an independent tail
     parity = 1 if sn.m % 2 else -1  # (-1)^(m-1)
     signals = _PowerSignals(d_float, anchor=(1.0, parity if corner > 0 else -parity, parity))
@@ -399,11 +419,17 @@ def _scan_normalized(sn: PointSet, cap: float, tol: float, grid: float):
 
 def strict_p_negative_type(s: PointSet, p: float, tol: float = DEFAULT_TOL) -> bool:
     """Whether p-negative type holds strictly: det(D_p) and
-    <D_p^{-1}1, 1> both nonzero. Exact rational arithmetic at p = 1."""
-    if not is_p_negative_type(s, p, tol):
+    <D_p^{-1}1, 1> both nonzero. Exact integer arithmetic at p = 1.
+    Raises DomainError unless 0 < tol < 1, and NotNegativeTypeError
+    when the set does not have p-negative type at all."""
+    _check_tol(tol)
+    return _strict_p_negative_type(cube.distance_rows(s.bits), p, tol)
+
+
+def _strict_p_negative_type(rows: list[list[int]], p: float, tol: float) -> bool:
+    """`strict_p_negative_type` of the set with distance rows `rows`."""
+    if not _is_p_negative_type(rows, p, tol):
         raise NotNegativeTypeError(f"set does not have {p}-negative type")
-    sn = normalize(s)
-    rows = cube.distance_rows(sn.bits())
     if p == 1:
         det1 = det_int([row[:] for row in rows])
         bord1 = det_int(cube.bordered_rows(rows))
@@ -439,12 +465,16 @@ def murugan_classify(
     """Affine independence (the rank test), strict 1-negative type (two
     pivoting `det_int` calls) and supremal type above 1 (the Gram kernel
     and the root scan; no root below the cap certifies the bound, since
-    the cap exceeds 1), all read from one normalized copy of the set."""
+    the cap exceeds 1), all read from one normalized copy of the set and
+    its distance rows, built once. Arguments are checked as in
+    `sanchez_wp`."""
+    _check_scan(cap, tol, grid)
     sn = normalize(s)
-    report = sanchez_wp(sn, cap=cap, tol=tol, grid=grid)
+    rows = cube.distance_rows(sn.bits)
+    report = _scan_normalized(sn, cap, tol, grid, rows)[0]
     return MuruganClassification(
         affinely_independent=cube.linear_independent(sn),
-        strict_1_negative_type=strict_p_negative_type(sn, 1.0, tol),
+        strict_1_negative_type=_strict_p_negative_type(rows, 1.0, tol),
         wp_exceeds_1=report.wp > 1.0,
     )
 
@@ -487,10 +517,3 @@ def transform_scaling_check(
     if hit is None:
         raise CapExceededError(f"no root below {p * cap} for the transformed metric")
     return (hit[0], p * wp1)
-
-
-def linf_supremal_negative_type(s: PointSet) -> float:
-    """Under the l-infinity metric a cube subset is discrete (all
-    distances 1), so every exponent works: the supremum is infinite.
-    Reported symbolically; nothing is scanned."""
-    return math.inf

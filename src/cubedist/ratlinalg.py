@@ -1,42 +1,21 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the integers and the rationals.
 
-Scalars are `fractions.Fraction` (aliased `Rational`), which keeps every
-value in canonical form: positive denominator, gcd-reduced. Determinants
-and ranks run fraction-free (Bareiss) on integer-scaled rows so that all
-intermediate values are integers; inverses and linear solves use
-Gauss-Jordan over Fraction. Nothing in this module touches floating
-point.
-
-The `det_int` / `rank_int` helpers operate destructively on plain lists
-of Python ints; the enumeration sweeps call them directly to skip the
-wrapper overhead.
+`det_int` and `rank_int` run fraction-free (Bareiss) elimination on
+plain lists of Python ints, destructively, so every intermediate value
+is an integer. `RationalMatrix` holds `fractions.Fraction` entries,
+which stay in canonical form (positive denominator, gcd-reduced), and
+gives the second, Gauss-Jordan routes that the sweeps compare the
+integer kernels against: an exact inverse and an exact linear solve.
+Nothing in this module touches floating point.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import DimensionError, SingularMatrixError
-
-Rational = Fraction
-
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
-
-
-def rational_from_str(text: str) -> Fraction:
-    """Parse ``"p/q"`` or ``"p"`` with the sign on the numerator."""
-    if not _RATIONAL_RE.match(text):
-        raise ValueError(f"not a rational literal: {text!r}")
-    return Fraction(text)
-
-
-def rational_to_str(value: Fraction) -> str:
-    """Render as ``"p/q"``, or ``"p"`` when the denominator is 1."""
-    return str(Fraction(value))
 
 
 def det_int(rows: list[list[int]]) -> int:
@@ -119,46 +98,6 @@ def rank_int(rows: list[list[int]]) -> int:
 
 
 @dataclass(frozen=True)
-class RationalVector:
-    """Immutable vector of exact rationals."""
-
-    entries: tuple[Fraction, ...]
-
-    @classmethod
-    def of(cls, values: Iterable) -> "RationalVector":
-        return cls(tuple(Fraction(v) for v in values))
-
-    @property
-    def dim(self) -> int:
-        return len(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __getitem__(self, i: int) -> Fraction:
-        return self.entries[i]
-
-    def dot(self, other: "RationalVector") -> Fraction:
-        if len(self) != len(other):
-            raise DimensionError(f"dot of dim {len(self)} with dim {len(other)}")
-        return sum((a * b for a, b in zip(self.entries, other.entries)), Fraction(0))
-
-    def to_strings(self) -> list[str]:
-        return [str(e) for e in self.entries]
-
-    @classmethod
-    def from_strings(cls, items: Sequence[str]) -> "RationalVector":
-        return cls(tuple(rational_from_str(s) for s in items))
-
-
-def ones(dim: int) -> RationalVector:
-    return RationalVector.of([1] * dim)
-
-
-@dataclass(frozen=True)
 class RationalMatrix:
     """Immutable dense matrix of exact rationals."""
 
@@ -171,11 +110,6 @@ class RationalMatrix:
             raise DimensionError("rows have unequal lengths")
         return cls(tup)
 
-    @classmethod
-    def identity(cls, k: int) -> "RationalMatrix":
-        one, zero = Fraction(1), Fraction(0)
-        return cls(tuple(tuple(one if i == j else zero for j in range(k)) for i in range(k)))
-
     @property
     def rows(self) -> int:
         return len(self.entries)
@@ -187,39 +121,6 @@ class RationalMatrix:
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.entries[i][j]
-
-    def matvec(self, v: RationalVector) -> RationalVector:
-        if self.cols != len(v):
-            raise DimensionError(f"matvec {self.rows}x{self.cols} by dim {len(v)}")
-        return RationalVector(
-            tuple(sum((a * b for a, b in zip(row, v.entries)), Fraction(0)) for row in self.entries)
-        )
-
-    def _scaled_int_rows(self) -> tuple[list[list[int]], Fraction]:
-        """Clear denominators row by row; return integer rows and the
-        product of the row scale factors (so det = det_int / factor)."""
-        factor = Fraction(1)
-        out = []
-        for row in self.entries:
-            scale = lcm(*(e.denominator for e in row)) if row else 1
-            factor *= scale
-            out.append([int(e * scale) for e in row])
-        return out, factor
-
-    def det(self) -> Fraction:
-        """Exact determinant; the 0x0 matrix has determinant 1."""
-        if not self.is_square:
-            raise DimensionError(f"determinant of {self.rows}x{self.cols} matrix")
-        rows, factor = self._scaled_int_rows()
-        return Fraction(det_int(rows)) / factor
-
-    def rank(self) -> int:
-        """Exact rank over the rationals."""
-        rows, _ = self._scaled_int_rows()
-        return rank_int(rows)
 
     def inverse(self) -> "RationalMatrix":
         """Exact inverse by Gauss-Jordan; raises on a singular input."""
@@ -240,14 +141,14 @@ class RationalMatrix:
                     aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
         return RationalMatrix(tuple(tuple(row[k:]) for row in aug))
 
-    def solve(self, v: RationalVector) -> RationalVector:
+    def solve(self, v: Sequence) -> tuple[Fraction, ...]:
         """Solve ``M w = v`` exactly without forming the inverse."""
         if not self.is_square:
             raise DimensionError(f"solve with {self.rows}x{self.cols} matrix")
         if len(v) != self.rows:
             raise DimensionError(f"solve rhs dim {len(v)} for {self.rows}x{self.cols} matrix")
         k = self.rows
-        a = [list(row) + [v.entries[i]] for i, row in enumerate(self.entries)]
+        a = [list(row) + [Fraction(v[i])] for i, row in enumerate(self.entries)]
         for c in range(k):
             piv_i = next((i for i in range(c, k) if a[i][c] != 0), None)
             if piv_i is None:
@@ -262,15 +163,7 @@ class RationalMatrix:
         for i in range(k - 1, -1, -1):
             s = a[i][k] - sum((a[i][j] * w[j] for j in range(i + 1, k)), Fraction(0))
             w[i] = s / a[i][i]
-        return RationalVector(tuple(w))
-
-    def quad_form_inv(self, v: RationalVector) -> Fraction:
-        """Exact ``<M^{-1} v, v>`` via a linear solve (M symmetric)."""
-        return v.dot(self.solve(v))
+        return tuple(w)
 
     def to_strings(self) -> list[list[str]]:
         return [[str(e) for e in row] for row in self.entries]
-
-    @classmethod
-    def from_strings(cls, rows: Sequence[Sequence[str]]) -> "RationalMatrix":
-        return cls.from_rows([[rational_from_str(s) for s in row] for row in rows])

@@ -97,7 +97,7 @@ def check_point_set(tail: tuple[int, ...], n: int, report: SweepReport) -> None:
     independent = cube.linear_independent(s)
     report.counter("affine_criterion").add((det_direct != 0) == independent, tail)
     if not independent:
-        c_vec = [int(x) for x in identities.kernel_witness(s, kernel)]
+        c_vec = identities.kernel_witness(s, kernel)
         drows = cube.distance_rows(bits)
         live = [j for j, cj in enumerate(c_vec) if cj]
         annihilates = all(

@@ -14,9 +14,15 @@ section, the per-subset evaluator (a rank test, a Gram rebuild and two
 pivoting Bareiss determinants for every subset); and, in the
 negative-type section at the end, the scalar root scan (one `slogdet`
 per matrix and exponent, each scan run to its end).
+
+A few helpers only tests need live here too: `coords` and
+`format_point_set` (a point set as coordinate tuples and as file text)
+and `rational_from_str`, a strict reader of the rational strings the
+package writes into JSON.
 """
 
 import math
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -33,7 +39,7 @@ from cubedist.errors import (
     IndependenceError,
     NotNegativeTypeError,
 )
-from cubedist.ratlinalg import RationalMatrix, RationalVector, det_int
+from cubedist.ratlinalg import RationalMatrix, det_int
 
 
 def count_calls(monkeypatch, owner, *names, calls=None):
@@ -89,6 +95,29 @@ def gram_of_differences(coords_list):
     return [[sum(a * b for a, b in zip(u, v)) for v in diffs] for u in diffs]
 
 
+def coords(s):
+    """The points of a PointSet as 0/1 coordinate tuples (coordinate k
+    is bit k of the pattern)."""
+    return [tuple((b >> k) & 1 for k in range(s.n)) for b in s.bits]
+
+
+def format_point_set(s):
+    """A PointSet in the text format `cube.parse_point_set` reads."""
+    return "\n".join([f"{s.n} {len(s.bits)}"] + s.to_strings()) + "\n"
+
+
+_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
+
+
+def rational_from_str(text):
+    """Parse a rational as the package writes it into JSON, ``"p/q"`` or
+    ``"p"`` with the sign on the numerator; any other literal raises
+    ValueError, so tests can check the format as well as the value."""
+    if not _RATIONAL_RE.match(text):
+        raise ValueError(f"not a rational literal: {text!r}")
+    return Fraction(text)
+
+
 def matvec(rows, vec):
     return [sum(a * b for a, b in zip(row, vec)) for row in rows]
 
@@ -110,7 +139,7 @@ def kernel_witness_oracle(s):
     point that reduces to zero gives the dependence, scaled to coprime
     integers with the first nonzero tail entry positive and
     c_0 = -(c_1 + ... + c_m)."""
-    tail = s.bits()[1:]
+    tail = s.bits[1:]
     n, m = s.n, s.m
     basis = []
     for j, b in enumerate(tail):
@@ -132,7 +161,7 @@ def kernel_witness_oracle(s):
             first = next(v for v in ints if v)
             if first < 0:
                 ints = [-v for v in ints]
-            return RationalVector.of([-sum(ints)] + ints)
+            return (-sum(ints), *ints)
         basis.append((vec, combo))
     raise IndependenceError("tail points are linearly independent; D has trivial kernel")
 
@@ -142,12 +171,12 @@ def gram_quad_oracle(s):
     route: a rank test, then the Fraction Gram matrix's pivoting
     determinant and an exact solve G w = u. DependenceError for a
     dependent tail."""
-    tail = s.bits()[1:]
+    tail = s.bits[1:]
     if cube.rank_of_bits(tail, s.n) != s.m:
         raise DependenceError("tail points are linearly dependent")
     g, u = cube.gram_rows(tail)
-    gram = RationalMatrix.from_rows(g)
-    return gram.det(), gram.quad_form_inv(RationalVector.of(u))
+    w = RationalMatrix.from_rows(g).solve(u)
+    return Fraction(det_int([row[:] for row in g])), sum(a * b for a, b in zip(w, u))
 
 
 def eval_tail_oracle(tail, n):
@@ -302,7 +331,7 @@ def sanchez_wp_oracle(s, cap=negtype.DEFAULT_CAP, tol=negtype.DEFAULT_TOL, grid=
     sn = normalize(s)
     if not cube.linear_independent(sn):
         return negtype.NegTypeReport(1.0, negtype.ROOT_DETERMINANT, (1.0, 1.0), 0.0, float(cap))
-    rows = cube.distance_rows(sn.bits())
+    rows = cube.distance_rows(sn.bits)
     exact_det = det_int([row[:] for row in rows])
     exact_bord = det_int(cube.bordered_rows(rows))
     hit = scan_for_roots_oracle(
@@ -339,7 +368,7 @@ def transform_scaling_check_oracle(
     sn = normalize(s)
     if not cube.linear_independent(sn):
         return (float(p), p * wp1)
-    d_float = np.array(cube.distance_rows(sn.bits()), dtype=float)
+    d_float = np.array(cube.distance_rows(sn.bits), dtype=float)
     hit = scan_for_roots_oracle(d_float, None, None, 1.0, p * float(cap), p * grid, tol, alpha=p)
     if hit is None:
         raise CapExceededError(f"no root below {p * cap} for the transformed metric")
@@ -351,7 +380,7 @@ def strict_p_negative_type_oracle(s, p, tol=negtype.DEFAULT_TOL):
     calls (D_p factorised twice for p > 1)."""
     if not negtype.is_p_negative_type(s, p, tol):
         raise NotNegativeTypeError(f"set does not have {p}-negative type")
-    rows = cube.distance_rows(normalize(s).bits())
+    rows = cube.distance_rows(normalize(s).bits)
     if p == 1:
         return det_int([row[:] for row in rows]) != 0 and det_int(cube.bordered_rows(rows)) != 0
     d_float = np.array(rows, dtype=float)

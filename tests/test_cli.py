@@ -182,6 +182,13 @@ class TestSearch:
         assert "over budget 49" in capsys.readouterr().err
         assert main(argv + ["--budget", "50"]) == 0
 
+    def test_negative_trials_exit_3(self, capsys):
+        argv = ["search", "--n", "6", "--m", "3", "--mode", "random", "--trials", "-1"]
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "trials must be nonnegative" in err
+
     def test_worker_flag_equivalence(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         assert main(["search", "--n", "4", "--m", "3", "--workers", "1", "-o", str(a)]) == 0

@@ -6,21 +6,18 @@ from hypothesis import strategies as st
 
 from cubedist import cube
 from cubedist.cube import (
-    HammingPoint,
     PointSet,
     affinely_independent,
-    distance,
-    format_point_set,
     linear_independent,
     normalize,
     parse_point_set,
 )
 from cubedist.errors import DegenerateMetricError, DimensionError, ParseError
-from oracle import distance_matrix_from_coords, gram_of_differences
+from oracle import coords, distance_matrix_from_coords, format_point_set, gram_of_differences
 
 
-def ps(*coords):
-    return PointSet.from_coords(coords)
+def ps(*rows):
+    return PointSet.from_coords(rows)
 
 
 def random_point_set(rng, n, size):
@@ -29,45 +26,53 @@ def random_point_set(rng, n, size):
 
 
 class TestHammingPoint:
+    """A point is its bit pattern; PointSet validates every pattern."""
+
     def test_string_round_trip(self):
-        p = HammingPoint.from_string("1011")
-        assert p.to_string() == "1011"
-        assert p.coords() == (1, 0, 1, 1)
-        assert p.weight() == 3
+        s = PointSet.from_coords([(1, 0, 1, 1), (0, 0, 0, 0)])
+        assert s.bits == (0b1101, 0)
+        assert s.to_strings() == ["1011", "0000"]
+        assert coords(s)[0] == (1, 0, 1, 1)
+        assert parse_point_set("4 2\n1011\n0000\n") == s
 
     def test_dimension_floor_and_cap(self):
         with pytest.raises(DimensionError):
-            HammingPoint(1, 0)
+            PointSet.from_bits(1, [0, 1])
         with pytest.raises(DimensionError):
-            HammingPoint(65, 0)
-        HammingPoint(64, (1 << 64) - 1)  # max size accepted
+            PointSet.from_bits(65, [0, 1])
+        PointSet.from_bits(64, [0, (1 << 64) - 1])  # max size accepted
 
     def test_bits_must_fit(self):
         with pytest.raises(DimensionError):
-            HammingPoint(2, 4)
+            PointSet.from_bits(2, [0, 4])
+        with pytest.raises(DimensionError):
+            PointSet.from_bits(2, [-1, 0])
 
     def test_bad_coords(self):
         with pytest.raises(ValueError):
-            HammingPoint.from_coords((0, 2, 1))
+            PointSet.from_coords([(0, 0, 0), (0, 2, 1)])
 
 
 class TestDistance:
+    """Hamming distances are popcounts of XORs of the patterns."""
+
     def test_examples(self):
-        assert distance(HammingPoint.from_coords((1, 0, 1)), HammingPoint.from_coords((1, 1, 0))) == 2
-        p = HammingPoint.from_coords((1, 1, 1))
-        assert distance(p, p) == 0
-        assert distance(p, HammingPoint.from_coords((0, 0, 0))) == 3
+        s = PointSet.from_coords([(1, 0, 1), (1, 1, 0), (1, 1, 1), (0, 0, 0)])
+        d = cube.distance_rows(s.bits)
+        assert d[0][1] == 2
+        assert d[2][2] == 0
+        assert d[2][3] == 3
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
-            distance(HammingPoint(2, 1), HammingPoint(3, 1))
+            PointSet.from_coords([(0, 1), (0, 1, 1)])
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.integers(0, 63), st.integers(0, 63))
     def test_symmetric_and_zero_iff_equal(self, a, b):
-        x, y = HammingPoint(6, a), HammingPoint(6, b)
-        assert distance(x, y) == distance(y, x)
-        assert (distance(x, y) == 0) == (a == b)
+        d = cube.distance_rows([a, b])
+        assert d[0][1] == d[1][0]
+        assert (d[0][1] == 0) == (a == b)
 
 
 class TestPointSet:
@@ -81,7 +86,9 @@ class TestPointSet:
 
     def test_rejects_mixed_dimensions(self):
         with pytest.raises(DimensionError):
-            PointSet(2, (HammingPoint(2, 1), HammingPoint(3, 1)))
+            PointSet(2, (1, 0b101))
+        with pytest.raises(DimensionError):
+            PointSet.from_coords([(1, 0), (1, 0, 1)])
 
     def test_m_and_normalized_flags(self):
         s = ps((0, 0), (1, 1))
@@ -102,8 +109,8 @@ class TestNormalize:
         s = ps((1, 0, 0), (0, 1, 0), (1, 1, 1))
         sn = normalize(s)
         assert sn.to_strings() == ["000", "110", "011"]
-        before = distance_matrix_from_coords([p.coords() for p in s.points])
-        after = distance_matrix_from_coords([p.coords() for p in sn.points])
+        before = distance_matrix_from_coords(coords(s))
+        after = distance_matrix_from_coords(coords(sn))
         assert before == after
 
     @settings(max_examples=100, deadline=None, derandomize=True)
@@ -112,13 +119,13 @@ class TestNormalize:
         s = PointSet.from_bits(5, sorted(bits))
         sn = normalize(s)
         assert sn.normalized
-        assert cube.distance_rows(s.bits()) == cube.distance_rows(sn.bits())
+        assert cube.distance_rows(s.bits) == cube.distance_rows(sn.bits)
 
 
 def derive(s):
     """G and u of the normalized tail, and D, from the integer row
     builders; D of the normalized set equals the input's."""
-    bits = normalize(s).bits()
+    bits = normalize(s).bits
     g, u = cube.gram_rows(bits[1:])
     return g, u, cube.distance_rows(bits)
 
@@ -148,8 +155,7 @@ class TestDerive:
             n = rng.randint(2, 6)
             s = random_point_set(rng, n, rng.randint(2, min(8, 1 << n)))
             _, _, d = derive(s)
-            coords = [p.coords() for p in s.points]
-            assert d == distance_matrix_from_coords(coords)
+            assert d == distance_matrix_from_coords(coords(s))
 
     def test_polarization_identity(self):
         rng = random.Random(29)
@@ -168,8 +174,7 @@ class TestDerive:
             n = rng.randint(2, 6)
             s = random_point_set(rng, n, rng.randint(2, min(8, 1 << n)))
             g, _, _ = derive(s)
-            coords = [p.coords() for p in s.points]
-            assert g == gram_of_differences(coords)
+            assert g == gram_of_differences(coords(s))
 
 
 class TestIndependence:

@@ -48,7 +48,7 @@ def random_sets(seed, count, dims=(3, 4, 5)):
 class TestDpMatrix:
     def test_p1_equals_distance_matrix(self):
         dp = negtype.dp_matrix(H3_SET, 1.0)
-        assert np.array_equal(dp, np.array(cube.distance_rows(H3_SET.bits()), float))
+        assert np.array_equal(dp, np.array(cube.distance_rows(H3_SET.bits), float))
 
     def test_path_squared(self):
         dp = negtype.dp_matrix(PATH3, 2.0)
@@ -212,6 +212,20 @@ class TestMuruganRoutes:
         assert negtype.murugan_classify(H3_SET).consistent
         assert calls == {"rank_of_bits": 1, "gram_eliminate": 1, "det_int": 2}
 
+    @pytest.mark.parametrize(
+        "s", [H3_SET, TWO_POINTS, FULL_H2, PATH3], ids=["h3", "pair", "dependent", "path"]
+    )
+    def test_one_distance_matrix_per_set(self, monkeypatch, s):
+        # the same answer as the three public calls it stands for
+        want = negtype.MuruganClassification(
+            affinely_independent=cube.affinely_independent(s),
+            strict_1_negative_type=negtype.strict_p_negative_type(s, 1.0),
+            wp_exceeds_1=negtype.sanchez_wp(s).wp > 1.0,
+        )
+        calls = count_calls(monkeypatch, cube, "distance_rows")
+        assert negtype.murugan_classify(s) == want
+        assert calls == {"distance_rows": 1}
+
     def test_scans_run_no_rank_test_and_no_det_int(self, monkeypatch):
         calls = count_calls(monkeypatch, cube, "rank_of_bits")
         count_calls(monkeypatch, negtype, "det_int", calls=calls)
@@ -245,7 +259,8 @@ class TestMuruganRoutes:
 
 
 class TestScanArguments:
-    """Scan parameters are checked once, in sanchez_wp."""
+    """Scan parameters are refused before any work: `tol` by every
+    function that takes it, cap and grid by the scans."""
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -261,6 +276,7 @@ class TestScanArguments:
             {"tol": math.nan},
             {"tol": 0.0},
             {"tol": 1.0},
+            {"tol": -1.0},
         ],
     )
     def test_domain_errors(self, kwargs):
@@ -268,6 +284,14 @@ class TestScanArguments:
             negtype.sanchez_wp(CORNER3, **kwargs)
         with pytest.raises(DomainError):
             negtype.transform_scaling_check(CORNER3, 2.0, **kwargs)
+        with pytest.raises(DomainError):
+            negtype.murugan_classify(CORNER3, **kwargs)
+        if "tol" in kwargs:
+            # the path has 2-negative type but not 3-negative type
+            for fn in (negtype.is_p_negative_type, negtype.strict_p_negative_type):
+                for p in (1.0, 3.0):
+                    with pytest.raises(DomainError):
+                        fn(PATH3, p, **kwargs)
 
     def test_grid_point_budget(self, monkeypatch):
         monkeypatch.setattr(negtype, "MAX_GRID_POINTS", 9)
@@ -317,7 +341,7 @@ class TestTransformScaling:
 class TestExactFloatAgreement:
     def test_determinants_at_p1(self):
         for s in random_sets(83, 30):
-            rows = cube.distance_rows(s.bits())
+            rows = cube.distance_rows(s.bits)
             exact = det_int([r[:] for r in rows])
             approx = float(np.linalg.det(np.array(rows, float)))
             assert abs(approx - exact) <= 1e-9 * max(1.0, abs(exact))
@@ -326,7 +350,7 @@ class TestExactFloatAgreement:
         for s in random_sets(89, 30):
             if not cube.affinely_independent(s):
                 continue
-            d = np.array(cube.distance_rows(s.bits()), float)
+            d = np.array(cube.distance_rows(s.bits), float)
             one = np.ones(d.shape[0])
             approx = float(one @ np.linalg.solve(d, one))
             exact = float(identities.dinv_ones(s))
@@ -518,7 +542,3 @@ class TestEarlyStop:
         grid = data.draw(st.sampled_from([0.125, 0.25, 0.3]))
         tol = data.draw(st.sampled_from([1e-9, 1e-6]))
         _scan(signal_fn(), signal_fn(), cap=cap, grid=grid, tol=tol)
-
-
-def test_linf_is_symbolically_infinite():
-    assert math.isinf(negtype.linf_supremal_negative_type(PATH3))

@@ -1,27 +1,31 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cubedist import identities
+from cubedist.cube import PointSet
 from cubedist.errors import DimensionError, SingularMatrixError
-from cubedist.ratlinalg import (
-    RationalMatrix,
-    RationalVector,
-    det_int,
-    ones,
-    rank_int,
-    rational_from_str,
-    rational_to_str,
-)
-from oracle import leibniz_det, matmul
+from cubedist.ratlinalg import RationalMatrix, det_int, rank_int
+from oracle import leibniz_det, matmul, matvec, rational_from_str
 
 F = Fraction
 
 
 def M(rows):
     return RationalMatrix.from_rows(rows)
+
+
+def eye(k):
+    return [[int(i == j) for j in range(k)] for i in range(k)]
+
+
+def quad(a, v):
+    """<a^{-1} v, v> through one solve, as `identities.gram_solve` forms it."""
+    return sum((x * y for x, y in zip(a.solve(v), v)), F(0))
 
 
 small_ints = st.integers(min_value=-6, max_value=6)
@@ -35,26 +39,29 @@ def square_matrix(dim):
 
 class TestDet:
     def test_two_by_two(self):
-        assert M([[0, 1], [1, 0]]).det() == -1
-        assert M([[2, 1], [1, 2]]).det() == 3
+        assert det_int([[0, 1], [1, 0]]) == -1
+        assert det_int([[2, 1], [1, 2]]) == 3
 
     def test_identity(self):
-        assert RationalMatrix.identity(4).det() == 1
+        assert det_int(eye(4)) == 1
 
     def test_empty_matrix(self):
-        assert M([]).det() == 1
+        assert det_int([]) == 1
 
     def test_rational_entries(self):
-        assert M([[F(1, 2), F(1, 3)], [F(1, 4), F(1, 5)]]).det() == F(1, 10) - F(1, 12)
+        # rows [1/2, 1/3] and [1/4, 1/5] scaled by 6 and by 20
+        assert F(det_int([[3, 2], [5, 4]]), 6 * 20) == F(1, 10) - F(1, 12)
 
     def test_non_square_rejected(self):
         with pytest.raises(DimensionError):
-            M([[1, 2, 3], [4, 5, 6]]).det()
+            M([[1, 2, 3], [4, 5, 6]]).inverse()
+        with pytest.raises(DimensionError):
+            M([[1, 2, 3], [4, 5, 6]]).solve([1, 1])
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(st.integers(min_value=1, max_value=5).flatmap(square_matrix))
     def test_matches_permutation_expansion(self, rows):
-        assert M(rows).det() == leibniz_det(rows)
+        assert det_int([r[:] for r in rows]) == leibniz_det(rows)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -63,20 +70,21 @@ class TestDet:
         )
     )
     def test_multiplicative(self, pair):
-        a, b = M(pair[0]), M(pair[1])
-        assert M(matmul(pair[0], pair[1])).det() == a.det() * b.det()
+        a, b = pair
+        prod = matmul(a, b)
+        assert det_int(prod) == det_int([r[:] for r in a]) * det_int([r[:] for r in b])
 
 
 class TestRank:
     def test_zero_matrix(self):
-        assert M([[0] * 3] * 3).rank() == 0
+        assert rank_int([[0] * 3 for _ in range(3)]) == 0
 
     def test_identity(self):
-        assert RationalMatrix.identity(3).rank() == 3
+        assert rank_int(eye(3)) == 3
 
     def test_dependent_rows(self):
         # row3 = row1 - row2
-        assert M([[1, 0, 1], [1, 1, 0], [0, -1, 1]]).rank() == 2
+        assert rank_int([[1, 0, 1], [1, 1, 0], [0, -1, 1]]) == 2
 
     def test_rank_int_fuzz_against_elimination(self):
         rng = random.Random(11)
@@ -114,8 +122,7 @@ class TestInverse:
         assert M([[0, 2], [2, 0]]).inverse() == M([[0, F(1, 2)], [F(1, 2), 0]])
 
     def test_identity(self):
-        eye = RationalMatrix.identity(3)
-        assert eye.inverse() == eye
+        assert M(eye(3)).inverse() == M(eye(3))
 
     def test_adjugate_case(self):
         assert M([[2, 1], [1, 2]]).inverse() == M(
@@ -130,20 +137,22 @@ class TestInverse:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.integers(min_value=1, max_value=4).flatmap(square_matrix))
     def test_round_trip(self, rows):
-        a = M(rows)
-        if a.det() == 0:
+        if det_int([r[:] for r in rows]) == 0:
             return
-        assert M(matmul(a.entries, a.inverse().entries)) == RationalMatrix.identity(a.rows)
+        a = M(rows)
+        assert M(matmul(a.entries, a.inverse().entries)) == M(eye(len(rows)))
 
 
 class TestQuadFormAndBorder:
+    """<M^{-1} v, v> through `solve`, the rational route of gram_solve."""
+
     def test_gram_examples(self):
         # Gram matrices of {(1,1,1),(1,1,0)} and {(1,0,1),(1,1,0)}
-        assert M([[3, 2], [2, 2]]).quad_form_inv(RationalVector.of([3, 2])) == 3
-        assert M([[2, 1], [1, 2]]).quad_form_inv(RationalVector.of([2, 2])) == F(8, 3)
+        assert quad(M([[3, 2], [2, 2]]), [3, 2]) == 3
+        assert quad(M([[2, 1], [1, 2]]), [2, 2]) == F(8, 3)
 
     def test_identity_quad(self):
-        assert RationalMatrix.identity(5).quad_form_inv(ones(5)) == 5
+        assert quad(M(eye(5)), [1] * 5) == 5
 
     def test_quad_form_equals_inverse_route(self):
         rng = random.Random(5)
@@ -151,22 +160,24 @@ class TestQuadFormAndBorder:
             d = rng.randint(1, 4)
             rows = [[rng.randint(-5, 5) for _ in range(d)] for _ in range(d)]
             sym = [[rows[i][j] + rows[j][i] for j in range(d)] for i in range(d)]
-            a = M(sym)
-            if a.det() == 0:
+            if det_int([r[:] for r in sym]) == 0:
                 continue
-            v = RationalVector.of([rng.randint(-5, 5) for _ in range(d)])
-            assert a.quad_form_inv(v) == v.dot(a.inverse().matvec(v))
+            a = M(sym)
+            v = [rng.randint(-5, 5) for _ in range(d)]
+            assert quad(a, v) == sum(x * y for x, y in zip(v, matvec(a.inverse().entries, v)))
 
     def test_singular_quad_raises(self):
         with pytest.raises(SingularMatrixError):
-            M([[1, 1], [1, 1]]).quad_form_inv(RationalVector.of([1, 2]))
+            quad(M([[1, 1], [1, 1]]), [1, 2])
 
     def test_quad_dim_mismatch(self):
         with pytest.raises(DimensionError):
-            M([[1, 0], [0, 1]]).quad_form_inv(RationalVector.of([1, 2, 3]))
+            quad(M([[1, 0], [0, 1]]), [1, 2, 3])
 
     def test_schur_block_determinant(self):
-        # det [[W, X], [Y, Z]] = det(Z) det(W - X Z^{-1} Y) for invertible Z
+        # det [[W, X], [Y, Z]] = det(Z) det(W - X Z^{-1} Y) for invertible
+        # Z; with integer blocks, det(Z)^j det(W - X Z^{-1} Y) is the
+        # determinant of the integer matrix det(Z) (W - X Z^{-1} Y)
         rng = random.Random(17)
         done = 0
         while done < 120:
@@ -175,47 +186,50 @@ class TestQuadFormAndBorder:
             x = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(j)]
             y = [[rng.randint(-4, 4) for _ in range(j)] for _ in range(k)]
             z = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(k)]
-            zm = M(z)
-            if zm.det() == 0:
+            det_z = det_int([r[:] for r in z])
+            if det_z == 0:
                 continue
             done += 1
-            block = M(
-                [w[i] + x[i] for i in range(j)] + [y[i] + z[i] for i in range(k)]
-            )
-            schur_rows = [
+            zinv = M(z).inverse().entries
+            block = [w[i] + x[i] for i in range(j)] + [y[i] + z[i] for i in range(k)]
+            schur_scaled = [
                 [
-                    F(w[a][b])
-                    - sum(
-                        F(x[a][c]) * zm.inverse().entry(c, d) * F(y[d][b])
-                        for c in range(k)
-                        for d in range(k)
+                    det_z
+                    * (
+                        F(w[a][b])
+                        - sum(x[a][c] * zinv[c][d] * y[d][b] for c in range(k) for d in range(k))
                     )
                     for b in range(j)
                 ]
                 for a in range(j)
             ]
-            assert block.det() == zm.det() * M(schur_rows).det()
+            assert all(v.denominator == 1 for row in schur_scaled for v in row)
+            schur_int = [[int(v) for v in row] for row in schur_scaled]
+            assert det_int(block) * det_z ** (j - 1) == det_int(schur_int)
 
 
 class TestSolve:
     def test_solve_known_system(self):
         a = M([[2, 1], [1, 2]])
-        w = a.solve(RationalVector.of([3, 3]))
-        assert list(w) == [1, 1]
+        w = a.solve([3, 3])
+        assert w == (1, 1)
 
     def test_solve_dim_mismatch(self):
         with pytest.raises(DimensionError):
-            M([[1, 0], [0, 1]]).solve(RationalVector.of([1]))
+            M([[1, 0], [0, 1]]).solve([1])
 
     def test_solve_singular(self):
         with pytest.raises(SingularMatrixError):
-            M([[1, 1], [2, 2]]).solve(RationalVector.of([1, 1]))
+            M([[1, 1], [2, 2]]).solve([1, 1])
 
 
 class TestSerialization:
+    """The package writes rationals into JSON as `str(Fraction)`;
+    `oracle.rational_from_str` reads them back and refuses any other
+    literal, so the tests that use it check the format too."""
+
     def test_rational_strings(self):
-        assert rational_to_str(F(-1, 3)) == "-1/3"
-        assert rational_to_str(F(4, 2)) == "2"
+        assert M([[F(-1, 3), F(4, 2)]]).to_strings() == [["-1/3", "2"]]
         assert rational_from_str("-7/4") == F(-7, 4)
         assert rational_from_str("12") == 12
 
@@ -226,17 +240,30 @@ class TestSerialization:
 
     def test_matrix_round_trip(self):
         a = M([[F(1, 2), -3], [0, F(7, 5)]])
-        assert RationalMatrix.from_strings(a.to_strings()) == a
+        assert M([[rational_from_str(e) for e in row] for row in a.to_strings()]) == a
         assert a.to_strings() == [["1/2", "-3"], ["0", "7/5"]]
 
     def test_vector_round_trip(self):
-        v = RationalVector.of([F(-2, 9), 4])
-        assert RationalVector.from_strings(v.to_strings()) == v
+        # the rational fields of a report, {0, 101, 110} in H_3
+        rep = identities.full_report(PointSet.from_bits(3, [0, 0b101, 0b011]))
+        js = rep.to_json_dict()
+        for name in ("det_D", "det_G", "vol_sq", "gram_quad", "dinv_ones"):
+            assert rational_from_str(js[name]) == getattr(rep, name)
+        assert js["dinv_ones"] == "3/4"
 
 
 def test_det_int_matches_wrapper():
+    # against Gauss-Jordan over Fraction: det M = 1 / det M^{-1}, and
+    # det M^{-1} = det_int(k M^{-1}) / k^d for a common denominator k
     rng = random.Random(3)
     for _ in range(300):
         d = rng.randint(1, 6)
         rows = [[rng.randint(-6, 6) for _ in range(d)] for _ in range(d)]
-        assert det_int([r[:] for r in rows]) == M(rows).det()
+        det = det_int([r[:] for r in rows])
+        if det == 0:
+            with pytest.raises(SingularMatrixError):
+                M(rows).inverse()
+            continue
+        inv = M(rows).inverse().entries
+        k = lcm(*(e.denominator for row in inv for e in row))
+        assert F(k**d, det_int([[int(e * k) for e in row] for row in inv])) == det

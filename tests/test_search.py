@@ -37,7 +37,7 @@ class TestExhaustive:
     def test_m1_slice_antipodal_witness(self, n):
         res = search.min_dinv_ones(n, 1)
         assert res.min_value == F(2, n)
-        assert res.witness.bits() == (0, (1 << n) - 1)
+        assert res.witness.bits == (0, (1 << n) - 1)
 
     def test_no_independent_sets(self):
         res = search.min_dinv_ones(2, 3)

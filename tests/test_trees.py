@@ -70,7 +70,7 @@ class TestEmbedding:
         for k in (3, 4, 5, 6):
             for t in trees.enumerate_labeled_trees(k):
                 s = trees.embed_tree(t)
-                assert cube.distance_rows(s.bits()) == trees.tree_distance_rows(t)
+                assert cube.distance_rows(s.bits) == trees.tree_distance_rows(t)
 
     def test_image_affinely_independent(self):
         for t in trees.enumerate_labeled_trees(5):
@@ -94,17 +94,17 @@ class TestGrahamPollak:
 class TestInverseEntries:
     def test_star4_entries(self):
         d = trees.graham_lovasz_inverse(STAR4)
-        assert d.entry(0, 0) == F(-4, 3)  # center diagonal
-        assert d.entry(1, 1) == F(-1, 3)  # leaf diagonal
-        assert d.entry(0, 1) == F(1, 3)  # center-leaf
-        assert d.entry(1, 2) == F(1, 6)  # leaf-leaf
+        assert d.entries[0][0] == F(-4, 3)  # center diagonal
+        assert d.entries[1][1] == F(-1, 3)  # leaf diagonal
+        assert d.entries[0][1] == F(1, 3)  # center-leaf
+        assert d.entries[1][2] == F(1, 6)  # leaf-leaf
 
     def test_path3_entries(self):
         d = trees.graham_lovasz_inverse(PATH3)
-        assert d.entry(0, 0) == F(-1, 4)
-        assert d.entry(1, 1) == -1
-        assert d.entry(0, 1) == F(1, 2)
-        assert d.entry(0, 2) == F(1, 4)
+        assert d.entries[0][0] == F(-1, 4)
+        assert d.entries[1][1] == -1
+        assert d.entries[0][1] == F(1, 2)
+        assert d.entries[0][2] == F(1, 4)
 
     def test_equals_exact_inverse(self):
         for k in (3, 4, 5):
@@ -156,7 +156,7 @@ class TestNonUniqueness:
         s = PointSet.from_coords([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 1)])
         assert identities.det_distance_matrix(s) == -12
         assert identities.dinv_ones(s) == F(2, 3)
-        d = cube.distance_rows(s.bits())
+        d = cube.distance_rows(s.bits)
         for t in trees.enumerate_labeled_trees(4):
             assert trees.tree_distance_rows(t) != d
 
