@@ -17,7 +17,7 @@ import sys
 
 from . import identities, negtype, search, trees, verify
 from .cube import parse_point_set_file
-from .errors import CubedistError, DomainError, InvariantError
+from .errors import CubedistError, InvariantError
 from .trees import parse_tree_file
 
 
@@ -70,10 +70,6 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.n_cap < 2:
-        raise DomainError(f"--n-cap must be at least 2, got {args.n_cap}")
-    if args.tree_cap < trees.MIN_VERTICES:
-        raise DomainError(f"--tree-cap must be at least {trees.MIN_VERTICES}, got {args.tree_cap}")
     reports = verify.run_default_verification(
         n_cap=args.n_cap,
         tree_cap=args.tree_cap,

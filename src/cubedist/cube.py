@@ -134,6 +134,15 @@ def gram_rows(tail_bits: Sequence[int]) -> tuple[list[list[int]], list[int]]:
     return g, u
 
 
+def random_tail(rng, n: int, m: int) -> tuple[int, ...]:
+    """m distinct nonzero patterns of H_n in increasing order, drawn
+    uniformly from `rng` (a `random.Random`) by rejection."""
+    chosen: set[int] = set()
+    while len(chosen) < m:
+        chosen.add(rng.randrange(1, 1 << n))
+    return tuple(sorted(chosen))
+
+
 def gram_push(x, points, hists, pivots, borders, corner):
     """Eliminate point x appended to an independent prefix.
 

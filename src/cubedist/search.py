@@ -27,13 +27,14 @@ counts its comb(2^n - 1 - x, m - k - 1) sets as examined. No separate
 rank test is needed.
 
 Determinism. Minima are tracked as exact rationals with a (value,
-lexicographic witness) tie-break. Workers take contiguous groups of
-first-element subtrees, balanced by subtree size and split at depth two
-when one subtree outweighs a group's share; the merge is an associative
-min-reduction, so identical runs produce identical JSON, byte for byte,
-whatever the worker count. Random probing is sequential by design for
-the same reason, and pushes each sampled tail through the same kernel
-(`cube.gram_eliminate`).
+lexicographic witness) tie-break. Workers take contiguous ranges of first
+elements, balanced by subtree size, and walk each from the empty prefix;
+their tallies merge in lex order through the same tie-break, so
+identical runs produce identical JSON, byte for byte, whatever the
+worker count. The largest first-element subtree holds m / (2^n - 1) of
+the sets, which caps the speed-up at (2^n - 1) / m processes (6.2 for
+(5, 5)). Random probing is sequential by design for the same reason, and
+pushes each sampled tail through the same kernel (`cube.gram_eliminate`).
 """
 
 from __future__ import annotations
@@ -90,12 +91,26 @@ class _Tally:
             )
         if num * n < 2 * den:
             self.violations.append((tail, Fraction(num, den)))
+        self._offer(num, den, tail)
+
+    def _offer(self, num: int, den: int, tail: tuple[int, ...]) -> None:
+        """Keep the value num / den with its tail if it beats the best so
+        far: the smaller value wins, and on a tie the lex-smaller tail."""
         best = self.best
         if best is not None:
             diff = num * best[1] - best[0] * den
             if diff > 0 or (diff == 0 and tail > best[2]):
                 return
         self.best = (num, den, tail)
+
+    def merge(self, other: "_Tally") -> None:
+        """Fold in the tally of the stretch of the walk that follows this
+        one, so the violations stay in lex order."""
+        self.examined += other.examined
+        self.independent += other.independent
+        self.violations.extend(other.violations)
+        if other.best is not None:
+            self._offer(*other.best)
 
     def parts(self):
         best = self.best
@@ -126,74 +141,46 @@ def _descend(xs, top, m, points, hists, pivots, borders, corner, tally) -> None:
             borders.pop()
 
 
-def _scan_group(task: tuple[int, int, list[tuple[tuple[int, ...], int, int]]]):
-    """Walk the pieces of one group (see `_subtree_groups`); returns the
-    partial reduction (examined, independent, best, violations)."""
-    n, m, pieces = task
+def _scan_range(task: tuple[int, int, int, int]) -> _Tally:
+    """Walk every m-subset whose first element lies in [lo, hi)."""
+    n, m, lo, hi = task
     tally = _Tally(n, m)
-    for prefix, lo, hi in pieces:
-        # A prefix holds at most one point, and a nonzero point is independent.
-        _descend(range(lo, hi), (1 << n) - 1, m, *gram_eliminate(prefix)[:5], tally)
-    return tally.parts()
+    _descend(range(lo, hi), (1 << n) - 1, m, [], [], [], [], 0, tally)
+    return tally
 
 
-def _subtree_groups(n: int, m: int, groups: int) -> list[list[tuple[tuple[int, ...], int, int]]]:
-    """Split the m-subsets of {1..2^n - 1} into at most `groups` runs,
-    contiguous in lex order and balanced by size.
+def _first_element_ranges(n: int, m: int, groups: int) -> list[tuple[int, int]]:
+    """Cut the first elements 1..2^n - m of the m-subsets of {1..2^n - 1}
+    into at most `groups` contiguous ranges [lo, hi), balanced by size.
 
-    A run is a list of pieces (prefix, lo, hi): the sets that start with
-    `prefix` and continue with a value in [lo, hi). Runs are cut between
-    first-element subtrees where the running size crosses a multiple of
-    total / groups, or between second-element subtrees when the largest
-    first-element subtree alone outweighs that share. Subtrees are
-    counted on the fly, so memory stays O(groups) on wide, shallow trees.
+    A cut falls after the first element whose subtree takes the running
+    size to a multiple of total / groups, so a range holds at most
+    total / groups sets plus its own first subtree.
     """
     top = (1 << n) - 1
-    if groups == 1:
-        return [[((), 1, top - m + 2)]]
+    end = top - m + 2
     total = comb(top, m)
-    if m >= 2 and comb(top - 1, m - 1) * groups > total:
-        units = (
-            ((x,), y, comb(top - y, m - 2))
-            for x in range(1, top - m + 2)
-            for y in range(x + 1, top - m + 3)
-        )
-    else:
-        units = (((), x, comb(top - x, m - 1)) for x in range(1, top - m + 2))
-    runs: list[list[tuple[tuple[int, ...], int, int]]] = []
-    run: list[tuple[tuple[int, ...], int, int]] = []
+    ranges: list[tuple[int, int]] = []
+    lo = 1
     done = 0
     cut = 1
-    for prefix, x, size in units:
-        if run and run[-1][0] == prefix:
-            run[-1] = (prefix, run[-1][1], x + 1)
-        else:
-            run.append((prefix, x, x + 1))
-        done += size
-        if cut < groups and done * groups >= cut * total:
-            runs.append(run)
-            run = []
-            while cut < groups and done * groups >= cut * total:
-                cut += 1
-    if run:
-        runs.append(run)
-    return runs
+    for x in range(1, end):
+        if cut == groups:
+            break
+        done += comb(top - x, m - 1)
+        if done * groups >= cut * total:
+            ranges.append((lo, x + 1))
+            lo = x + 1
+            cut = min(groups, done * groups // total + 1)
+    if lo < end:
+        ranges.append((lo, end))
+    return ranges
 
 
 def _pool_size(workers: int, tasks: int) -> int:
     """Processes to start: never more than requested, than there are
     tasks, or than the machine has CPUs."""
     return max(1, min(workers, tasks, os.cpu_count() or 1))
-
-
-def _merge_best(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    if b[0] < a[0] or (b[0] == a[0] and b[1] < a[1]):
-        return b
-    return a
 
 
 @dataclass(frozen=True)
@@ -270,10 +257,11 @@ def min_dinv_ones(
     """Exact minimum of <D^{-1}1, 1> over every affinely independent
     normalized (m+1)-point set in H_n.
 
-    Refuses enumerations larger than `budget`. Work splits into
-    contiguous groups of subtrees of the combination tree; the merge is
-    an associative min-reduction with lexicographic tie-break, so the
-    result does not depend on the worker count.
+    Refuses enumerations larger than `budget`. Work splits into at most
+    `workers` contiguous ranges of first elements (see
+    `_first_element_ranges`); the tallies merge in order with the walk's
+    own lexicographic tie-break, so the result does not depend on the
+    worker count.
     """
     _validate_params(n, m)
     total = comb((1 << n) - 1, m)
@@ -282,20 +270,17 @@ def min_dinv_ones(
             f"enumeration of ({n}, {m}) needs {total} subsets, over budget {budget}",
             required=total,
         )
-    tasks = [(n, m, run) for run in _subtree_groups(n, m, _pool_size(int(workers), total))]
+    groups = _pool_size(int(workers), total)
+    tasks = [(n, m, lo, hi) for lo, hi in _first_element_ranges(n, m, groups)]
     if len(tasks) == 1:
-        parts = [_scan_group(tasks[0])]
+        tallies = [_scan_range(tasks[0])]
     else:
         with multiprocessing.Pool(len(tasks)) as pool:
-            parts = pool.map(_scan_group, tasks)
-    examined = sum(p[0] for p in parts)
-    independent = sum(p[1] for p in parts)
-    best = None
-    violations: list[tuple[tuple[int, ...], Fraction]] = []
-    for p in parts:
-        best = _merge_best(best, p[2])
-        violations.extend(p[3])
-    return _result_from_parts(n, m, MODE_EXHAUSTIVE, examined, independent, best, violations)
+            tallies = pool.map(_scan_range, tasks)
+    tally = tallies[0]
+    for later in tallies[1:]:
+        tally.merge(later)
+    return _result_from_parts(n, m, MODE_EXHAUSTIVE, *tally.parts())
 
 
 def random_probe(
@@ -318,10 +303,7 @@ def random_probe(
     rng = random.Random(seed)
     tally = _Tally(n, m)
     for _ in range(trials):
-        chosen: set[int] = set()
-        while len(chosen) < m:
-            chosen.add(rng.randrange(1, 1 << n))
-        tail = tuple(sorted(chosen))
+        tail = cube.random_tail(rng, n, m)
         _, _, pivots, _, corner, dependent = gram_eliminate(tail)
         if dependent is None:
             tally.add(tail, pivots[-1], corner)

@@ -98,10 +98,10 @@ def check_point_set(tail: tuple[int, ...], n: int, report: SweepReport) -> None:
     report.counter("affine_criterion").add((det_direct != 0) == independent, tail)
     if not independent:
         c_vec = identities.kernel_witness(s, kernel)
-        drows = cube.distance_rows(bits)
-        live = [j for j, cj in enumerate(c_vec) if cj]
+        # D c = 0, read off the patterns: (D c)_a = sum_j c_j |a ^ x_j|
+        live = [(x, cj) for x, cj in zip(bits, c_vec) if cj]
         annihilates = all(
-            sum(row[j] * c_vec[j] for j in live) == 0 for row in drows
+            sum(cj * (a ^ x).bit_count() for x, cj in live) == 0 for a in bits
         )
         ok = (
             det_direct == 0
@@ -152,11 +152,7 @@ def identity_sweep_random(n: int, samples: int, seed: int) -> SweepReport:
     rng = random.Random(seed)
     top = (1 << n) - 1
     for _ in range(samples):
-        m = rng.randint(1, top)
-        chosen: set[int] = set()
-        while len(chosen) < m:
-            chosen.add(rng.randrange(1, 1 << n))
-        check_point_set(tuple(sorted(chosen)), n, report)
+        check_point_set(cube.random_tail(rng, n, rng.randint(1, top)), n, report)
     return report
 
 
@@ -244,16 +240,24 @@ def run_default_verification(
     """The verify subcommand's workload: exhaustive identity sweeps for
     2..n_cap, optional random sweeps, and the tree sweep.
 
-    Refused before any sweep starts: a random dimension outside
-    RANDOM_DIM_RANGE (DomainError), and more sets, trees and samples in
+    Refused before any sweep starts, so that no report passes after
+    checking nothing: n_cap below 2, tree_cap below `trees.MIN_VERTICES`,
+    fewer than one sample per random sweep, or a random dimension outside
+    RANDOM_DIM_RANGE (DomainError); and more sets, trees and samples in
     total than `search.DEFAULT_BUDGET` (BudgetExceededError).
     """
+    if n_cap < 2:
+        raise DomainError(f"n_cap must be at least 2, got {n_cap}")
+    if tree_cap < trees.MIN_VERTICES:
+        raise DomainError(f"tree_cap must be at least {trees.MIN_VERTICES}, got {tree_cap}")
+    if random_dims and random_samples < 1:
+        raise DomainError(f"random sweeps need at least 1 sample, got {random_samples}")
     lo, hi = RANDOM_DIM_RANGE
     if any(not lo <= n <= hi for n in random_dims):
         raise DomainError(f"random sweep dimensions {list(random_dims)} outside [{lo}, {hi}]")
     # lazy, because the exhaustive counts grow doubly exponentially
     sizes = chain(
-        [len(random_dims) * max(random_samples, 0)],
+        [len(random_dims) * random_samples],
         ((1 << ((1 << n) - 1)) - 1 for n in range(2, n_cap + 1)),
         (k ** (k - 2) for k in range(trees.MIN_VERTICES, tree_cap + 1)),
     )

@@ -9,6 +9,7 @@ import cubedist
 from cubedist import negtype, verify
 from cubedist.cli import main
 from cubedist.cube import parse_point_set
+from cubedist.errors import DomainError
 from oracle import sanchez_wp_oracle
 
 H3_FILE = "3 4\n000\n100\n010\n111\n"
@@ -235,6 +236,10 @@ class TestVerify:
             (["--n-cap", "5"], 4),
             (["--tree-cap", "12"], 4),
             (["--random-dim", "6", "--random-samples", str(10**7)], 4),
+            (["--n-cap", "1"], 3),
+            (["--tree-cap", "2"], 3),
+            (["--random-dim", "3", "--random-samples", "0"], 3),
+            (["--random-dim", "3", "--random-samples", "-5"], 3),
         ],
     )
     def test_runaway_sweeps_refused_before_starting(self, monkeypatch, capsys, flags, code):
@@ -243,6 +248,22 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"n_cap": 1, "tree_cap": 2},
+            {"n_cap": 1},
+            {"tree_cap": 2},
+            {"random_dims": (3,), "random_samples": 0},
+        ],
+    )
+    def test_empty_sweeps_refused_in_python(self, monkeypatch, kwargs):
+        """A report that checked nothing would read PASS, so the library
+        call refuses it too, before any sweep starts."""
+        self._stub_sweeps(monkeypatch, None)
+        with pytest.raises(DomainError):
+            verify.run_default_verification(**kwargs)
 
     def test_sweeps_within_budget_run(self, monkeypatch):
         self._stub_sweeps(monkeypatch, lambda *args, **kwargs: verify.SweepReport("stub"))

@@ -225,7 +225,9 @@ class TestCheckPointSetSharesWork:
     set; the checks that read them still compare two routes."""
 
     def _count(self, monkeypatch, tail, n):
-        calls = count_calls(monkeypatch, cube, "gram_eliminate", "rank_of_bits", "gram_rows")
+        calls = count_calls(
+            monkeypatch, cube, "gram_eliminate", "rank_of_bits", "gram_rows", "distance_rows"
+        )
         count_calls(monkeypatch, RationalMatrix, "solve", calls=calls)
         report = verify.SweepReport("count")
         verify.check_point_set(tail, n, report)
@@ -234,12 +236,38 @@ class TestCheckPointSetSharesWork:
 
     def test_independent_set(self, monkeypatch):
         calls = self._count(monkeypatch, H3_SET.bits[1:], 3)
-        # gram_rows: one for det_via_bordered_gram, one for gram_solve
-        assert calls == {"gram_eliminate": 1, "rank_of_bits": 1, "gram_rows": 2, "solve": 1}
+        # gram_rows: one for det_via_bordered_gram, one for gram_solve;
+        # distance_rows: one for det_distance_matrix, one for
+        # bordered_distance_det
+        assert calls == {
+            "gram_eliminate": 1, "rank_of_bits": 1, "gram_rows": 2, "distance_rows": 2, "solve": 1
+        }
 
     def test_dependent_set(self, monkeypatch):
         calls = self._count(monkeypatch, FULL_H2.bits[1:], 2)
-        assert calls == {"gram_eliminate": 1, "rank_of_bits": 1, "gram_rows": 1}
+        # the kernel witness is checked from the bit patterns, not from a
+        # third distance matrix
+        assert calls == {"gram_eliminate": 1, "rank_of_bits": 1, "gram_rows": 1, "distance_rows": 2}
+
+    @pytest.mark.parametrize(
+        "bump",
+        [(1,), (1, -1)],
+        ids=["one-entry", "sum-kept"],
+    )
+    def test_wrong_witness_fails_dependent_kernel(self, monkeypatch, bump):
+        """A witness with its first entries moved by `bump` fails; the
+        sum-kept case breaks only D c = 0, since D e_0 != D e_1."""
+        real = identities.kernel_witness
+
+        def wrong(s, kernel=None):
+            c = real(s, kernel)
+            return tuple(v + d for v, d in zip(c, bump)) + c[len(bump):]
+
+        monkeypatch.setattr(identities, "kernel_witness", wrong)
+        for n, tail in [(2, FULL_H2.bits[1:]), (3, (1, 2, 3)), (3, (1, 2, 4, 7))]:
+            report = verify.SweepReport("injected")
+            verify.check_point_set(tail, n, report)
+            assert report.counter("dependent_kernel").failed == 1
 
     def test_wrong_solve_fails_both_solve_checks(self, monkeypatch):
         real = RationalMatrix.solve

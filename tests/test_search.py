@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from cubedist import cube, identities, search
 from cubedist.cube import PointSet
 from cubedist.errors import BudgetExceededError, DomainError, InvariantError
-from cubedist.search import _merge_best
 from oracle import eval_tail_oracle, scan_oracle
 
 F = Fraction
@@ -74,34 +73,37 @@ class TestWorkers:
         r = search.min_dinv_ones(2, 1, workers=4)
         assert r.sets_examined == 3
 
-    def test_uneven_subtrees_agree_bytewise(self):
-        # (4, 5): first-element subtrees hold 1001, 715, 495, ... sets, and
-        # four groups split them at depth two.
+    def test_uneven_subtrees_agree_bytewise(self, monkeypatch):
+        # (4, 5): first-element subtrees hold 1001, 715, 495, ... sets, so
+        # no split into three or four groups is even. A host with four
+        # CPUs is faked so that the pool really starts 3 and 4 processes.
         r1 = search.min_dinv_ones(4, 5, workers=1)
+        monkeypatch.setattr(search.os, "cpu_count", lambda: 4)
         for w in (2, 3, 4):
             assert search.min_dinv_ones(4, 5, workers=w).to_json() == r1.to_json()
 
-    @pytest.mark.parametrize("n,m", [(4, 5), (3, 5), (5, 2), (4, 1), (3, 7)])
-    @pytest.mark.parametrize("groups", [2, 3, 4, 7])
+    @pytest.mark.parametrize("n,m", [(4, 5), (3, 5), (5, 2), (4, 1), (3, 7), (2, 2)])
+    @pytest.mark.parametrize("groups", [1, 2, 3, 4, 7])
     def test_subtree_groups_merge_to_serial(self, n, m, groups):
-        """Every split, scanned in-process and merged, equals the serial
-        scan; the runs are contiguous in lex order and cover each subset
-        once."""
-        split = search._subtree_groups(n, m, groups)
-        assert 1 <= len(split) <= groups
-        units = [(*prefix, x) for run in split for prefix, lo, hi in run for x in range(lo, hi)]
-        assert units == sorted(set(units))
+        """The ranges are contiguous, cover the first elements 1..2^n - m
+        once and number at most `groups`; each holds at most total /
+        groups sets plus its own first subtree; scanned in-process and
+        merged in order, their tallies equal the oracle's scan."""
         top = (1 << n) - 1
-        assert sum(comb(top - u[-1], m - len(u)) for u in units) == comb(top, m)
-        parts = [search._scan_group((n, m, run)) for run in split]
-        best = None
-        for p in parts:
-            best = _merge_best(best, p[2])
-        serial = _serial_scan(n, m)
-        assert sum(p[0] for p in parts) == serial[0]
-        assert sum(p[1] for p in parts) == serial[1]
-        assert best == serial[2]
-        assert [v for p in parts for v in p[3]] == serial[3]
+        total = comb(top, m)
+        ranges = search._first_element_ranges(n, m, groups)
+        assert 1 <= len(ranges) <= groups
+        assert ranges[0][0] == 1 and ranges[-1][1] == top - m + 2
+        assert all(lo < hi for lo, hi in ranges)
+        assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+        for lo, hi in ranges:
+            size = sum(comb(top - x, m - 1) for x in range(lo, hi))
+            assert size * groups <= total + comb(top - lo, m - 1) * groups
+        tallies = [search._scan_range((n, m, lo, hi)) for lo, hi in ranges]
+        merged = tallies[0]
+        for later in tallies[1:]:
+            merged.merge(later)
+        assert merged.parts() == scan_oracle(n, m)
 
     def test_pool_size_clamps(self, monkeypatch):
         monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
@@ -117,14 +119,26 @@ class TestWorkers:
         assert search._pool_size(8, 3) == 3
 
     def test_merge_tie_breaks_lexicographically(self):
-        a = (F(1, 2), (1, 4))
-        b = (F(1, 2), (1, 3))
-        assert _merge_best(a, b) == b
-        assert _merge_best(b, a) == b
-        assert _merge_best(None, a) == a
-        assert _merge_best(a, None) == a
-        c = (F(1, 3), (7,))
-        assert _merge_best(a, c) == c
+        def tally(tail, pivot, corner):
+            # the tally of one independent set of value -2 pivot / corner
+            t = search._Tally(4, 2)
+            t.add(tail, pivot, corner)
+            return t
+
+        def merged(a, b):
+            a.merge(b)
+            return a.parts()
+
+        half_13, half_14 = ((1, 3), 3, -12), ((1, 4), 3, -12)
+        for x, y in [(half_14, half_13), (half_13, half_14)]:
+            assert merged(tally(*x), tally(*y)) == (2, 2, (F(1, 2), (1, 3)), [])
+        # the smaller value wins over the lex-smaller tail
+        two_thirds_78, one_13 = ((7, 8), 1, -3), ((1, 3), 1, -2)
+        for x, y in [(two_thirds_78, one_13), (one_13, two_thirds_78)]:
+            assert merged(tally(*x), tally(*y))[2] == (F(2, 3), (7, 8))
+        # an empty tally is the identity, on either side
+        assert merged(tally(*half_14), search._Tally(4, 2))[2] == (F(1, 2), (1, 4))
+        assert merged(search._Tally(4, 2), tally(*half_14))[2] == (F(1, 2), (1, 4))
 
 
 class TestRandomProbe:
@@ -202,8 +216,8 @@ def _dependent_tails(draw):
 
 
 def _serial_scan(n, m):
-    (run,) = search._subtree_groups(n, m, 1)
-    return search._scan_group((n, m, run))
+    ((lo, hi),) = search._first_element_ranges(n, m, 1)
+    return search._scan_range((n, m, lo, hi)).parts()
 
 
 def _kernel_value(tail):
