@@ -4,8 +4,9 @@
 plain lists of Python ints, destructively, so every intermediate value
 is an integer. `RationalMatrix` holds `fractions.Fraction` entries,
 which stay in canonical form (positive denominator, gcd-reduced), and
-gives the second, Gauss-Jordan routes that the sweeps compare the
-integer kernels against: an exact inverse and an exact linear solve.
+gives the second routes that the sweeps compare the Gram kernel
+against: an exact inverse and an exact linear solve. Both run through
+`det_int` on integer-scaled rows, so `Fraction` only holds results.
 Nothing in this module touches floating point.
 """
 
@@ -13,17 +14,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import DimensionError, SingularMatrixError
 
 
 def det_int(rows: list[list[int]]) -> int:
-    """Determinant of a square integer matrix, destroying `rows`.
+    """Determinant of the leading k x k block of k rows, destroying `rows`.
 
     Bareiss elimination with row pivoting: every intermediate entry is
     an exact minor of the input, so all divisions are exact and entry
-    growth stays polynomial in the minors.
+    growth stays polynomial in the minors. Columns past k take the same
+    row operations: with a nonzero result, rows[i][i:] is row i of the
+    fraction-free echelon form of the whole matrix.
     """
     k = len(rows)
     if k == 0:
@@ -56,7 +60,7 @@ def det_int(rows: list[list[int]]) -> int:
             else:
                 row[c + 1 :] = [(piv * x) // prev for x in row[c + 1 :]]
         prev = piv
-    return sign * rows[-1][-1]
+    return sign * rows[-1][k - 1]
 
 
 def rank_int(rows: list[list[int]]) -> int:
@@ -122,24 +126,36 @@ class RationalMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
+    def _solve_rows(self, rhs: Sequence[Sequence]) -> list[list[Fraction]]:
+        """X with M X = R, R given by its rows. Each row of [M | R] is
+        scaled to integers by the lcm of its denominators; one `det_int`
+        pass eliminates M and carries R along, and back-substitution
+        divides exactly, as det * X is an integer matrix (Cramer)."""
+        k = self.rows
+        rows = []
+        for row, extra in zip(self.entries, rhs):
+            full = [*row, *map(Fraction, extra)]
+            scale = lcm(*(x.denominator for x in full))
+            rows.append([x.numerator * (scale // x.denominator) for x in full])
+        det = det_int(rows)
+        if det == 0:
+            raise SingularMatrixError(det=Fraction(0))
+        ys: list = [None] * k
+        for i in range(k - 1, -1, -1):
+            row = rows[i]
+            ys[i] = [
+                (det * b - sum(row[j] * ys[j][c] for j in range(i + 1, k))) // row[i]
+                for c, b in enumerate(row[k:])
+            ]
+        return [[Fraction(y, det) for y in y_row] for y_row in ys]
+
     def inverse(self) -> "RationalMatrix":
-        """Exact inverse by Gauss-Jordan; raises on a singular input."""
+        """Exact inverse; raises on a singular input."""
         if not self.is_square:
             raise DimensionError(f"inverse of {self.rows}x{self.cols} matrix")
         k = self.rows
-        aug = [list(row) + [Fraction(int(i == j)) for j in range(k)] for i, row in enumerate(self.entries)]
-        for c in range(k):
-            piv_i = next((i for i in range(c, k) if aug[i][c] != 0), None)
-            if piv_i is None:
-                raise SingularMatrixError(det=Fraction(0))
-            aug[c], aug[piv_i] = aug[piv_i], aug[c]
-            piv = aug[c][c]
-            aug[c] = [e / piv for e in aug[c]]
-            for i in range(k):
-                if i != c and aug[i][c] != 0:
-                    f = aug[i][c]
-                    aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
-        return RationalMatrix(tuple(tuple(row[k:]) for row in aug))
+        eye = [[int(i == j) for j in range(k)] for i in range(k)]
+        return RationalMatrix(tuple(map(tuple, self._solve_rows(eye))))
 
     def solve(self, v: Sequence) -> tuple[Fraction, ...]:
         """Solve ``M w = v`` exactly without forming the inverse."""
@@ -147,23 +163,7 @@ class RationalMatrix:
             raise DimensionError(f"solve with {self.rows}x{self.cols} matrix")
         if len(v) != self.rows:
             raise DimensionError(f"solve rhs dim {len(v)} for {self.rows}x{self.cols} matrix")
-        k = self.rows
-        a = [list(row) + [Fraction(v[i])] for i, row in enumerate(self.entries)]
-        for c in range(k):
-            piv_i = next((i for i in range(c, k) if a[i][c] != 0), None)
-            if piv_i is None:
-                raise SingularMatrixError(det=Fraction(0))
-            a[c], a[piv_i] = a[piv_i], a[c]
-            piv = a[c][c]
-            for i in range(c + 1, k):
-                if a[i][c] != 0:
-                    f = a[i][c] / piv
-                    a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-        w = [Fraction(0)] * k
-        for i in range(k - 1, -1, -1):
-            s = a[i][k] - sum((a[i][j] * w[j] for j in range(i + 1, k)), Fraction(0))
-            w[i] = s / a[i][i]
-        return tuple(w)
+        return tuple(row[0] for row in self._solve_rows([[x] for x in v]))
 
     def to_strings(self) -> list[list[str]]:
         return [[str(e) for e in row] for row in self.entries]

@@ -178,13 +178,12 @@ def graham_lovasz_inverse(t: UnweightedTree) -> RationalMatrix:
 
 
 def tree_dinv_ones(t: UnweightedTree) -> Fraction:
-    """<D^{-1}1, 1> = 2/n for every tree on n+1 vertices.
-
-    The closed-form inverse makes the entry sum telescope: the degree
+    """<D^{-1}1, 1>, the entry sum of the closed-form inverse: 2/n for
+    every tree on n+1 vertices, since the sum telescopes: the degree
     sum of a tree is 2n, so sum_ij (2-deg_i)(2-deg_j) = (2(n+1)-2n)^2 = 4
     and the adjacency and degree halves cancel.
     """
-    return Fraction(2, t.n)
+    return Fraction(sum(map(sum, scaled_inverse_rows(t))), 2 * t.n)
 
 
 def tree_det_direct(t: UnweightedTree) -> Fraction:

@@ -126,7 +126,7 @@ def check_point_set(tail: tuple[int, ...], n: int, report: SweepReport) -> None:
     if m == n:
         report.counter("full_dim_gram_quad").add(gq == n, tail)
         report.counter("full_dim_det").add(
-            det_direct == Fraction((-1) ** n * n * (1 << (n - 1)) * det_g), tail
+            det_direct == identities.det_from_gram_quad(n, det_g, n), tail
         )
 
 
@@ -181,9 +181,7 @@ def check_tree(t: trees.UnweightedTree, report: SweepReport, deep: bool = False)
     )
     report.counter("embedding_isometry").add(iso, t.edges)
     det_direct = det_int([row[:] for row in drows])
-    report.counter("tree_det_formula").add(
-        det_direct == (-1) ** n * n * (1 << (n - 1)), t.edges
-    )
+    report.counter("tree_det_formula").add(det_direct == trees.graham_pollak_det(t), t.edges)
     minv = trees.scaled_inverse_rows(t)
     target = 2 * n
     prod_ok = True

@@ -8,6 +8,8 @@ compare the package's fast routes against them.
 
 The exceptions are the slow paths that faster code replaced, kept so
 that the fast routes are compared against them: the `Fraction`
+Gauss-Jordan inverse and Gaussian solve that `RationalMatrix.inverse`
+and `.solve` ran before they went through `det_int`; the `Fraction`
 Gaussian elimination that built kernel witnesses; the rank test and
 `Fraction` solve that gave <G^{-1}u, u> before the Gram kernel; in the search
 section, the per-subset evaluator (a rank test, a Gram rebuild and two
@@ -35,9 +37,11 @@ from cubedist.cube import normalize
 from cubedist.errors import (
     CapExceededError,
     DependenceError,
+    DimensionError,
     DomainError,
     IndependenceError,
     NotNegativeTypeError,
+    SingularMatrixError,
 )
 from cubedist.ratlinalg import RationalMatrix, det_int
 
@@ -166,6 +170,52 @@ def kernel_witness_oracle(s):
     raise IndependenceError("tail points are linearly independent; D has trivial kernel")
 
 
+def inverse_oracle(m):
+    """`RationalMatrix.inverse` by Gauss-Jordan over `Fraction`."""
+    if not m.is_square:
+        raise DimensionError(f"inverse of {m.rows}x{m.cols} matrix")
+    k = m.rows
+    aug = [list(row) + [Fraction(int(i == j)) for j in range(k)] for i, row in enumerate(m.entries)]
+    for c in range(k):
+        piv_i = next((i for i in range(c, k) if aug[i][c] != 0), None)
+        if piv_i is None:
+            raise SingularMatrixError(det=Fraction(0))
+        aug[c], aug[piv_i] = aug[piv_i], aug[c]
+        piv = aug[c][c]
+        aug[c] = [e / piv for e in aug[c]]
+        for i in range(k):
+            if i != c and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
+    return RationalMatrix(tuple(tuple(row[k:]) for row in aug))
+
+
+def solve_oracle(m, v):
+    """`RationalMatrix.solve` by Gaussian elimination over `Fraction`
+    and back-substitution."""
+    if not m.is_square:
+        raise DimensionError(f"solve with {m.rows}x{m.cols} matrix")
+    if len(v) != m.rows:
+        raise DimensionError(f"solve rhs dim {len(v)} for {m.rows}x{m.cols} matrix")
+    k = m.rows
+    a = [list(row) + [Fraction(v[i])] for i, row in enumerate(m.entries)]
+    for c in range(k):
+        piv_i = next((i for i in range(c, k) if a[i][c] != 0), None)
+        if piv_i is None:
+            raise SingularMatrixError(det=Fraction(0))
+        a[c], a[piv_i] = a[piv_i], a[c]
+        piv = a[c][c]
+        for i in range(c + 1, k):
+            if a[i][c] != 0:
+                f = a[i][c] / piv
+                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    w = [Fraction(0)] * k
+    for i in range(k - 1, -1, -1):
+        s = a[i][k] - sum((a[i][j] * w[j] for j in range(i + 1, k)), Fraction(0))
+        w[i] = s / a[i][i]
+    return tuple(w)
+
+
 def gram_quad_oracle(s):
     """(det G, <G^{-1}u, u>) of a normalized set along the `Fraction`
     route: a rank test, then the Fraction Gram matrix's pivoting
@@ -175,7 +225,7 @@ def gram_quad_oracle(s):
     if cube.rank_of_bits(tail, s.n) != s.m:
         raise DependenceError("tail points are linearly dependent")
     g, u = cube.gram_rows(tail)
-    w = RationalMatrix.from_rows(g).solve(u)
+    w = solve_oracle(RationalMatrix.from_rows(g), u)
     return Fraction(det_int([row[:] for row in g])), sum(a * b for a, b in zip(w, u))
 
 

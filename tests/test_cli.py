@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import cubedist
-from cubedist import negtype, verify
+from cubedist import negtype, search, trees, verify
 from cubedist.cli import main
 from cubedist.cube import parse_point_set
 from cubedist.errors import DomainError
@@ -78,6 +78,21 @@ class TestTree:
         assert js["det"] == "-12"
         assert js["dinv_ones"] == "2/3"
         assert js["inverse_entries"][0][0] == "-4/3"
+
+    def test_dinv_ones_reads_the_closed_form_inverse(self, monkeypatch, capsys, tmp_path):
+        f = tmp_path / "star.txt"
+        f.write_text(STAR4_TREE)
+        real = trees.scaled_inverse_rows
+
+        def perturbed(t):
+            rows = real(t)
+            rows[0][0] += 1
+            return rows
+
+        monkeypatch.setattr(trees, "scaled_inverse_rows", perturbed)
+        code, js = run_json(capsys, ["tree", str(f)])
+        assert code == 0
+        assert js["dinv_ones"] == "5/6"
 
     def test_cycle_exit_3(self, tmp_path):
         f = tmp_path / "cycle.txt"
@@ -190,7 +205,11 @@ class TestSearch:
         assert out == ""
         assert "trials must be nonnegative" in err
 
-    def test_worker_flag_equivalence(self, tmp_path):
+    def test_worker_flag_equivalence(self, monkeypatch, tmp_path):
+        # a host with four CPUs is faked so that four processes really
+        # walk four first-element ranges
+        monkeypatch.setattr(search.os, "cpu_count", lambda: 4)
+        assert len(search._first_element_ranges(4, 3, 4)) == 4
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         assert main(["search", "--n", "4", "--m", "3", "--workers", "1", "-o", str(a)]) == 0
         assert main(["search", "--n", "4", "--m", "3", "--workers", "4", "-o", str(b)]) == 0

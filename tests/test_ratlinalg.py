@@ -6,11 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubedist import identities
+from cubedist import identities, ratlinalg
 from cubedist.cube import PointSet
 from cubedist.errors import DimensionError, SingularMatrixError
 from cubedist.ratlinalg import RationalMatrix, det_int, rank_int
-from oracle import leibniz_det, matmul, matvec, rational_from_str
+from oracle import (
+    count_calls,
+    inverse_oracle,
+    leibniz_det,
+    matmul,
+    matvec,
+    rational_from_str,
+    solve_oracle,
+)
 
 F = Fraction
 
@@ -223,6 +231,77 @@ class TestSolve:
             M([[1, 1], [2, 2]]).solve([1, 1])
 
 
+@st.composite
+def systems(draw, entries, max_dim):
+    """(rows, rhs, forced): a square matrix with entries from `entries`
+    and a right-hand side; when `forced`, one row is a multiple of
+    another (or, for 1x1, zero), so the matrix is singular."""
+    d = draw(st.integers(min_value=1, max_value=max_dim))
+    row = st.lists(entries, min_size=d, max_size=d)
+    rows = draw(st.lists(row, min_size=d, max_size=d))
+    forced = draw(st.booleans())
+    if forced:
+        i = draw(st.integers(min_value=0, max_value=d - 1))
+        if d == 1:
+            rows[i] = [0]
+        else:
+            j = draw(st.integers(min_value=0, max_value=d - 2))
+            j += j >= i
+            f = draw(st.integers(min_value=-3, max_value=3))
+            rows[i] = [f * x for x in rows[j]]
+    return rows, draw(row), forced
+
+
+def _matches_oracle(route, oracle):
+    """Run both routes; they must give equal results, or both raise
+    SingularMatrixError with det 0. Returns whether they gave results."""
+    try:
+        want = oracle()
+    except SingularMatrixError as err:
+        assert err.det == 0
+        with pytest.raises(SingularMatrixError) as got:
+            route()
+        assert got.value.det == 0
+        return False
+    assert route() == want
+    return True
+
+
+class TestAgainstFractionOracle:
+    """`inverse` and `solve` (one `det_int` elimination, then exact
+    back-substitution) against the `Fraction` Gauss-Jordan and Gauss
+    loops they replaced."""
+
+    def check(self, rows, v, forced):
+        a = M(rows)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = count_calls(mp, ratlinalg, "det_int")
+            inv_ok = _matches_oracle(a.inverse, lambda: inverse_oracle(a))
+            assert calls["det_int"] == 1
+            solve_ok = _matches_oracle(lambda: a.solve(v), lambda: solve_oracle(a, v))
+            assert calls["det_int"] == 2
+        assert inv_ok == solve_ok
+        if forced:
+            assert not inv_ok
+        return inv_ok
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(systems(small_ints, 8))
+    def test_integer_matrices(self, system):
+        rows, v, forced = system
+        assert self.check(rows, v, forced) == (det_int([r[:] for r in rows]) != 0)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(systems(st.fractions(min_value=-4, max_value=4, max_denominator=6), 6))
+    def test_fraction_matrices(self, system):
+        self.check(*system)
+
+    def test_zero_leading_pivots(self):
+        # pivoting at every column, and an empty system
+        assert self.check([[0, 0, 2], [0, 3, 1], [5, 1, 1]], [1, 2, 3], False)
+        assert self.check([], [], False)
+
+
 class TestSerialization:
     """The package writes rationals into JSON as `str(Fraction)`;
     `oracle.rational_from_str` reads them back and refuses any other
@@ -262,8 +341,8 @@ def test_det_int_matches_wrapper():
         det = det_int([r[:] for r in rows])
         if det == 0:
             with pytest.raises(SingularMatrixError):
-                M(rows).inverse()
+                inverse_oracle(M(rows))
             continue
-        inv = M(rows).inverse().entries
+        inv = inverse_oracle(M(rows)).entries
         k = lcm(*(e.denominator for row in inv for e in row))
         assert F(k**d, det_int([[int(e * k) for e in row] for row in inv])) == det

@@ -64,7 +64,11 @@ class TestExhaustive:
 
 class TestWorkers:
     @pytest.mark.parametrize("n,m", [(4, 3), (5, 2)])
-    def test_worker_counts_agree_bytewise(self, n, m):
+    def test_worker_counts_agree_bytewise(self, monkeypatch, n, m):
+        # a host with four CPUs is faked so that four processes really
+        # walk four first-element ranges
+        monkeypatch.setattr(search.os, "cpu_count", lambda: 4)
+        assert len(search._first_element_ranges(n, m, 4)) == 4
         r1 = search.min_dinv_ones(n, m, workers=1)
         r4 = search.min_dinv_ones(n, m, workers=4)
         assert r1.to_json() == r4.to_json()

@@ -129,6 +129,18 @@ class TestTreeDinvOnes:
         for t in (PATH3, STAR4, PATH4):
             assert identities.dinv_ones(trees.embed_tree(t)) == trees.tree_dinv_ones(t)
 
+    def test_reads_the_closed_form_inverse(self, monkeypatch):
+        # one entry of 2n D^{-1} raised by 1 raises the value by 1/(2n)
+        real = trees.scaled_inverse_rows
+
+        def perturbed(t):
+            rows = real(t)
+            rows[0][0] += 1
+            return rows
+
+        monkeypatch.setattr(trees, "scaled_inverse_rows", perturbed)
+        assert trees.tree_dinv_ones(STAR4) == F(2, 3) + F(1, 6)
+
 
 class TestPrufer:
     @pytest.mark.parametrize("k", [3, 4, 5, 6])
