@@ -11,7 +11,12 @@ the whole set by it, which leaves all pairwise distances unchanged.
 
 The `distance_rows` / `bordered_rows` / `gram_rows` helpers build the
 distance and Gram matrices as plain integer row lists; everything in
-this module is integer arithmetic.
+this module is integer arithmetic. A PointSet caches its distance rows
+(`d_rows`), and the Gram rows with u (`gram`) and Gram-kernel pass
+(`kernel`) of its tail translated by x_0 (bits[1:] when normalized),
+each built through those module functions at most once per set. Rows
+are tuples, so an elimination that forgets to copy raises instead of
+corrupting the cache.
 
 Gram kernel. `gram_push` is the package's one exact elimination of the
 Gram matrix of bit patterns: it appends a point to a prefix and carries
@@ -35,6 +40,7 @@ reported or compared answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .errors import DegenerateMetricError, DimensionError, ParseError
@@ -96,6 +102,22 @@ class PointSet:
     def to_strings(self) -> list[str]:
         return [_pattern_string(b, self.n) for b in self.bits]
 
+    @cached_property
+    def d_rows(self) -> tuple[tuple[int, ...], ...]:
+        """The distance matrix, from `distance_rows`."""
+        return tuple(map(tuple, distance_rows(self.bits)))
+
+    @cached_property
+    def gram(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        """(G, u) of the translated tail, from `gram_rows`."""
+        g, u = gram_rows(normalize(self).bits[1:])
+        return tuple(map(tuple, g)), tuple(u)
+
+    @cached_property
+    def kernel(self):
+        """`gram_eliminate` of the translated tail."""
+        return gram_eliminate(normalize(self).bits[1:])
+
 
 def _pattern_string(bits: int, n: int) -> str:
     """The point as n characters 0/1, coordinate k first-to-last."""
@@ -121,7 +143,7 @@ def distance_rows(bits: Sequence[int]) -> list[list[int]]:
 
 def bordered_rows(rows: Sequence[list[int]]) -> list[list[int]]:
     """The matrix [[0, 1^T], [1, rows]] as new int rows."""
-    return [[0] + [1] * len(rows)] + [[1] + row for row in rows]
+    return [[0] + [1] * len(rows)] + [[1, *row] for row in rows]
 
 
 def gram_rows(tail_bits: Sequence[int]) -> tuple[list[list[int]], list[int]]:

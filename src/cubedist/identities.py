@@ -13,11 +13,15 @@ case an integer kernel vector of D can be written down from the
 dependence.
 
 One exact route per answer: the per-set invariants read det G,
-<G^{-1}u, u> and the dependence from one Gram-kernel pass
-(`cube.gram_eliminate`, through `kernel_quad`). The second routes
-(pivoting determinants, `gram_solve`'s rational solve) stay separate so
-that the sweeps compare two computations of each identity, and learn
-dependence from their own elimination. Nothing here runs a rank test.
+<G^{-1}u, u> and the dependence from one Gram-kernel pass (the set's
+cached `kernel`, through `kernel_quad`). The second routes (pivoting
+determinants, `gram_solve`'s rational solve) stay separate so that the
+sweeps compare two computations of each identity, and learn dependence
+from their own elimination. Every function reads the set's cached
+distance rows, Gram rows and kernel (`PointSet.d_rows`, `.gram`,
+`.kernel`), so a set's matrices are built once however many identities
+are checked on it; eliminations copy the rows first. Nothing here runs
+a rank test.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from math import gcd
 from typing import Optional
 
 from . import cube
-from .cube import PointSet, normalize
+from .cube import PointSet
 from .errors import DependenceError, IndependenceError, InvariantError, SingularMatrixError
 from .ratlinalg import RationalMatrix, det_int
 
@@ -39,19 +43,11 @@ def _require_normalized(s: PointSet) -> PointSet:
     return s
 
 
-def _bordered_gram_rows(tail: tuple[int, ...]) -> list[list[int]]:
-    g, u = cube.gram_rows(tail)
-    return [[0] + u] + [[u[i]] + g[i] for i in range(len(tail))]
-
-
-def kernel_quad(tail: tuple[int, ...], kernel=None) -> tuple[int, Optional[Fraction]]:
-    """(det G, <G^{-1}u, u>) from one Gram-kernel pass, the quadratic
-    form as -det [[G, u], [u^T, 0]] / det G; a dependent tail gives
-    (0, None). `kernel`, when given, is `cube.gram_eliminate(tail)`
-    already computed by the caller."""
-    if kernel is None:
-        kernel = cube.gram_eliminate(tail)
-    _, _, pivots, _, corner, dependent = kernel
+def kernel_quad(s: PointSet) -> tuple[int, Optional[Fraction]]:
+    """(det G, <G^{-1}u, u>) from the set's Gram-kernel pass, the
+    quadratic form as -det [[G, u], [u^T, 0]] / det G; a dependent tail
+    gives (0, None)."""
+    _, _, pivots, _, corner, dependent = s.kernel
     if dependent is not None:
         return 0, None
     return pivots[-1], Fraction(-corner, pivots[-1])
@@ -59,7 +55,7 @@ def kernel_quad(tail: tuple[int, ...], kernel=None) -> tuple[int, Optional[Fract
 
 def det_distance_matrix(s: PointSet) -> Fraction:
     """det(D) by direct fraction-free elimination."""
-    return Fraction(det_int(cube.distance_rows(s.bits)))
+    return Fraction(det_int([list(row) for row in s.d_rows]))
 
 
 def det_via_bordered_gram(s: PointSet) -> Fraction:
@@ -70,7 +66,8 @@ def det_via_bordered_gram(s: PointSet) -> Fraction:
     """
     _require_normalized(s)
     m = s.m
-    val = det_int(_bordered_gram_rows(s.bits[1:]))
+    g, u = s.gram
+    val = det_int([[0, *u]] + [[ui, *row] for ui, row in zip(u, g)])
     return Fraction((-1) ** (m - 1) * (1 << (m - 1)) * val)
 
 
@@ -89,8 +86,8 @@ def gram_solve(s: PointSet) -> tuple[Fraction, Fraction]:
     determinant of G and one exact Fraction solve G w = u. Raises
     DependenceError when that determinant is 0."""
     _require_normalized(s)
-    g, u = cube.gram_rows(s.bits[1:])
-    det_g = det_int([row[:] for row in g])
+    g, u = s.gram
+    det_g = det_int([list(row) for row in g])
     if det_g == 0:
         raise DependenceError("tail points are linearly dependent; det(D) = 0 by the kernel route")
     w = RationalMatrix.from_rows(g).solve(u)
@@ -106,13 +103,13 @@ def gram_quad(s: PointSet) -> Fraction:
     """Exact <G^{-1}u, u> from the Gram kernel; positive by positive
     definiteness of G. Equals n whenever m = n."""
     _require_normalized(s)
-    _, quad = kernel_quad(s.bits[1:])
+    _, quad = kernel_quad(s)
     if quad is None:
         raise DependenceError("Gram matrix is singular for a dependent tail")
     return quad
 
 
-def kernel_witness(s: PointSet, kernel=None) -> tuple[int, ...]:
+def kernel_witness(s: PointSet) -> tuple[int, ...]:
     """A nonzero integer vector c with D c = 0 and sum(c) = 0.
 
     Built from the first tail point that is a rational combination of
@@ -125,14 +122,10 @@ def kernel_witness(s: PointSet, kernel=None) -> tuple[int, ...]:
     independent prefix, U y = det(G_k) h with U[i][t] = hists[t][i] and
     U[i][i] = pivots[i], h the dependent point's column history; y is
     det(G_k) times the coefficients, an integer vector by Cramer's rule,
-    so the back-substitution divides exactly. `kernel`, when given, is
-    `cube.gram_eliminate` of the tail, already computed by the caller.
+    so the back-substitution divides exactly.
     """
     _require_normalized(s)
-    tail = s.bits[1:]
-    if kernel is None:
-        kernel = cube.gram_eliminate(tail)
-    _, hists, pivots, _, _, dependent = kernel
+    _, hists, pivots, _, _, dependent = s.kernel
     if dependent is None:
         raise IndependenceError("tail points are linearly independent; D has trivial kernel")
     h = dependent[1]
@@ -141,7 +134,7 @@ def kernel_witness(s: PointSet, kernel=None) -> tuple[int, ...]:
     y = [0] * k
     for i in range(k - 1, -1, -1):
         y[i] = (scale * h[i] - sum(hists[t][i] * y[t] for t in range(i + 1, k))) // pivots[i]
-    ints = [-v for v in y] + [scale] + [0] * (len(tail) - k - 1)
+    ints = [-v for v in y] + [scale] + [0] * (s.m - k - 1)
     g = gcd(*ints)
     ints = [v // g for v in ints]
     if next(v for v in ints if v) < 0:
@@ -149,15 +142,14 @@ def kernel_witness(s: PointSet, kernel=None) -> tuple[int, ...]:
     return (-sum(ints), *ints)
 
 
-def bordered_distance_det(s: PointSet, kernel=None) -> Fraction:
+def bordered_distance_det(s: PointSet) -> Fraction:
     """det [[0, 1^T], [1, D]], computed both by direct elimination and
     as (-1)^(m-1) 2^m det(G), det(G) from the Gram kernel; the two must
-    coincide. `kernel`, when given, is `cube.gram_eliminate` of the
-    tail, already computed by the caller."""
+    coincide."""
     _require_normalized(s)
     m = s.m
-    det_g, _ = kernel_quad(s.bits[1:], kernel)
-    direct = det_int(cube.bordered_rows(cube.distance_rows(s.bits)))
+    det_g, _ = kernel_quad(s)
+    direct = det_int(cube.bordered_rows(s.d_rows))
     formula = (-1) ** (m - 1) * (1 << m) * det_g
     if direct != formula:
         raise InvariantError(f"bordered distance det {direct} != formula {formula}")
@@ -167,7 +159,7 @@ def bordered_distance_det(s: PointSet, kernel=None) -> Fraction:
 def dinv_ones(s: PointSet) -> Fraction:
     """Exact <D^{-1}1, 1> = 2 / <G^{-1}u, u>, positive for every
     affinely independent set."""
-    _, quad = kernel_quad(normalize(s).bits[1:])
+    _, quad = kernel_quad(s)
     if quad is None:
         raise SingularMatrixError(
             "distance matrix is singular for an affinely dependent set", det=Fraction(0)
@@ -207,11 +199,11 @@ class DetReport:
 
 
 def full_report(s: PointSet) -> DetReport:
-    """Compute every invariant, normalizing internally; fields that
+    """Compute every invariant (the Gram objects are those of the tail
+    translated by x_0, so no normalization is needed); fields that
     require invertibility are absent (None) rather than zeroed."""
-    sn = normalize(s)
-    det_d = det_distance_matrix(sn)
-    det_g, gq = kernel_quad(sn.bits[1:])
+    det_d = det_distance_matrix(s)
+    det_g, gq = kernel_quad(s)
     dio = 2 / gq if gq is not None else None
     return DetReport(
         det_D=det_d,

@@ -31,14 +31,15 @@ scalar one-matrix-per-call scan's exactly.
 Everything at p = 1 is decided in exact integer arithmetic (D_1 is
 integral); for p > 1 determinants are evaluated at machine precision via
 slogdet and classified as zero against a Hadamard-scaled threshold.
-`sanchez_wp` takes the p = 1 anchors from one Gram-kernel pass
-(`cube.gram_eliminate`): a zero pivot means the set is affinely
+`sanchez_wp` takes the p = 1 anchors from the set's Gram-kernel pass
+(`PointSet.kernel`): a zero pivot means the set is affinely
 dependent, D_1 is exactly singular and the supremum is exactly 1 with
 no floating-point work; otherwise det G > 0 and the corner give
 sign det(D) = (-1)^(m-1) sign(corner) and sign det [[0, 1^T], [1, D]] =
 (-1)^(m-1). `strict_p_negative_type` at p = 1 keeps its own two
 `det_int` calls, so `murugan_classify`'s three views are three routes;
-they share the input, one list of distance rows built once per set.
+they share the input, one list of distance rows built once per set
+(`PointSet.d_rows`, cached on the set with its kernel).
 """
 
 from __future__ import annotations
@@ -69,13 +70,9 @@ ROOT_NONE_BELOW_CAP = "none-below-cap"
 
 def dp_matrix(s: PointSet, p: float) -> np.ndarray:
     """The matrix (d(x_i, x_j)^p) at machine precision; requires p >= 1."""
-    return _dp(cube.distance_rows(s.bits), p)
-
-
-def _dp(rows: list[list[int]], p: float) -> np.ndarray:
     if p < 1:
         raise DomainError(f"exponent {p} below 1")
-    return np.power(np.array(rows, dtype=float), p)
+    return np.power(np.array(s.d_rows, dtype=float), p)
 
 
 def _check_tol(tol: float) -> None:
@@ -89,12 +86,7 @@ def is_p_negative_type(s: PointSet, p: float, tol: float = DEFAULT_TOL) -> bool:
     Frobenius-scaled eigenvalue tolerance. Raises DomainError unless
     0 < tol < 1."""
     _check_tol(tol)
-    return _is_p_negative_type(cube.distance_rows(s.bits), p, tol)
-
-
-def _is_p_negative_type(rows: list[list[int]], p: float, tol: float) -> bool:
-    """`is_p_negative_type` of the set with distance rows `rows`."""
-    dp = _dp(rows, p)
+    dp = dp_matrix(s, p)
     q = dp[1:, 1:] - dp[1:, 0:1] - dp[0:1, 1:]
     q = 0.5 * (q + q.T)
     top = float(np.linalg.eigvalsh(q)[-1])
@@ -393,28 +385,18 @@ def sanchez_wp(
     BudgetExceededError for more than MAX_GRID_POINTS grid points.
     """
     _check_scan(cap, tol, grid)
-    return _scan_normalized(normalize(s), cap, tol, grid)[0]
-
-
-def _scan_normalized(sn: PointSet, cap: float, tol: float, grid: float, rows=None):
-    """`sanchez_wp` of a normalized set with checked arguments, and the
-    set's distance matrix as floats (None for a dependent set). `rows`,
-    when given, is `cube.distance_rows` of the set, already built by the
-    caller."""
-    _, _, _, _, corner, dependent = cube.gram_eliminate(sn.bits[1:])
+    _, _, _, _, corner, dependent = s.kernel
     if dependent is not None:
-        return NegTypeReport(1.0, ROOT_DETERMINANT, (1.0, 1.0), 0.0, float(cap)), None
-    if rows is None:
-        rows = cube.distance_rows(sn.bits)
-    d_float = np.array(rows, dtype=float)
+        return NegTypeReport(1.0, ROOT_DETERMINANT, (1.0, 1.0), 0.0, float(cap))
     # exact signs at p = 1 (module docstring); corner < 0 on an independent tail
-    parity = 1 if sn.m % 2 else -1  # (-1)^(m-1)
-    signals = _PowerSignals(d_float, anchor=(1.0, parity if corner > 0 else -parity, parity))
+    parity = 1 if s.m % 2 else -1  # (-1)^(m-1)
+    anchor = (1.0, parity if corner > 0 else -parity, parity)
+    signals = _PowerSignals(np.array(s.d_rows, dtype=float), anchor=anchor)
     hit = _scan_for_roots(signals, 1.0, float(cap), grid, tol)
     if hit is None:
         hit = float(cap), ROOT_NONE_BELOW_CAP, (float(cap), float(cap)), None
     root, kind, bracket, residual = hit
-    return NegTypeReport(root, kind, bracket, residual, float(cap)), d_float
+    return NegTypeReport(root, kind, bracket, residual, float(cap))
 
 
 def strict_p_negative_type(s: PointSet, p: float, tol: float = DEFAULT_TOL) -> bool:
@@ -422,16 +404,11 @@ def strict_p_negative_type(s: PointSet, p: float, tol: float = DEFAULT_TOL) -> b
     <D_p^{-1}1, 1> both nonzero. Exact integer arithmetic at p = 1.
     Raises DomainError unless 0 < tol < 1, and NotNegativeTypeError
     when the set does not have p-negative type at all."""
-    _check_tol(tol)
-    return _strict_p_negative_type(cube.distance_rows(s.bits), p, tol)
-
-
-def _strict_p_negative_type(rows: list[list[int]], p: float, tol: float) -> bool:
-    """`strict_p_negative_type` of the set with distance rows `rows`."""
-    if not _is_p_negative_type(rows, p, tol):
+    if not is_p_negative_type(s, p, tol):
         raise NotNegativeTypeError(f"set does not have {p}-negative type")
+    rows = s.d_rows
     if p == 1:
-        det1 = det_int([row[:] for row in rows])
+        det1 = det_int([list(row) for row in rows])
         bord1 = det_int(cube.bordered_rows(rows))
         return det1 != 0 and bord1 != 0
     # one bordered batch factorises D_p once for both signals;
@@ -465,17 +442,15 @@ def murugan_classify(
     """Affine independence (the rank test), strict 1-negative type (two
     pivoting `det_int` calls) and supremal type above 1 (the Gram kernel
     and the root scan; no root below the cap certifies the bound, since
-    the cap exceeds 1), all read from one normalized copy of the set and
-    its distance rows, built once. Arguments are checked as in
-    `sanchez_wp`."""
-    _check_scan(cap, tol, grid)
+    the cap exceeds 1), all read from one normalized copy of the set, which
+    builds its distance rows and Gram kernel once. Arguments are checked
+    as in `sanchez_wp`."""
     sn = normalize(s)
-    rows = cube.distance_rows(sn.bits)
-    report = _scan_normalized(sn, cap, tol, grid, rows)[0]
+    wp = sanchez_wp(sn, cap, tol, grid).wp
     return MuruganClassification(
         affinely_independent=cube.linear_independent(sn),
-        strict_1_negative_type=_strict_p_negative_type(rows, 1.0, tol),
-        wp_exceeds_1=report.wp > 1.0,
+        strict_1_negative_type=strict_p_negative_type(sn, 1.0, tol),
+        wp_exceeds_1=wp > 1.0,
     )
 
 
@@ -498,8 +473,7 @@ def transform_scaling_check(
     """
     if not p >= 1:
         raise DomainError(f"exponent {p} is not at least 1")
-    _check_scan(cap, tol, grid)
-    base, d_float = _scan_normalized(normalize(s), cap, tol, grid)
+    base = sanchez_wp(s, cap, tol, grid)
     if base.is_lower_bound:
         raise CapExceededError(f"no root below cap {cap} for the base metric")
     wp1 = base.wp
@@ -507,12 +481,12 @@ def transform_scaling_check(
         return (math.inf, math.inf)
     if p == 1.0:
         return (wp1, wp1)
-    if d_float is None:
+    if s.kernel[-1] is not None:
         # dependent: D_1 is exactly singular at q = p, and no root can
         # occur earlier, so the scaled supremum is exactly p
         return (float(p), p * wp1)
     _check_scan(p * float(cap), tol, p * grid)
-    signals = _PowerSignals(d_float, alpha=p)
+    signals = _PowerSignals(np.array(s.d_rows, dtype=float), alpha=p)
     hit = _scan_for_roots(signals, 1.0, p * float(cap), p * grid, tol)
     if hit is None:
         raise CapExceededError(f"no root below {p * cap} for the transformed metric")

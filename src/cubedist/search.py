@@ -291,7 +291,8 @@ def random_probe(
 
     Refuses more than `budget` trials. Sampling is sequential and driven
     only by the seed, so a rerun with the same arguments reproduces the
-    result exactly.
+    result exactly. For m > n every tail is linearly dependent, so that
+    answer comes back without drawing.
     """
     _validate_params(n, m)
     if trials < 0:
@@ -300,6 +301,8 @@ def random_probe(
         raise BudgetExceededError(
             f"random probe of {trials} trials is over budget {budget}", required=trials
         )
+    if m > n:
+        return _result_from_parts(n, m, MODE_RANDOM, trials, 0, None, [], seed=seed)
     rng = random.Random(seed)
     tally = _Tally(n, m)
     for _ in range(trials):

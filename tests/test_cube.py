@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubedist import cube
+from cubedist import cube, identities, negtype
 from cubedist.cube import (
     PointSet,
     affinely_independent,
@@ -12,7 +12,8 @@ from cubedist.cube import (
     normalize,
     parse_point_set,
 )
-from cubedist.errors import DegenerateMetricError, DimensionError, ParseError
+from cubedist.errors import CubedistError, DegenerateMetricError, DimensionError, ParseError
+from cubedist.ratlinalg import det_int
 from oracle import coords, distance_matrix_from_coords, format_point_set, gram_of_differences
 
 
@@ -175,6 +176,80 @@ class TestDerive:
             s = random_point_set(rng, n, rng.randint(2, min(8, 1 << n)))
             g, _, _ = derive(s)
             assert g == gram_of_differences(coords(s))
+
+
+def _every_public_call(s):
+    """Run every public identities and negtype function on s, keeping
+    going past the errors they raise by design."""
+    calls = [
+        identities.det_distance_matrix, identities.det_via_bordered_gram,
+        identities.det_via_gram_quad, identities.gram_solve, identities.gram_quad,
+        identities.kernel_quad, identities.kernel_witness, identities.bordered_distance_det,
+        identities.dinv_ones, identities.full_report,
+        lambda s: negtype.dp_matrix(s, 1.5), lambda s: negtype.is_p_negative_type(s, 1.5),
+        lambda s: negtype.strict_p_negative_type(s, 1.0),
+        lambda s: negtype.strict_p_negative_type(s, 1.5),
+        negtype.sanchez_wp, negtype.murugan_classify,
+        lambda s: negtype.transform_scaling_check(s, 2.0),
+    ]
+    for call in calls:
+        try:
+            call(s)
+        except (CubedistError, ValueError):
+            pass
+
+
+@st.composite
+def _point_sets(draw):
+    n = draw(st.integers(2, 6))
+    k = draw(st.integers(2, min(9, 1 << n)))
+    bits = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=k, max_size=k, unique=True))
+    return PointSet.from_bits(n, bits)
+
+
+class TestCachedMatrices:
+    """A set builds its distance rows, Gram rows and Gram kernel once,
+    and no caller can change them afterwards."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_point_sets())
+    def test_caches_survive_every_public_call(self, s):
+        sn = normalize(s)
+        for t in (s, sn):
+            _every_public_call(t)
+        tail = tuple(b ^ s.bits[0] for b in s.bits[1:])
+        g, u = cube.gram_rows(tail)
+        want = {
+            "d_rows": tuple(map(tuple, cube.distance_rows(s.bits))),
+            "gram": (tuple(map(tuple, g)), tuple(u)),
+            "kernel": cube.gram_eliminate(tail),
+        }
+        # the normalized set has filled all three; the raw one those that
+        # its (normalization-free) calls read
+        assert set(vars(sn)) == set(want) | {"n", "bits"}
+        for t in (s, sn):
+            for name, value in want.items():
+                assert vars(t).get(name, value) == value
+
+    def test_equal_sets_do_not_share_caches(self):
+        a = PointSet.from_bits(3, (0, 1, 2, 7))
+        b = PointSet.from_bits(3, (0, 1, 2, 7))
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        identities.full_report(a)
+        assert {"d_rows", "kernel"} <= set(vars(a))
+        assert set(vars(b)) == {"n", "bits"}
+        # the caches stay out of equality, hash and repr
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert a.d_rows == b.d_rows and a.d_rows is not b.d_rows
+
+    def test_cached_rows_refuse_an_elimination_in_place(self):
+        s = PointSet.from_bits(3, (0, 1, 2, 7))
+        with pytest.raises(TypeError):
+            det_int(list(s.d_rows))
+        with pytest.raises(TypeError):
+            det_int(list(s.gram[0]))
+        assert s.d_rows == tuple(map(tuple, cube.distance_rows(s.bits)))
+        assert identities.det_distance_matrix(s) == -12
 
 
 class TestIndependence:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cubedist import cube, identities, verify
+from cubedist import cube, identities, trees, verify
 from cubedist.cube import PointSet
 from cubedist.errors import (
     CubedistError,
@@ -221,8 +221,10 @@ class TestBorderedDistanceDet:
 
 
 class TestCheckPointSetSharesWork:
-    """One Gram-kernel pass, one rank test and one rational solve per
-    set; the checks that read them still compare two routes."""
+    """One distance build, one Gram build, one Gram-kernel pass, one
+    rank test and one rational solve per set; the checks that read them
+    still compare two routes. `check_point_set` builds a fresh set, so
+    no cache filled elsewhere hides a build."""
 
     def _count(self, monkeypatch, tail, n):
         calls = count_calls(
@@ -236,18 +238,15 @@ class TestCheckPointSetSharesWork:
 
     def test_independent_set(self, monkeypatch):
         calls = self._count(monkeypatch, H3_SET.bits[1:], 3)
-        # gram_rows: one for det_via_bordered_gram, one for gram_solve;
-        # distance_rows: one for det_distance_matrix, one for
-        # bordered_distance_det
         assert calls == {
-            "gram_eliminate": 1, "rank_of_bits": 1, "gram_rows": 2, "distance_rows": 2, "solve": 1
+            "gram_eliminate": 1, "rank_of_bits": 1, "gram_rows": 1, "distance_rows": 1, "solve": 1
         }
 
     def test_dependent_set(self, monkeypatch):
         calls = self._count(monkeypatch, FULL_H2.bits[1:], 2)
         # the kernel witness is checked from the bit patterns, not from a
-        # third distance matrix
-        assert calls == {"gram_eliminate": 1, "rank_of_bits": 1, "gram_rows": 1, "distance_rows": 2}
+        # second distance matrix
+        assert calls == {"gram_eliminate": 1, "rank_of_bits": 1, "gram_rows": 1, "distance_rows": 1}
 
     @pytest.mark.parametrize(
         "bump",
@@ -259,8 +258,8 @@ class TestCheckPointSetSharesWork:
         sum-kept case breaks only D c = 0, since D e_0 != D e_1."""
         real = identities.kernel_witness
 
-        def wrong(s, kernel=None):
-            c = real(s, kernel)
+        def wrong(s):
+            c = real(s)
             return tuple(v + d for v, d in zip(c, bump)) + c[len(bump):]
 
         monkeypatch.setattr(identities, "kernel_witness", wrong)
@@ -291,6 +290,46 @@ class TestCheckPointSetSharesWork:
         assert report.counter("det_via_gram_quad").failed == 0
 
 
+class TestSweepsCountRouteErrors:
+    """A second route that raises fails the counters reading it; the
+    sweep itself returns normally."""
+
+    @staticmethod
+    def _failed(report):
+        return {name for name, c in report.counters.items() if c.failed}
+
+    @pytest.mark.parametrize(
+        "rank,tail,n",
+        [(len, (1, 2, 3), 2), (lambda tail: 0, (1, 2, 4), 3)],
+        ids=["claims-independent", "claims-dependent"],
+    )
+    def test_wrong_rank_test(self, monkeypatch, rank, tail, n):
+        monkeypatch.setattr(cube, "rank_of_bits", lambda bits, n: rank(bits))
+        report = verify.SweepReport("injected")
+        verify.check_point_set(tail, n, report)
+        assert self._failed(report) == {"affine_criterion"}
+
+    def test_singular_tree_distance_matrix(self, monkeypatch):
+        real = trees.tree_distance_rows
+
+        def singular(t):
+            rows = real(t)
+            rows[1] = rows[0][:]
+            return rows
+
+        monkeypatch.setattr(trees, "tree_distance_rows", singular)
+        report = verify.SweepReport("injected")
+        verify.check_tree(trees.prufer_to_tree((0, 0), 4), report, deep=True)
+        assert "inverse_entries_direct" in self._failed(report)
+
+    def test_embedding_repeats_a_point(self, monkeypatch):
+        real = trees.embed_bits
+        monkeypatch.setattr(trees, "embed_bits", lambda t: [*real(t)[:-1], 0])
+        report = verify.SweepReport("injected")
+        verify.check_tree(trees.prufer_to_tree((0, 0), 4), report, deep=True)
+        assert "embedded_dinv_value" in self._failed(report)
+
+
 class TestOneRoutePerAnswer:
     """The per-set invariants read one Gram-kernel pass, and the
     rational route learns dependence from its own determinant: neither
@@ -302,6 +341,7 @@ class TestOneRoutePerAnswer:
     )
     @pytest.mark.parametrize("s", [H3_SET, PAIR_B, FULL_H2], ids=["h3", "pair", "dependent"])
     def test_no_rank_test(self, monkeypatch, name, kernel_passes, s):
+        s = PointSet(s.n, s.bits)  # a fresh set: no kernel cached by an earlier test
         calls = count_calls(monkeypatch, cube, "rank_of_bits", "gram_eliminate")
         try:
             getattr(identities, name)(s)

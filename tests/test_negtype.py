@@ -207,10 +207,11 @@ class TestMuruganRoutes:
     pivoting det_int, and the Gram kernel plus the scan."""
 
     def test_call_counts(self, monkeypatch):
-        calls = count_calls(monkeypatch, cube, "rank_of_bits", "gram_eliminate")
+        calls = count_calls(monkeypatch, cube, "rank_of_bits", "gram_eliminate", "distance_rows")
         count_calls(monkeypatch, negtype, "det_int", calls=calls)
-        assert negtype.murugan_classify(H3_SET).consistent
-        assert calls == {"rank_of_bits": 1, "gram_eliminate": 1, "det_int": 2}
+        # a fresh set: nothing cached by an earlier test
+        assert negtype.murugan_classify(PointSet(H3_SET.n, H3_SET.bits)).consistent
+        assert calls == {"rank_of_bits": 1, "gram_eliminate": 1, "distance_rows": 1, "det_int": 2}
 
     @pytest.mark.parametrize(
         "s", [H3_SET, TWO_POINTS, FULL_H2, PATH3], ids=["h3", "pair", "dependent", "path"]
@@ -223,7 +224,8 @@ class TestMuruganRoutes:
             wp_exceeds_1=negtype.sanchez_wp(s).wp > 1.0,
         )
         calls = count_calls(monkeypatch, cube, "distance_rows")
-        assert negtype.murugan_classify(s) == want
+        # a fresh set, since the public calls above filled the caches of s
+        assert negtype.murugan_classify(PointSet(s.n, s.bits)) == want
         assert calls == {"distance_rows": 1}
 
     def test_scans_run_no_rank_test_and_no_det_int(self, monkeypatch):

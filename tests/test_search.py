@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import comb
 
@@ -176,6 +177,23 @@ class TestRandomProbe:
             search.random_probe(4, 2, 11, seed=0, budget=10)
         assert err.value.required == 11
         assert search.random_probe(4, 2, 10, seed=0, budget=10).sets_examined == 10
+
+    @pytest.mark.parametrize("n,m", [(2, 3), (3, 5), (4, 7), (5, 9)])
+    def test_more_points_than_coordinates(self, n, m):
+        """The answer returned without drawing: every drawn tail of more
+        than n points is dependent, as the kernel confirms."""
+        for seed in range(3):
+            res = search.random_probe(n, m, 50, seed=seed)
+            assert (res.sets_examined, res.independent_count) == (50, 0)
+            assert res.witness is None and res.min_value is None and res.violations == ()
+            rng = random.Random(seed)
+            assert all(cube.gram_eliminate(cube.random_tail(rng, n, m))[-1] for _ in range(50))
+
+    def test_huge_m_draws_nothing(self, monkeypatch):
+        # drawing 10^9 patterns would take minutes and gigabytes: fail at once instead
+        monkeypatch.setattr(cube, "random_tail", None)
+        res = search.random_probe(40, 10**9, 5, seed=1)
+        assert (res.sets_examined, res.independent_count) == (5, 0)
 
     def test_json_has_seed_only_in_random_mode(self):
         r = search.min_dinv_ones(3, 2)
