@@ -76,3 +76,32 @@ def test_search(capsys, argv, digest):
 def test_verify_small_caps(capsys):
     out = _run(capsys, ["verify", "--n-cap", "3", "--tree-cap", "6"])
     assert _digest([out]) == "ca2647c25b586e12d5f624058cf4a1c97dadbcd1b7f3f38f9fbcfa2a9bb603e8"
+
+
+def test_verify_random_n6(capsys):
+    """Random n=6 sets of up to 64 points: their D, bordered Gram and
+    bordered D matrices are the large determinants of the sweep."""
+    argv = ["verify", "--n-cap", "2", "--tree-cap", "3", "--random-dim", "6", "--random-samples", "300"]
+    out = _run(capsys, argv)
+    assert _digest([out]) == "33e9c381431e3bb48dcea6da96e5c3e0184c03b3b44ee48b68e53c66be4213c1"
+
+
+LARGE_SETS = [
+    (6, (0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 60, 61, 62, 63, 7, 12)),
+    (6, tuple(range(0, 64, 2)) + (1, 3, 5, 7, 9, 11, 13, 15)),
+    (8, tuple((37 * i + 11) % 256 for i in range(48))),
+]
+
+
+def test_report_large_sets(capsys, tmp_path):
+    """Sets of 16 to 64 points, whose determinants run on matrices of
+    at least 16 rows."""
+
+    def outputs():
+        path = tmp_path / "set.txt"
+        for n, bits in LARGE_SETS:
+            rows = [_pattern(b, n) for b in bits]
+            path.write_text(f"{n} {len(rows)}\n" + "\n".join(rows) + "\n")
+            yield _run(capsys, ["report", str(path)])
+
+    assert _digest(outputs()) == "f68486a24b996ef178e0191812b0ceb7682b799bbaaa908f1b3145788bc421df"
