@@ -34,7 +34,8 @@ kernel over a whole tail; the search walk calls `gram_push` directly.
 
 `rank_of_bits`, behind `linear_independent`/`affinely_independent`, is
 a separate rank test; it runs only where independence is itself the
-reported or compared answer.
+reported or compared answer, and only on tails of at most n points
+(more are dependent in R^n without one).
 """
 
 from __future__ import annotations
@@ -258,11 +259,12 @@ def linear_independent(s: PointSet) -> bool:
     """Whether x_1, ..., x_m are linearly independent (Gram criterion).
 
     Requires a normalized set: for unnormalized input the question
-    concerns the differences from the base, so normalize first.
+    concerns the differences from the base, so normalize first. More
+    than n tail points in R^n are dependent without a rank test.
     """
     if not s.normalized:
         raise ValueError("linear_independent needs a normalized set; call normalize() first")
-    return rank_of_bits(s.bits[1:], s.n) == s.m
+    return s.m <= s.n and rank_of_bits(s.bits[1:], s.n) == s.m
 
 
 def affinely_independent(s: PointSet) -> bool:

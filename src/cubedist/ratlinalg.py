@@ -2,7 +2,12 @@
 
 `det_int` and `rank_int` run fraction-free (Bareiss) elimination on
 plain lists of Python ints, destructively, so every intermediate value
-is an integer. `RationalMatrix` holds `fractions.Fraction` entries,
+is an integer. A square matrix of at least `INT64_MIN_ROWS` rows is
+first eliminated in numpy int64, with every intermediate entry checked
+against `INT64_LIMIT`; any entry at or past it sends the matrix back to
+the Python-int loop, so the result is exact either way. Below that size
+the Python loop is faster than numpy's per-step overhead.
+`RationalMatrix` holds `fractions.Fraction` entries,
 which stay in canonical form (positive denominator, gcd-reduced), and
 gives the second routes that the sweeps compare the Gram kernel
 against: an exact inverse and an exact linear solve. Both run through
@@ -17,21 +22,82 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import DimensionError, SingularMatrixError
 
 
+# Square matrices with at least this many rows try the int64 route first.
+# Measured per call: at k=12 the Python loop takes 61 us against numpy's
+# 88 us; at k=32 numpy takes 131 us against 389 us.
+INT64_MIN_ROWS = 16
+
+# Every entry the int64 route multiplies is below this in magnitude, so
+# both products piv*x and f*y are below 2^62 and their difference below
+# 2^63: one Bareiss step cannot overflow int64.
+INT64_LIMIT = 1 << 31
+
+
+def _det_int64(rows: list[list[int]]) -> int | None:
+    """`det_int` of a square matrix in numpy int64, or None when an entry
+    reaches `INT64_LIMIT` in magnitude, on input or after any step.
+
+    The same row-pivoting Bareiss elimination as the Python loop, on a
+    copy: `rows` is never modified.
+    """
+    try:
+        a = np.array(rows, dtype=np.int64)
+    except OverflowError:
+        return None
+    # max and min, not abs: abs(-2^63) wraps to -2^63 in int64
+    if a.max() >= INT64_LIMIT or a.min() <= -INT64_LIMIT:
+        return None
+    k = len(rows)
+    sign = 1
+    prev = 1
+    for c in range(k - 1):
+        if a[c, c] == 0:
+            below = np.flatnonzero(a[c + 1 :, c])
+            if below.size == 0:
+                return 0
+            r = c + 1 + int(below[0])
+            a[[c, r], c:] = a[[r, c], c:]
+            sign = -sign
+        piv = int(a[c, c])
+        sub = a[c + 1 :, c + 1 :]
+        sub *= piv
+        sub -= np.outer(a[c + 1 :, c], a[c, c + 1 :])
+        if prev != 1:
+            sub //= prev
+        if sub.max() >= INT64_LIMIT or sub.min() <= -INT64_LIMIT:
+            return None
+        prev = piv
+    return sign * int(a[k - 1, k - 1])
+
+
 def det_int(rows: list[list[int]]) -> int:
-    """Determinant of the leading k x k block of k rows, destroying `rows`.
+    """Determinant of the leading k x k block of k rows; may destroy `rows`.
 
     Bareiss elimination with row pivoting: every intermediate entry is
     an exact minor of the input, so all divisions are exact and entry
     growth stays polynomial in the minors. Columns past k take the same
     row operations: with a nonzero result, rows[i][i:] is row i of the
     fraction-free echelon form of the whole matrix.
+
+    A square input with at least `INT64_MIN_ROWS` rows runs the same
+    elimination in numpy int64 on a copy, as long as every entry stays
+    below `INT64_LIMIT` = 2^31 in magnitude (checked on entry and after
+    each step; the bound keeps each step's products below 2^62 and their
+    difference below 2^63). Otherwise, and for smaller or wider inputs,
+    the Python-int loop below runs on `rows` itself.
     """
     k = len(rows)
     if k == 0:
         return 1
+    if k >= INT64_MIN_ROWS and len(rows[0]) == k:
+        det = _det_int64(rows)
+        if det is not None:
+            return det
     sign = 1
     prev = 1
     for c in range(k - 1):

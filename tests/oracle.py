@@ -7,7 +7,9 @@ over signed integers. Tests compute expected values through these and
 compare the package's fast routes against them.
 
 The exceptions are the slow paths that faster code replaced, kept so
-that the fast routes are compared against them: the `Fraction`
+that the fast routes are compared against them: `det_oracle`, a
+`Fraction` Gaussian elimination for matrices too large to expand by
+permutations, against which `det_int`'s int64 route is tested; the `Fraction`
 Gauss-Jordan inverse and Gaussian solve that `RationalMatrix.inverse`
 and `.solve` ran before they went through `det_int`; the `Fraction`
 Gaussian elimination that built kernel witnesses; the rank test and
@@ -81,6 +83,29 @@ def leibniz_det(rows):
         )
         total += term if inversions % 2 == 0 else -term
     return total
+
+
+def det_oracle(rows):
+    """Determinant by Gaussian elimination over `Fraction` (first
+    nonzero pivot, no fraction-free update); leaves `rows` untouched.
+    The slow route that `det_int`'s int64 elimination is compared with."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    k = len(a)
+    det = Fraction(1)
+    for c in range(k):
+        piv_i = next((i for i in range(c, k) if a[i][c] != 0), None)
+        if piv_i is None:
+            return Fraction(0)
+        if piv_i != c:
+            a[c], a[piv_i] = a[piv_i], a[c]
+            det = -det
+        piv = a[c][c]
+        det *= piv
+        for i in range(c + 1, k):
+            if a[i][c] != 0:
+                f = a[i][c] / piv
+                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return det
 
 
 def l1_distance(a, b):

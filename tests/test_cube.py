@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,13 @@ from cubedist.cube import (
 )
 from cubedist.errors import CubedistError, DegenerateMetricError, DimensionError, ParseError
 from cubedist.ratlinalg import det_int
-from oracle import coords, distance_matrix_from_coords, format_point_set, gram_of_differences
+from oracle import (
+    coords,
+    count_calls,
+    distance_matrix_from_coords,
+    format_point_set,
+    gram_of_differences,
+)
 
 
 def ps(*rows):
@@ -262,6 +269,17 @@ class TestIndependence:
     def test_more_points_than_dimension(self):
         s = PointSet.from_bits(2, [0, 1, 2, 3])
         assert not linear_independent(s)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_more_tail_points_than_dimension_skip_the_rank_test(self, monkeypatch, n):
+        calls = count_calls(monkeypatch, cube, "rank_of_bits")
+        tails = [
+            tail for m in range(n + 1, 1 << n) for tail in combinations(range(1, 1 << n), m)
+        ]
+        assert tails
+        for tail in tails:
+            assert not linear_independent(PointSet.from_bits(n, (0, *tail)))
+        assert calls["rank_of_bits"] == 0
 
     def test_requires_normalized(self):
         with pytest.raises(ValueError):

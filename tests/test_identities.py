@@ -245,8 +245,8 @@ class TestCheckPointSetSharesWork:
     def test_dependent_set(self, monkeypatch):
         calls = self._count(monkeypatch, FULL_H2.bits[1:], 2)
         # the kernel witness is checked from the bit patterns, not from a
-        # second distance matrix
-        assert calls == {"gram_eliminate": 1, "rank_of_bits": 1, "gram_rows": 1, "distance_rows": 1}
+        # second distance matrix; m = 3 > n = 2 needs no rank test
+        assert calls == {"gram_eliminate": 1, "gram_rows": 1, "distance_rows": 1}
 
     @pytest.mark.parametrize(
         "bump",
@@ -300,7 +300,7 @@ class TestSweepsCountRouteErrors:
 
     @pytest.mark.parametrize(
         "rank,tail,n",
-        [(len, (1, 2, 3), 2), (lambda tail: 0, (1, 2, 4), 3)],
+        [(len, (1, 2, 3), 3), (lambda tail: 0, (1, 2, 4), 3)],
         ids=["claims-independent", "claims-dependent"],
     )
     def test_wrong_rank_test(self, monkeypatch, rank, tail, n):

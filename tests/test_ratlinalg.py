@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from math import lcm
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,11 @@ from cubedist.cube import PointSet
 from cubedist.errors import DimensionError, SingularMatrixError
 from cubedist.ratlinalg import RationalMatrix, det_int, rank_int
 from oracle import (
+    bordered,
     count_calls,
+    det_oracle,
+    distance_matrix_from_coords,
+    gram_of_differences,
     inverse_oracle,
     leibniz_det,
     matmul,
@@ -81,6 +86,141 @@ class TestDet:
         a, b = pair
         prod = matmul(a, b)
         assert det_int(prod) == det_int([r[:] for r in a]) * det_int([r[:] for r in b])
+
+
+def _low_rank_product(rng, k):
+    r = rng.randint(1, 10)
+    a = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(k)]
+    b = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(r)]
+    return matmul(a, b)
+
+
+def _small_minors(rng, k):
+    """L U with L and U sparse unit-triangular, except for a few 2s on
+    U's diagonal: nonsingular, with leading minors 1, 2, 4 or 8, so the
+    int64 route runs to the end and its divisions by the pivots matter."""
+    twos = set(rng.sample(range(k), rng.randint(1, 3)))
+    lo = [[int(i == j) or (j < i and rng.random() < 0.1) * rng.choice((-1, 1)) for j in range(k)] for i in range(k)]
+    up = [
+        [(2 if i in twos else 1) if i == j else (j > i and rng.random() < 0.1) * rng.choice((-1, 1)) for j in range(k)]
+        for i in range(k)
+    ]
+    return matmul(lo, up)
+
+
+def _huge_entry(rng, k):
+    """Small entries and one past int64's guard or range."""
+    rows = [[rng.randint(-7, 7) for _ in range(k)] for _ in range(k)]
+    big = rng.choice((2**31, 2**31 + rng.randint(0, 2**20), 2**63 - 1, 2**63, 2**64 + 3))
+    rows[rng.randrange(k)][rng.randrange(k)] = rng.choice((1, -1)) * big
+    return rows
+
+
+def _near_2_20(rng, k):
+    """Entries near 2^20 pass the guard on entry; their products trip it."""
+    return [[(1 << 20) + rng.randint(-8, 8) for _ in range(k)] for _ in range(k)]
+
+
+_INT64_CASES = {
+    "dense": lambda rng, k: [[rng.randint(-7, 7) for _ in range(k)] for _ in range(k)],
+    "low-rank": _low_rank_product,
+    "small-minors": _small_minors,
+    "huge-entry": _huge_entry,
+    "near-2^20": _near_2_20,
+}
+
+
+def _point_set_matrices(rng):
+    """D, bordered Gram and bordered D of a random set of 16 to 47
+    points in H_6..H_8, built by the oracle helpers."""
+    n = rng.randint(6, 8)
+    pts = [tuple((b >> i) & 1 for i in range(n)) for b in rng.sample(range(1 << n), rng.randint(16, 47))]
+    d = distance_matrix_from_coords(pts)
+    g = gram_of_differences(pts)
+    u = [g[i][i] for i in range(len(g))]
+    return [d, bordered(g, u, 0), bordered(d, [1] * len(d), 0)]
+
+
+class _Spy:
+    """Records what each `_det_int64` call returned."""
+
+    def __init__(self):
+        self.results = []
+        self._real = ratlinalg._det_int64
+
+    def __call__(self, rows):
+        result = self._real(rows)
+        self.results.append(result)
+        return result
+
+
+class TestInt64Route:
+    """Square matrices of at least `INT64_MIN_ROWS` rows are eliminated in
+    int64 under a guard; every answer must equal the `Fraction` oracle's,
+    whether the int64 route finished or fell back to Python ints. With
+    the guard lowered to 64 the fallback runs on ordinary inputs too."""
+
+    @pytest.mark.parametrize("limit", [ratlinalg.INT64_LIMIT, 64], ids=["guard-2^31", "guard-64"])
+    @pytest.mark.parametrize("kind", list(_INT64_CASES))
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(k=st.integers(16, 48), seed=st.integers(0, 2**32))
+    def test_matches_fraction_oracle(self, limit, kind, k, seed):
+        rows = _INT64_CASES[kind](random.Random(seed), k)
+        expected = det_oracle(rows)
+        with patch.object(ratlinalg, "INT64_LIMIT", limit):
+            assert det_int([row[:] for row in rows]) == expected
+
+    @pytest.mark.parametrize("limit", [ratlinalg.INT64_LIMIT, 64], ids=["guard-2^31", "guard-64"])
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32))
+    def test_point_set_matrices(self, limit, seed):
+        spy = _Spy()
+        with patch.object(ratlinalg, "_det_int64", spy), patch.object(ratlinalg, "INT64_LIMIT", limit):
+            for rows in _point_set_matrices(random.Random(seed)):
+                copy = [row[:] for row in rows]
+                assert det_int(copy) == det_oracle(rows) == 0
+        assert len(spy.results) == 3
+        if limit == ratlinalg.INT64_LIMIT:
+            # the int64 route ran to its answer on every matrix
+            assert spy.results == [0, 0, 0]
+
+    def test_small_minors_finish_in_int64(self):
+        spy = _Spy()
+        with patch.object(ratlinalg, "_det_int64", spy):
+            for seed in range(20):
+                rows = _small_minors(random.Random(seed), 16 + seed)
+                assert det_int([row[:] for row in rows]) == det_oracle(rows) != 0
+        assert None not in spy.results
+
+    def test_int64_route_leaves_rows_intact(self):
+        rows = _small_minors(random.Random(7), 20)
+        copy = [row[:] for row in rows]
+        assert ratlinalg._det_int64(copy) == det_oracle(rows)
+        assert copy == rows
+
+    @pytest.mark.parametrize("big", [2**31, -(2**31), 2**63 - 1, -(2**63), 2**63, -(2**63) - 1])
+    def test_entry_past_the_guard_falls_back(self, big):
+        rows = eye(16)
+        rows[3][5] = big
+        assert ratlinalg._det_int64([row[:] for row in rows]) is None
+        assert det_int(rows) == 1
+        rows = eye(16)
+        rows[4][4] = big
+        assert det_int(rows) == big
+
+    def test_guard_trips_mid_way(self):
+        rows = _near_2_20(random.Random(1), 16)
+        assert max(map(max, rows)) < ratlinalg.INT64_LIMIT
+        assert ratlinalg._det_int64([row[:] for row in rows]) is None
+        assert det_int([row[:] for row in rows]) == det_oracle(rows)
+
+    @pytest.mark.parametrize("k", [ratlinalg.INT64_MIN_ROWS - 1, 3])
+    def test_small_and_wide_inputs_stay_on_python_ints(self, monkeypatch, k):
+        spy = _Spy()
+        monkeypatch.setattr(ratlinalg, "_det_int64", spy)
+        assert det_int(eye(k)) == 1
+        assert M(eye(ratlinalg.INT64_MIN_ROWS)).inverse() == M(eye(ratlinalg.INT64_MIN_ROWS))
+        assert spy.results == []
 
 
 class TestRank:
