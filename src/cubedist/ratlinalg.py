@@ -28,8 +28,10 @@ from .errors import DimensionError, SingularMatrixError
 
 
 # Square matrices with at least this many rows try the int64 route first.
-# Measured per call: at k=12 the Python loop takes 61 us against numpy's
-# 88 us; at k=32 numpy takes 131 us against 389 us.
+# Per call on distance matrices of random sets in H_6 (2 vCPUs, Python
+# 3.11.7, numpy 2.4.6), Python loop against int64 route: 174 against
+# 181-192 us at k=12, 301-314 against 212-234 us at k=16, 3.4-3.7 ms
+# against 425-450 us at k=64. numpy's fixed cost per step loses below 16.
 INT64_MIN_ROWS = 16
 
 # Every entry the int64 route multiplies is below this in magnitude, so
