@@ -4,7 +4,7 @@ from math import lcm
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from cubedist import identities, ratlinalg
@@ -100,9 +100,13 @@ def _small_minors(rng, k):
     U's diagonal: nonsingular, with leading minors 1, 2, 4 or 8, so the
     int64 route runs to the end and its divisions by the pivots matter."""
     twos = set(rng.sample(range(k), rng.randint(1, 3)))
-    lo = [[int(i == j) or (j < i and rng.random() < 0.1) * rng.choice((-1, 1)) for j in range(k)] for i in range(k)]
+
+    def sparse_sign():
+        return rng.choice((-1, 1)) if rng.random() < 0.1 else 0
+
+    lo = [[1 if i == j else sparse_sign() if j < i else 0 for j in range(k)] for i in range(k)]
     up = [
-        [(2 if i in twos else 1) if i == j else (j > i and rng.random() < 0.1) * rng.choice((-1, 1)) for j in range(k)]
+        [(2 if i in twos else 1) if i == j else sparse_sign() if j > i else 0 for j in range(k)]
         for i in range(k)
     ]
     return matmul(lo, up)
@@ -154,6 +158,11 @@ class _Spy:
         return result
 
 
+# A seed draws a whole matrix, so shrinking it finds no simpler one; it
+# only reruns the oracle on more matrices of up to 48 rows.
+_NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
+
+
 class TestInt64Route:
     """Square matrices of at least `INT64_MIN_ROWS` rows are eliminated in
     int64 under a guard; every answer must equal the `Fraction` oracle's,
@@ -162,16 +171,20 @@ class TestInt64Route:
 
     @pytest.mark.parametrize("limit", [ratlinalg.INT64_LIMIT, 64], ids=["guard-2^31", "guard-64"])
     @pytest.mark.parametrize("kind", list(_INT64_CASES))
-    @settings(max_examples=12, deadline=None, derandomize=True)
+    @settings(max_examples=8, deadline=None, derandomize=True, phases=_NO_SHRINK)
     @given(k=st.integers(16, 48), seed=st.integers(0, 2**32))
     def test_matches_fraction_oracle(self, limit, kind, k, seed):
         rows = _INT64_CASES[kind](random.Random(seed), k)
         expected = det_oracle(rows)
-        with patch.object(ratlinalg, "INT64_LIMIT", limit):
+        spy = _Spy()
+        with patch.object(ratlinalg, "_det_int64", spy), patch.object(ratlinalg, "INT64_LIMIT", limit):
             assert det_int([row[:] for row in rows]) == expected
+        if kind == "small-minors" and limit == ratlinalg.INT64_LIMIT:
+            # the int64 route itself gave the nonzero answer
+            assert spy.results == [expected] != [0]
 
     @pytest.mark.parametrize("limit", [ratlinalg.INT64_LIMIT, 64], ids=["guard-2^31", "guard-64"])
-    @settings(max_examples=15, deadline=None, derandomize=True)
+    @settings(max_examples=10, deadline=None, derandomize=True, phases=_NO_SHRINK)
     @given(seed=st.integers(0, 2**32))
     def test_point_set_matrices(self, limit, seed):
         spy = _Spy()
@@ -183,14 +196,6 @@ class TestInt64Route:
         if limit == ratlinalg.INT64_LIMIT:
             # the int64 route ran to its answer on every matrix
             assert spy.results == [0, 0, 0]
-
-    def test_small_minors_finish_in_int64(self):
-        spy = _Spy()
-        with patch.object(ratlinalg, "_det_int64", spy):
-            for seed in range(20):
-                rows = _small_minors(random.Random(seed), 16 + seed)
-                assert det_int([row[:] for row in rows]) == det_oracle(rows) != 0
-        assert None not in spy.results
 
     def test_int64_route_leaves_rows_intact(self):
         rows = _small_minors(random.Random(7), 20)
@@ -214,12 +219,12 @@ class TestInt64Route:
         assert ratlinalg._det_int64([row[:] for row in rows]) is None
         assert det_int([row[:] for row in rows]) == det_oracle(rows)
 
-    @pytest.mark.parametrize("k", [ratlinalg.INT64_MIN_ROWS - 1, 3])
-    def test_small_and_wide_inputs_stay_on_python_ints(self, monkeypatch, k):
+    def test_small_and_wide_inputs_stay_on_python_ints(self, monkeypatch):
         spy = _Spy()
         monkeypatch.setattr(ratlinalg, "_det_int64", spy)
-        assert det_int(eye(k)) == 1
-        assert M(eye(ratlinalg.INT64_MIN_ROWS)).inverse() == M(eye(ratlinalg.INT64_MIN_ROWS))
+        k = ratlinalg.INT64_MIN_ROWS
+        assert det_int(eye(k - 1)) == 1
+        assert M(eye(k)).inverse() == M(eye(k))
         assert spy.results == []
 
 
