@@ -17,11 +17,13 @@ One exact route per answer: the per-set invariants read det G,
 cached `kernel`, through `kernel_quad`). The second routes (pivoting
 determinants, `gram_solve`'s rational solve) stay separate so that the
 sweeps compare two computations of each identity, and learn dependence
-from their own elimination. Every function reads the set's cached
-distance rows, Gram rows and kernel (`PointSet.d_rows`, `.gram`,
-`.kernel`), so a set's matrices are built once however many identities
-are checked on it; eliminations copy the rows first. Nothing here runs
-a rank test.
+from their own elimination. `verify` runs them on independent sets only:
+a dependent set's zeros are certified there by `kernel_witness`, and the
+eliminations here are the tests' oracle for that certificate. Every
+function reads the set's cached distance rows, Gram rows and kernel
+(`PointSet.d_rows`, `.gram`, `.kernel`), so a set's matrices are built
+once however many identities are checked on it; eliminations copy the
+rows first. Nothing here runs a rank test.
 """
 
 from __future__ import annotations

@@ -22,8 +22,6 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .errors import DimensionError, SingularMatrixError
 
 
@@ -45,8 +43,11 @@ def _det_int64(rows: list[list[int]]) -> int | None:
     reaches `INT64_LIMIT` in magnitude, on input or after any step.
 
     The same row-pivoting Bareiss elimination as the Python loop, on a
-    copy: `rows` is never modified.
+    copy: `rows` is never modified. numpy is imported here, not at module
+    level, so that importing the package does not load it.
     """
+    import numpy as np
+
     try:
         a = np.array(rows, dtype=np.int64)
     except OverflowError:

@@ -2,7 +2,10 @@
 
 The identity sweep walks normalized point sets (exhaustively for small
 n, seeded-random samples for larger n) and recomputes each determinant
-identity along two independent routes, comparing exactly. The tree
+identity along two independent routes, comparing exactly. On a dependent
+set every determinant checked is 0, and the set's kernel witness c
+certifies each zero from the bit patterns (D c = 0, G c_tail = 0,
+u.c_tail = 0, sum c = 0) without building D or G. The tree
 sweep walks all labeled trees up to a vertex cap via Prufer sequences
 and checks the embedding, the determinant formula, and the closed-form
 inverse. Failures are counted, never raised, so a report always comes
@@ -79,14 +82,19 @@ _IDENTITY_CHECKS = (
 def check_point_set(tail: tuple[int, ...], n: int, report: SweepReport) -> None:
     """Run every identity check on the normalized set {0} + tail.
 
-    The set builds D, (G, u) and the Gram kernel once; each check still
-    compares two routes. The checks branch on the kernel's dependence, and
-    the rank test feeds only `affine_criterion`. A second route that
-    raises a CubedistError fails every counter that reads it.
+    The checks branch on the Gram kernel's dependence. A dependent set is
+    certified by its kernel witness (`_certify_dependent`) and never
+    builds D or (G, u). An independent set builds D, (G, u) and the Gram
+    kernel once, and each check compares two routes; the rank test feeds
+    only `affine_criterion`. A second route that raises a CubedistError
+    fails every counter that reads it.
     """
     m = len(tail)
-    bits = (0,) + tail
-    s = PointSet.from_bits(n, bits)
+    s = PointSet.from_bits(n, (0,) + tail)
+    det_g, kernel_gq = identities.kernel_quad(s)
+    if kernel_gq is None:
+        _certify_dependent(s, tail, det_g, report)
+        return
     det_direct = identities.det_distance_matrix(s)
     report.counter("det_via_bordered_gram").add(
         identities.det_via_bordered_gram(s) == det_direct, tail
@@ -98,22 +106,6 @@ def check_point_set(tail: tuple[int, ...], n: int, report: SweepReport) -> None:
         bord_val = None
         report.counter("bordered_distance_det").add(False, tail)
     report.counter("affine_criterion").add((det_direct != 0) == cube.linear_independent(s), tail)
-    det_g, kernel_gq = identities.kernel_quad(s)
-    if kernel_gq is None:
-        c_vec = identities.kernel_witness(s)
-        # D c = 0, read off the patterns: (D c)_a = sum_j c_j |a ^ x_j|
-        live = [(x, cj) for x, cj in zip(bits, c_vec) if cj]
-        annihilates = all(
-            sum(cj * (a ^ x).bit_count() for x, cj in live) == 0 for a in bits
-        )
-        ok = (
-            det_direct == 0
-            and any(c_vec)
-            and sum(c_vec) == 0
-            and annihilates
-        )
-        report.counter("dependent_kernel").add(ok, tail)
-        return
     try:
         solve_det_g, gq = identities.gram_solve(s)
     except CubedistError:
@@ -134,6 +126,33 @@ def check_point_set(tail: tuple[int, ...], n: int, report: SweepReport) -> None:
         report.counter("full_dim_det").add(
             det_direct == identities.det_from_gram_quad(n, det_g, n), tail
         )
+
+
+def _certify_dependent(s: PointSet, tail: tuple[int, ...], det_g: int, report: SweepReport) -> None:
+    """The counters of a dependent set, proved by its kernel witness c.
+
+    Every product is read off the bit patterns over supp c only:
+    (D c)_a = sum_j c_j |a ^ x_j| and (G c)_a = sum_j c_j |a & x_j|.
+    - c != 0 and D c = 0 give det D = 0;
+    - G c_tail = 0 and u.c_tail = 0 mean (0, c_1..c_m) annihilates
+      [[0, u^T], [u, G]], so its determinant is 0 as well;
+    - sum c = 0 with D c = 0 means (0, c) annihilates [[0, 1^T], [1, D]],
+      whose formula side is 0 when the kernel's det G is.
+    The pivoting eliminations these replace stay in `identities`.
+    """
+    c = identities.kernel_witness(s)
+    live = [(x, cj) for x, cj in zip(s.bits, c) if cj]
+    live_tail = [(x, cj) for x, cj in zip(tail, c[1:]) if cj]
+    d_null = bool(live) and all(
+        sum(cj * (a ^ x).bit_count() for x, cj in live) == 0 for a in s.bits
+    )
+    g_null = all(sum(cj * (a & x).bit_count() for x, cj in live_tail) == 0 for a in tail)
+    u_null = sum(cj * x.bit_count() for x, cj in live_tail) == 0
+    sum_null = sum(c) == 0
+    report.counter("det_via_bordered_gram").add(d_null and g_null and u_null, tail)
+    report.counter("bordered_distance_det").add(d_null and sum_null and det_g == 0, tail)
+    report.counter("affine_criterion").add(d_null and not cube.linear_independent(s), tail)
+    report.counter("dependent_kernel").add(d_null and sum_null, tail)
 
 
 def identity_sweep_exhaustive(n: int) -> SweepReport:

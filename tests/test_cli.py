@@ -305,6 +305,26 @@ def _run_optimized(args):
     return _run_python(["-O", *args])
 
 
+def test_package_import_leaves_numpy_unloaded():
+    """Only `negtype` and `det_int`'s int64 route need numpy, so importing
+    the package and sweeping H_3 load none; negtype still loads on use."""
+    script = (
+        "import sys\n"
+        "import cubedist, cubedist.verify\n"
+        "assert 'numpy' not in sys.modules\n"
+        "assert cubedist.verify.identity_sweep_exhaustive(3).ok\n"
+        "assert 'numpy' not in sys.modules\n"
+        "from cubedist import sanchez_wp\n"
+        "assert 'numpy' in sys.modules\n"
+        "assert sanchez_wp is cubedist.negtype.sanchez_wp\n"
+        "s = cubedist.PointSet.from_bits(2, (0, 1, 3))\n"
+        "print(cubedist.negtype.murugan_classify(s).affinely_independent)\n"
+    )
+    proc = _run_python(["-c", script])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True\n"
+
+
 def test_console_entry_point():
     proc = _run_python(["-m", "cubedist.cli", "search", "--n", "2", "--m", "1"])
     assert proc.returncode == 0

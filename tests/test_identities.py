@@ -131,9 +131,9 @@ def _random_tails(draw):
 
 
 @st.composite
-def _dependent_tails(draw):
+def _dependent_tails(draw, dims=(2, 8)):
     """Tails holding x, y and x | y for disjoint x, y, in random order."""
-    n = draw(st.integers(2, 8))
+    n = draw(st.integers(*dims))
     x = draw(st.integers(1, (1 << n) - 1))
     y = draw(st.integers(1, (1 << n) - 1)) & ~x
     assume(y)
@@ -176,10 +176,51 @@ class TestKernelWitnessAgainstOracle:
                 if cube.linear_independent(s):
                     continue
                 checked += 1
-                c = identities.kernel_witness(s)
-                assert c == kernel_witness_oracle(s)
-                assert matvec(cube.distance_rows(s.bits), c) == [0] * (m + 1)
+                assert identities.kernel_witness(s) == kernel_witness_oracle(s)
+                _check_certificate(3, tail)
         assert checked == 70
+
+
+def _check_certificate(n, tail):
+    """On a dependent set the three eliminated determinants are 0, every
+    product the certificate reads off the bit patterns vanishes on the
+    built matrices too, and `check_point_set` passes its four counters."""
+    s = PointSet.from_bits(n, (0, *tail))
+    assert identities.det_distance_matrix(s) == 0
+    assert identities.det_via_bordered_gram(s) == 0
+    assert identities.bordered_distance_det(s) == 0
+    c = identities.kernel_witness(s)
+    g, u = s.gram
+    assert any(c) and sum(c) == 0
+    assert matvec(s.d_rows, c) == [0] * len(c)
+    assert matvec(g, c[1:]) == [0] * len(tail)
+    assert sum(a * b for a, b in zip(u, c[1:])) == 0
+    report = verify.SweepReport("certificate")
+    verify.check_point_set(tuple(tail), n, report)
+    counts = {name: (k.checked, k.failed) for name, k in report.counters.items()}
+    dependent_counters = (
+        "det_via_bordered_gram", "bordered_distance_det", "affine_criterion", "dependent_kernel"
+    )
+    assert counts == {name: (1, 0) for name in dependent_counters}
+
+
+@st.composite
+def _oversized_tails(draw, dims):
+    """More tail points than coordinates: dependent without a rank test."""
+    n = draw(st.integers(*dims))
+    m = draw(st.integers(n + 1, (1 << n) - 1))
+    return n, draw(st.lists(st.integers(1, (1 << n) - 1), min_size=m, max_size=m, unique=True))
+
+
+class TestDependentCertificate:
+    """`check_point_set` certifies a dependent set from its kernel witness
+    alone; the eliminations it skips are the oracle. The H_3 half runs in
+    `TestKernelWitnessAgainstOracle.test_every_dependent_h3_tail`."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.one_of(_dependent_tails(dims=(4, 6)), _oversized_tails(dims=(4, 6))))
+    def test_dependent_tails_h4_to_h6(self, case):
+        _check_certificate(*case)
 
 
 class TestGramQuad:
@@ -244,9 +285,9 @@ class TestCheckPointSetSharesWork:
 
     def test_dependent_set(self, monkeypatch):
         calls = self._count(monkeypatch, FULL_H2.bits[1:], 2)
-        # the kernel witness is checked from the bit patterns, not from a
-        # second distance matrix; m = 3 > n = 2 needs no rank test
-        assert calls == {"gram_eliminate": 1, "gram_rows": 1, "distance_rows": 1}
+        # the kernel witness certifies every zero from the bit patterns,
+        # so neither D nor G is built; m = 3 > n = 2 needs no rank test
+        assert calls == {"gram_eliminate": 1}
 
     @pytest.mark.parametrize(
         "bump",
@@ -254,8 +295,9 @@ class TestCheckPointSetSharesWork:
         ids=["one-entry", "sum-kept"],
     )
     def test_wrong_witness_fails_dependent_kernel(self, monkeypatch, bump):
-        """A witness with its first entries moved by `bump` fails; the
-        sum-kept case breaks only D c = 0, since D e_0 != D e_1."""
+        """A witness with its first entries moved by `bump` fails every
+        counter it certifies; the sum-kept case keeps sum c = 0 and breaks
+        the products, since D e_0 != D e_1."""
         real = identities.kernel_witness
 
         def wrong(s):
@@ -266,7 +308,8 @@ class TestCheckPointSetSharesWork:
         for n, tail in [(2, FULL_H2.bits[1:]), (3, (1, 2, 3)), (3, (1, 2, 4, 7))]:
             report = verify.SweepReport("injected")
             verify.check_point_set(tail, n, report)
-            assert report.counter("dependent_kernel").failed == 1
+            for name in ("dependent_kernel", "det_via_bordered_gram", "bordered_distance_det"):
+                assert report.counter(name).failed == 1, name
 
     def test_wrong_solve_fails_both_solve_checks(self, monkeypatch):
         real = RationalMatrix.solve
