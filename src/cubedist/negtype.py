@@ -52,12 +52,9 @@ import numpy as np
 
 from . import cube
 from .cube import PointSet, normalize
+from .defaults import DEFAULT_CAP, DEFAULT_GRID, DEFAULT_TOL
 from .errors import BudgetExceededError, CapExceededError, DomainError, NotNegativeTypeError
 from .ratlinalg import det_int
-
-DEFAULT_CAP = 16.0
-DEFAULT_TOL = 1e-9
-DEFAULT_GRID = 0.125
 
 # Larger scans are refused, not run: the memo keeps every exponent (at the
 # limit a 2-point set takes about 1 s and 60 MB, CPython 3.11, one core).

@@ -7,11 +7,13 @@ first eliminated in numpy int64, with every intermediate entry checked
 against `INT64_LIMIT`; any entry at or past it sends the matrix back to
 the Python-int loop, so the result is exact either way. Below that size
 the Python loop is faster than numpy's per-step overhead.
+`det_solve_int` eliminates [M | R] in one `det_int` pass and
+back-substitutes exactly, giving det M and det M * M^{-1} R in integers.
 `RationalMatrix` holds `fractions.Fraction` entries,
 which stay in canonical form (positive denominator, gcd-reduced), and
 gives the second routes that the sweeps compare the Gram kernel
 against: an exact inverse and an exact linear solve. Both run through
-`det_int` on integer-scaled rows, so `Fraction` only holds results.
+`det_solve_int` on integer-scaled rows, so `Fraction` only holds results.
 Nothing in this module touches floating point.
 """
 
@@ -170,6 +172,30 @@ def rank_int(rows: list[list[int]]) -> int:
     return r
 
 
+def det_solve_int(rows: list[list[int]]) -> tuple[int, list[list[int]] | None]:
+    """(det M, det M * X) with M X = R, for k integer rows [M | R] with M
+    k x k; destroys `rows`. det * X is None when det M = 0.
+
+    One `det_int` pass eliminates M and carries R along. det * X is an
+    integer matrix (Cramer: it is adj(M) R), so back-substitution on the
+    fraction-free echelon form divides exactly.
+    """
+    k = len(rows)
+    det = det_int(rows)
+    if det == 0:
+        return 0, None
+    ys: list = [None] * k
+    for i in range(k - 1, -1, -1):
+        row = rows[i]
+        acc = [det * b for b in row[k:]]
+        for j in range(i + 1, k):
+            f = row[j]
+            if f:
+                acc = [a - f * y for a, y in zip(acc, ys[j])]
+        ys[i] = [a // row[i] for a in acc]
+    return det, ys
+
+
 @dataclass(frozen=True)
 class RationalMatrix:
     """Immutable dense matrix of exact rationals."""
@@ -197,25 +223,16 @@ class RationalMatrix:
 
     def _solve_rows(self, rhs: Sequence[Sequence]) -> list[list[Fraction]]:
         """X with M X = R, R given by its rows. Each row of [M | R] is
-        scaled to integers by the lcm of its denominators; one `det_int`
-        pass eliminates M and carries R along, and back-substitution
-        divides exactly, as det * X is an integer matrix (Cramer)."""
-        k = self.rows
+        scaled to integers by the lcm of its denominators, which leaves X
+        unchanged; `det_solve_int` gives det * X in integers."""
         rows = []
         for row, extra in zip(self.entries, rhs):
             full = [*row, *map(Fraction, extra)]
             scale = lcm(*(x.denominator for x in full))
             rows.append([x.numerator * (scale // x.denominator) for x in full])
-        det = det_int(rows)
+        det, ys = det_solve_int(rows)
         if det == 0:
             raise SingularMatrixError(det=Fraction(0))
-        ys: list = [None] * k
-        for i in range(k - 1, -1, -1):
-            row = rows[i]
-            ys[i] = [
-                (det * b - sum(row[j] * ys[j][c] for j in range(i + 1, k))) // row[i]
-                for c, b in enumerate(row[k:])
-            ]
         return [[Fraction(y, det) for y in y_row] for y_row in ys]
 
     def inverse(self) -> "RationalMatrix":

@@ -12,6 +12,12 @@ adjacency (Graham-Lovasz):
 
 whose total sum is 2/n. Labeled trees are enumerated exhaustively
 through Prufer sequences ((n+1)^(n-1) trees on n+1 vertices).
+
+The integer rows the checks read are built in O(k^2) Python-level steps
+on k = n + 1 vertices: the distance rows from one BFS from vertex 0
+(`tree_distance_rows`), and 2n D^{-1} from the formula above as an outer
+product corrected on the diagonal and the edges (`scaled_inverse_rows`).
+Only `graham_lovasz_inverse` and `tree_dinv_ones` return `Fraction`s.
 """
 
 from __future__ import annotations
@@ -91,30 +97,33 @@ class UnweightedTree:
             adj[v].append(u)
         return adj
 
-    def adjacency(self) -> list[list[int]]:
-        a = [[0] * self.vertex_count for _ in range(self.vertex_count)]
-        for u, v in self.edges:
-            a[u][v] = 1
-            a[v][u] = 1
-        return a
-
 
 def tree_distance_rows(t: UnweightedTree) -> list[list[int]]:
-    """All-pairs path lengths as int rows (BFS from every vertex)."""
+    """All-pairs path lengths as int rows, built in one BFS from vertex 0.
+
+    A vertex v reached from its parent p lies outside the subtree of
+    every vertex placed before it, so its path to each of them runs
+    through p: dist(v, x) = dist(p, x) + 1. Each row and column is filled
+    as its vertex is placed, k(k-1)/2 pairs in all.
+    """
     k = t.vertex_count
     adj = t.neighbors()
-    rows = []
-    for start in range(k):
-        dist = [-1] * k
-        dist[start] = 0
-        q = deque([start])
-        while q:
-            v = q.popleft()
-            for w in adj[v]:
-                if dist[w] < 0:
-                    dist[w] = dist[v] + 1
-                    q.append(w)
-        rows.append(dist)
+    rows = [[0] * k for _ in range(k)]
+    placed = [0]
+    seen = [False] * k
+    seen[0] = True
+    for p in placed:  # grows while it is walked: BFS order
+        row_p = rows[p]
+        for v in adj[p]:
+            if seen[v]:
+                continue
+            seen[v] = True
+            row_v = rows[v]
+            for x in placed:
+                d = row_p[x] + 1
+                row_v[x] = d
+                rows[x][v] = d
+            placed.append(v)
     return rows
 
 
@@ -148,26 +157,25 @@ def embed_tree(t: UnweightedTree) -> PointSet:
     return PointSet.from_bits(t.n, embed_bits(t))
 
 
-def graham_pollak_det(t: UnweightedTree) -> Fraction:
+def graham_pollak_det(t: UnweightedTree) -> int:
     """det(D) = (-1)^n n 2^(n-1), independent of the tree's shape."""
     n = t.n
-    return Fraction((-1) ** n * n * (1 << (n - 1)))
+    return (-1) ** n * n * (1 << (n - 1))
 
 
 def scaled_inverse_rows(t: UnweightedTree) -> list[list[int]]:
-    """2n * D^{-1} as integer rows, from the degree/adjacency formula."""
+    """2n * D^{-1} as integer rows, from the degree/adjacency formula:
+    the outer product v v^T with v = 2 - deg, then -n deg_i on the
+    diagonal and +n on each edge."""
     n = t.n
     deg = t.degrees()
-    adj = t.adjacency()
-    out = []
-    for i in range(t.vertex_count):
-        row = []
-        for j in range(t.vertex_count):
-            if i == j:
-                row.append((2 - deg[i]) ** 2 - n * deg[i])
-            else:
-                row.append((2 - deg[i]) * (2 - deg[j]) + n * adj[i][j])
-        out.append(row)
+    v = [2 - d for d in deg]
+    out = [[a * b for b in v] for a in v]
+    for i, d in enumerate(deg):
+        out[i][i] -= n * d
+    for a, b in t.edges:
+        out[a][b] += n
+        out[b][a] += n
     return out
 
 
@@ -186,10 +194,10 @@ def tree_dinv_ones(t: UnweightedTree) -> Fraction:
     return Fraction(sum(map(sum, scaled_inverse_rows(t))), 2 * t.n)
 
 
-def tree_det_direct(t: UnweightedTree) -> Fraction:
+def tree_det_direct(t: UnweightedTree) -> int:
     """det(D) by direct elimination, for cross-checks against the
     closed form."""
-    return Fraction(det_int(tree_distance_rows(t)))
+    return det_int(tree_distance_rows(t))
 
 
 def prufer_to_tree(seq: Sequence[int], vertex_count: int) -> UnweightedTree:

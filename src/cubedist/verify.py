@@ -18,11 +18,12 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations
+from operator import mul
 
 from . import cube, identities, search, trees
 from .cube import PointSet
 from .errors import BudgetExceededError, CubedistError, DomainError, InvariantError
-from .ratlinalg import RationalMatrix, det_int
+from .ratlinalg import det_int, det_solve_int
 
 
 @dataclass
@@ -193,9 +194,17 @@ _TREE_CHECKS = (
 def check_tree(t: trees.UnweightedTree, report: SweepReport, deep: bool = False) -> None:
     """Embedding, determinant, and inverse-entry checks for one tree.
 
-    `deep` additionally inverts the distance matrix by elimination and
-    compares entrywise, and reruns the <D^{-1}1,1> value through the
-    Gram route of the embedded point set.
+    Every check is exact integer arithmetic in O(k^2) Python-level
+    operations on k = n + 1 vertices: the distance rows come from one BFS
+    (`trees.tree_distance_rows`), det D from `det_int`, and the product
+    check D^{-1} * D = I runs on M = 2n D^{-1} from the closed form, one
+    packed integer per row (`_is_scaled_identity`).
+
+    `deep` additionally inverts D by elimination, one `det_solve_int`
+    pass giving det D and adj D = det D * D^{-1}, and passes when
+    2n adj D = det D * M entrywise; it also reruns the <D^{-1}1,1> value
+    through the Gram route of the embedded point set, the one check that
+    uses `Fraction`.
     """
     n = t.n
     k = t.vertex_count
@@ -208,35 +217,55 @@ def check_tree(t: trees.UnweightedTree, report: SweepReport, deep: bool = False)
     det_direct = det_int([row[:] for row in drows])
     report.counter("tree_det_formula").add(det_direct == trees.graham_pollak_det(t), t.edges)
     minv = trees.scaled_inverse_rows(t)
-    target = 2 * n
-    prod_ok = True
-    for i in range(k):
-        mi = minv[i]
-        for j in range(k):
-            want = target if i == j else 0
-            if sum(a * b for a, b in zip(mi, drows[j])) != want:
-                prod_ok = False
-                break
-        if not prod_ok:
-            break
-    report.counter("inverse_entries_product").add(prod_ok, t.edges)
-    report.counter("inverse_entry_sum").add(
-        sum(sum(row) for row in minv) == 4, t.edges
+    report.counter("inverse_entries_product").add(
+        _is_scaled_identity(minv, drows, 2 * n), t.edges
     )
+    report.counter("inverse_entry_sum").add(sum(map(sum, minv)) == 4, t.edges)
     report.counter("embedded_affine_independent").add(
         cube.rank_of_bits(tuple(ebits[1:]), n) == n, t.edges
     )
     if deep:
-        try:
-            inv_ok = RationalMatrix.from_rows(drows).inverse() == trees.graham_lovasz_inverse(t)
-        except CubedistError:
-            inv_ok = False
+        det, adj = det_solve_int(
+            [row + [int(i == j) for j in range(k)] for i, row in enumerate(drows)]
+        )
+        inv_ok = det != 0 and all(
+            [2 * n * a for a in adj_row] == [det * x for x in m_row]
+            for adj_row, m_row in zip(adj, minv)
+        )
         report.counter("inverse_entries_direct").add(inv_ok, t.edges)
         try:
             dinv_ok = identities.dinv_ones(PointSet.from_bits(n, ebits)) == Fraction(2, n)
         except CubedistError:
             dinv_ok = False
         report.counter("embedded_dinv_value").add(dinv_ok, t.edges)
+
+
+def _is_scaled_identity(m_rows: list[list[int]], d_rows: list[list[int]], scale: int) -> bool:
+    """Whether M D^T = scale * I, for k x k integer matrices M and D.
+
+    Column l of D is packed into one integer, sum_j D[j][l] << (w j), so
+    row i of the product, sum_l M[i][l] * column l, packs
+    sum_j (M D^T)[i][j] << (w j) in one sum of k products; it is compared
+    with scale << (w i). Each entry of M D^T differs from its target by at
+    most bound = max_i sum_l |M[i][l]| * max |D| + scale, and w is one bit
+    more than the bound needs, so every difference d_j is below 2^(w-1)
+    in magnitude. Then the packed row equals its target only if every
+    entry does: in a nonzero sum_j d_j 2^(w j), the lowest nonzero d_j
+    would have to be divisible by 2^w. The bound is read off the actual
+    entries, so no entry, however large, can carry into its neighbour.
+    """
+    d_max = max(map(abs, chain.from_iterable(d_rows)))
+    bound = max([sum(map(abs, row)) for row in m_rows]) * d_max + scale
+    w = bound.bit_length() + 1
+    cols = [0] * len(d_rows)
+    for row in reversed(d_rows):
+        cols = [(c << w) + d for c, d in zip(cols, row)]
+    target = scale
+    for row in m_rows:
+        if sum(map(mul, row, cols)) != target:
+            return False
+        target <<= w
+    return True
 
 
 def tree_sweep(max_vertices: int = 8, deep_max_vertices: int = 6) -> SweepReport:

@@ -15,8 +15,9 @@ and `.solve` ran before they went through `det_int`; the `Fraction`
 Gaussian elimination that built kernel witnesses; the rank test and
 `Fraction` solve that gave <G^{-1}u, u> before the Gram kernel; in the search
 section, the per-subset evaluator (a rank test, a Gram rebuild and two
-pivoting Bareiss determinants for every subset); and, in the
-negative-type section at the end, the scalar root scan (one `slogdet`
+pivoting Bareiss determinants for every subset); in the tree section,
+the per-tree check with one BFS per vertex, k^2 row-by-column sums and a
+`Fraction` inverse; and, in the negative-type section at the end, the scalar root scan (one `slogdet`
 per matrix and exponent, each scan run to its end).
 
 A few helpers only tests need live here too: `coords` and
@@ -27,17 +28,18 @@ package writes into JSON.
 
 import math
 import re
-from collections import Counter
+from collections import Counter, deque
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import gcd, lcm
 
 import numpy as np
 
-from cubedist import cube, negtype
-from cubedist.cube import normalize
+from cubedist import cube, identities, negtype, trees
+from cubedist.cube import PointSet, normalize
 from cubedist.errors import (
     CapExceededError,
+    CubedistError,
     DependenceError,
     DimensionError,
     DomainError,
@@ -283,6 +285,69 @@ def scan_oracle(n, m):
         if best is None or val < best[0]:
             best = (val, tail)
     return examined, independent, best, violations
+
+
+# --- trees: the per-tree check before it went integer-only ---------------
+
+
+def tree_distance_rows_bfs(t):
+    """All-pairs path lengths of a tree, one BFS from every vertex."""
+    k = t.vertex_count
+    adj = t.neighbors()
+    rows = []
+    for start in range(k):
+        dist = [-1] * k
+        dist[start] = 0
+        q = deque([start])
+        while q:
+            v = q.popleft()
+            for w in adj[v]:
+                if dist[w] < 0:
+                    dist[w] = dist[v] + 1
+                    q.append(w)
+        rows.append(dist)
+    return rows
+
+
+def check_tree_oracle(t, report, deep=False):
+    """`verify.check_tree` as it was: BFS distance rows, k^2 row-by-row
+    sums for the product D^{-1} D = I, and a `Fraction` inverse compared
+    with the closed form entry by entry. Reads `trees.scaled_inverse_rows`,
+    `trees.embed_bits` and `trees.graham_lovasz_inverse` through the
+    module, so a fault patched into them reaches this route too."""
+    n = t.n
+    k = t.vertex_count
+    drows = tree_distance_rows_bfs(t)
+    ebits = trees.embed_bits(t)
+    iso = all(
+        drows[i][j] == (ebits[i] ^ ebits[j]).bit_count() for i in range(k) for j in range(i)
+    )
+    report.counter("embedding_isometry").add(iso, t.edges)
+    det_direct = det_int([row[:] for row in drows])
+    report.counter("tree_det_formula").add(det_direct == trees.graham_pollak_det(t), t.edges)
+    minv = trees.scaled_inverse_rows(t)
+    target = 2 * n
+    prod_ok = all(
+        sum(a * b for a, b in zip(minv[i], drows[j])) == (target if i == j else 0)
+        for i in range(k)
+        for j in range(k)
+    )
+    report.counter("inverse_entries_product").add(prod_ok, t.edges)
+    report.counter("inverse_entry_sum").add(sum(sum(row) for row in minv) == 4, t.edges)
+    report.counter("embedded_affine_independent").add(
+        cube.rank_of_bits(tuple(ebits[1:]), n) == n, t.edges
+    )
+    if deep:
+        try:
+            inv_ok = RationalMatrix.from_rows(drows).inverse() == trees.graham_lovasz_inverse(t)
+        except CubedistError:
+            inv_ok = False
+        report.counter("inverse_entries_direct").add(inv_ok, t.edges)
+        try:
+            dinv_ok = identities.dinv_ones(PointSet.from_bits(n, ebits)) == Fraction(2, n)
+        except CubedistError:
+            dinv_ok = False
+        report.counter("embedded_dinv_value").add(dinv_ok, t.edges)
 
 
 # --- negative type: the scalar root scan ---------------------------------

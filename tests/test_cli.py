@@ -325,6 +325,26 @@ def test_package_import_leaves_numpy_unloaded():
     assert proc.stdout == "True\n"
 
 
+def test_cli_import_leaves_numpy_unloaded():
+    """The command line loads `negtype`, and with it numpy, only when the
+    negtype subcommand runs; its option defaults come from a numpy-free
+    module that `negtype` re-exports."""
+    script = (
+        "import sys\n"
+        "import cubedist.cli\n"
+        "assert 'numpy' not in sys.modules\n"
+        "args = cubedist.cli.build_parser().parse_args(['negtype', 'in.txt'])\n"
+        "assert 'numpy' not in sys.modules\n"
+        "from cubedist import negtype\n"
+        "assert (args.cap, args.tol, args.grid) == "
+        "(negtype.DEFAULT_CAP, negtype.DEFAULT_TOL, negtype.DEFAULT_GRID)\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    proc = _run_python(["-c", script])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True\n"
+
+
 def test_console_entry_point():
     proc = _run_python(["-m", "cubedist.cli", "search", "--n", "2", "--m", "1"])
     assert proc.returncode == 0

@@ -447,6 +447,34 @@ class TestAgainstFractionOracle:
         assert self.check([], [], False)
 
 
+class TestDetSolveInt:
+    """`det_solve_int` on [M | R] gives (det M, det M * M^{-1} R) in
+    integers; checked on [M | I] and [M | v] against the `Fraction`
+    oracles."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(systems(small_ints, 8))
+    def test_adjugate_and_scaled_solution(self, system):
+        rows, v, forced = system
+        k = len(rows)
+        det = det_int([r[:] for r in rows])
+        got_det, adj = ratlinalg.det_solve_int([r + e for r, e in zip(rows, eye(k))])
+        assert got_det == det
+        got_det, y = ratlinalg.det_solve_int([r + [x] for r, x in zip(rows, v)])
+        assert got_det == det
+        if det == 0:
+            assert adj is None and y is None
+            return
+        assert not forced
+        assert adj == [[det * e for e in row] for row in inverse_oracle(M(rows)).entries]
+        assert [row[0] for row in y] == [det * w for w in solve_oracle(M(rows), v)]
+
+    def test_singular_and_pivoting(self):
+        assert ratlinalg.det_solve_int([[1, 2, 1], [2, 4, 0]]) == (0, None)
+        # zero leading pivot: M = [[0, 1], [1, 0]], det -1, M^{-1} = M
+        assert ratlinalg.det_solve_int([[0, 1, 1, 0], [1, 0, 0, 1]]) == (-1, [[0, -1], [-1, 0]])
+
+
 class TestSerialization:
     """The package writes rationals into JSON as `str(Fraction)`;
     `oracle.rational_from_str` reads them back and refuses any other
