@@ -15,7 +15,7 @@ dependence.
 One exact route per answer: the per-set invariants read det G,
 <G^{-1}u, u> and the dependence from one Gram-kernel pass (the set's
 cached `kernel`, through `kernel_quad`). The second routes (pivoting
-determinants, `gram_solve`'s rational solve) stay separate so that the
+determinants, `gram_solve`'s pivoting solve) stay separate so that the
 sweeps compare two computations of each identity, and learn dependence
 from their own elimination. `verify` runs them on independent sets only:
 a dependent set's zeros are certified there by `kernel_witness`, and the
@@ -36,7 +36,7 @@ from typing import Optional
 from . import cube
 from .cube import PointSet
 from .errors import DependenceError, IndependenceError, InvariantError, SingularMatrixError
-from .ratlinalg import RationalMatrix, det_int
+from .ratlinalg import det_int, det_solve_int
 
 
 def _require_normalized(s: PointSet) -> PointSet:
@@ -84,16 +84,15 @@ def det_via_gram_quad(s: PointSet) -> Fraction:
 
 
 def gram_solve(s: PointSet) -> tuple[Fraction, Fraction]:
-    """(det G, <G^{-1}u, u>) along the rational route: the pivoting
-    determinant of G and one exact Fraction solve G w = u. Raises
-    DependenceError when that determinant is 0."""
+    """(det G, <G^{-1}u, u>) along the pivoting route: one `det_solve_int`
+    pass over [G | u] gives det G and y = det G * G^{-1}u, so the form is
+    <y, u> / det G. Raises DependenceError when det G is 0."""
     _require_normalized(s)
     g, u = s.gram
-    det_g = det_int([list(row) for row in g])
+    det_g, y = det_solve_int([[*row, ui] for row, ui in zip(g, u)])
     if det_g == 0:
         raise DependenceError("tail points are linearly dependent; det(D) = 0 by the kernel route")
-    w = RationalMatrix.from_rows(g).solve(u)
-    return Fraction(det_g), sum((a * b for a, b in zip(w, u)), Fraction(0))
+    return Fraction(det_g), Fraction(sum(yi * ui for (yi,), ui in zip(y, u)), det_g)
 
 
 def det_from_gram_quad(m: int, det_g: Fraction, quad: Fraction) -> Fraction:

@@ -14,15 +14,19 @@ whose total sum is 2/n. Labeled trees are enumerated exhaustively
 through Prufer sequences ((n+1)^(n-1) trees on n+1 vertices).
 
 The integer rows the checks read are built in O(k^2) Python-level steps
-on k = n + 1 vertices: the distance rows from one BFS from vertex 0
-(`tree_distance_rows`), and 2n D^{-1} from the formula above as an outer
+on k = n + 1 vertices: the distance rows and the cube embedding from one
+BFS from vertex 0 (`tree_rows_and_bits`, which `tree_distance_rows` and
+`embed_bits` wrap), and 2n D^{-1} from the formula above as an outer
 product corrected on the diagonal and the edges (`scaled_inverse_rows`).
 Only `graham_lovasz_inverse` and `tree_dinv_ones` return `Fraction`s.
+
+A decoded Prufer sequence is a tree by construction, so `prufer_to_tree`
+builds its `UnweightedTree` without re-validating it; every other way in
+(`UnweightedTree(...)`, `from_edges`, `parse_tree`) validates in full.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -78,6 +82,15 @@ class UnweightedTree:
         norm = tuple(sorted((min(u, v), max(u, v)) for u, v in edges))
         return cls(vertex_count, norm)
 
+    @classmethod
+    def _trusted(cls, vertex_count: int, edges: tuple[tuple[int, int], ...]) -> "UnweightedTree":
+        """A tree from edges already known to form one, sorted and
+        normalized as `from_edges` leaves them; skips `__post_init__`."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "vertex_count", vertex_count)
+        object.__setattr__(t, "edges", edges)
+        return t
+
     @property
     def n(self) -> int:
         """Number of edges; the cube dimension the tree embeds into."""
@@ -98,53 +111,55 @@ class UnweightedTree:
         return adj
 
 
-def tree_distance_rows(t: UnweightedTree) -> list[list[int]]:
-    """All-pairs path lengths as int rows, built in one BFS from vertex 0.
+def tree_rows_and_bits(t: UnweightedTree) -> tuple[list[list[int]], list[int]]:
+    """All-pairs path lengths as int rows, and the cube images of the
+    vertices, from one BFS from vertex 0.
 
     A vertex v reached from its parent p lies outside the subtree of
     every vertex placed before it, so its path to each of them runs
     through p: dist(v, x) = dist(p, x) + 1. Each row and column is filled
-    as its vertex is placed, k(k-1)/2 pairs in all.
+    as its vertex is placed, k(k-1)/2 pairs in all. Coordinate j of the
+    cube is edge j in sorted order, whatever order `t.edges` holds, and v
+    maps to the indicator of its root path: bits[v] = bits[p] ^ (1 << j)
+    for the edge j joining p and v.
     """
     k = t.vertex_count
-    adj = t.neighbors()
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(k)]
+    for j, (u, v) in enumerate(sorted((u, v) if u < v else (v, u) for u, v in t.edges)):
+        adj[u].append((v, 1 << j))
+        adj[v].append((u, 1 << j))
     rows = [[0] * k for _ in range(k)]
+    bits = [0] * k
     placed = [0]
     seen = [False] * k
     seen[0] = True
     for p in placed:  # grows while it is walked: BFS order
         row_p = rows[p]
-        for v in adj[p]:
+        bits_p = bits[p]
+        for v, bit in adj[p]:
             if seen[v]:
                 continue
             seen[v] = True
+            bits[v] = bits_p ^ bit
             row_v = rows[v]
             for x in placed:
                 d = row_p[x] + 1
                 row_v[x] = d
                 rows[x][v] = d
             placed.append(v)
-    return rows
+    return rows, bits
+
+
+def tree_distance_rows(t: UnweightedTree) -> list[list[int]]:
+    """All-pairs path lengths as int rows (`tree_rows_and_bits`)."""
+    return tree_rows_and_bits(t)[0]
 
 
 def embed_bits(t: UnweightedTree) -> list[int]:
     """Cube images of the vertices: coordinate j is edge j (edges in
-    sorted order), vertex v maps to the indicator of its root path."""
-    norm_edges = sorted((min(u, v), max(u, v)) for u, v in t.edges)
-    edge_index = {e: i for i, e in enumerate(norm_edges)}
-    adj = t.neighbors()
-    bits = [0] * t.vertex_count
-    seen = [False] * t.vertex_count
-    seen[0] = True
-    q = deque([0])
-    while q:
-        v = q.popleft()
-        for w in adj[v]:
-            if not seen[w]:
-                seen[w] = True
-                bits[w] = bits[v] ^ (1 << edge_index[(min(v, w), max(v, w))])
-                q.append(w)
-    return bits
+    sorted order), vertex v maps to the indicator of its root path
+    (`tree_rows_and_bits`)."""
+    return tree_rows_and_bits(t)[1]
 
 
 def embed_tree(t: UnweightedTree) -> PointSet:
@@ -203,6 +218,8 @@ def tree_det_direct(t: UnweightedTree) -> int:
 def prufer_to_tree(seq: Sequence[int], vertex_count: int) -> UnweightedTree:
     """Decode a Prufer sequence (length vertex_count - 2) to its tree."""
     k = vertex_count
+    if not MIN_VERTICES <= k <= MAX_VERTICES:
+        raise InvalidTreeError(f"vertex count {k} outside [{MIN_VERTICES}, {MAX_VERTICES}]")
     if len(seq) != k - 2:
         raise InvalidTreeError(f"sequence length {len(seq)} does not match {k} vertices")
     if any(not 0 <= v < k for v in seq):
@@ -218,7 +235,7 @@ def prufer_to_tree(seq: Sequence[int], vertex_count: int) -> UnweightedTree:
             while degree[ptr] != 1:
                 ptr += 1
             leaf = ptr
-        edges.append((min(leaf, v), max(leaf, v)))
+        edges.append((leaf, v) if leaf < v else (v, leaf))
         degree[leaf] -= 1
         degree[v] -= 1
         if degree[v] == 1 and v < ptr:
@@ -227,7 +244,11 @@ def prufer_to_tree(seq: Sequence[int], vertex_count: int) -> UnweightedTree:
             leaf = -1
     last = [i for i, d in enumerate(degree) if d == 1]
     edges.append((last[0], last[1]))
-    return UnweightedTree.from_edges(k, edges)
+    edges.sort()
+    # each edge joins a leaf, never seen again, to a vertex still present,
+    # so the k - 1 edges close no cycle: a tree, which `__post_init__`
+    # need not re-validate
+    return UnweightedTree._trusted(k, tuple(edges))
 
 
 def enumerate_labeled_trees(vertex_count: int) -> Iterator[UnweightedTree]:

@@ -195,10 +195,13 @@ def check_tree(t: trees.UnweightedTree, report: SweepReport, deep: bool = False)
     """Embedding, determinant, and inverse-entry checks for one tree.
 
     Every check is exact integer arithmetic in O(k^2) Python-level
-    operations on k = n + 1 vertices: the distance rows come from one BFS
-    (`trees.tree_distance_rows`), det D from `det_int`, and the product
-    check D^{-1} * D = I runs on M = 2n D^{-1} from the closed form, one
-    packed integer per row (`_is_scaled_identity`).
+    operations on k = n + 1 vertices. One BFS from vertex 0
+    (`trees.tree_rows_and_bits`) gives the distance rows and the cube
+    embedding; the isometry check compares each row with the cube
+    distances of that vertex's image. The product check D^{-1} * D = I
+    runs on M = 2n D^{-1} from the closed form, one packed integer per
+    row (`_is_scaled_identity`), and det D comes last from `det_int`,
+    which may destroy the rows.
 
     `deep` additionally inverts D by elimination, one `det_solve_int`
     pass giving det D and adj D = det D * D^{-1}, and passes when
@@ -208,14 +211,9 @@ def check_tree(t: trees.UnweightedTree, report: SweepReport, deep: bool = False)
     """
     n = t.n
     k = t.vertex_count
-    drows = trees.tree_distance_rows(t)
-    ebits = trees.embed_bits(t)
-    iso = all(
-        drows[i][j] == (ebits[i] ^ ebits[j]).bit_count() for i in range(k) for j in range(i)
-    )
+    drows, ebits = trees.tree_rows_and_bits(t)
+    iso = all(row == [(b ^ x).bit_count() for x in ebits] for row, b in zip(drows, ebits))
     report.counter("embedding_isometry").add(iso, t.edges)
-    det_direct = det_int([row[:] for row in drows])
-    report.counter("tree_det_formula").add(det_direct == trees.graham_pollak_det(t), t.edges)
     minv = trees.scaled_inverse_rows(t)
     report.counter("inverse_entries_product").add(
         _is_scaled_identity(minv, drows, 2 * n), t.edges
@@ -238,6 +236,7 @@ def check_tree(t: trees.UnweightedTree, report: SweepReport, deep: bool = False)
         except CubedistError:
             dinv_ok = False
         report.counter("embedded_dinv_value").add(dinv_ok, t.edges)
+    report.counter("tree_det_formula").add(det_int(drows) == trees.graham_pollak_det(t), t.edges)
 
 
 def _is_scaled_identity(m_rows: list[list[int]], d_rows: list[list[int]], scale: int) -> bool:

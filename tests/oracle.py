@@ -16,8 +16,9 @@ Gaussian elimination that built kernel witnesses; the rank test and
 `Fraction` solve that gave <G^{-1}u, u> before the Gram kernel; in the search
 section, the per-subset evaluator (a rank test, a Gram rebuild and two
 pivoting Bareiss determinants for every subset); in the tree section,
-the per-tree check with one BFS per vertex, k^2 row-by-column sums and a
-`Fraction` inverse; and, in the negative-type section at the end, the scalar root scan (one `slogdet`
+the per-tree check with one BFS per vertex, its own BFS for the cube
+embedding, k^2 row-by-column sums and a `Fraction` inverse, and a naive
+Prufer decode; and, in the negative-type section at the end, the scalar root scan (one `slogdet`
 per matrix and exponent, each scan run to its end).
 
 A few helpers only tests need live here too: `coords` and
@@ -309,16 +310,53 @@ def tree_distance_rows_bfs(t):
     return rows
 
 
+def embed_bits_oracle(t):
+    """Cube images of the vertices by their own BFS from vertex 0:
+    coordinate j is edge j of the sorted normalized edges, looked up in
+    a dict, and v maps to the indicator of its root path."""
+    norm_edges = sorted((min(u, v), max(u, v)) for u, v in t.edges)
+    edge_index = {e: i for i, e in enumerate(norm_edges)}
+    adj = t.neighbors()
+    bits = [0] * t.vertex_count
+    seen = [False] * t.vertex_count
+    seen[0] = True
+    q = deque([0])
+    while q:
+        v = q.popleft()
+        for w in adj[v]:
+            if not seen[w]:
+                seen[w] = True
+                bits[w] = bits[v] ^ (1 << edge_index[(min(v, w), max(v, w))])
+                q.append(w)
+    return bits
+
+
+def prufer_edges_oracle(seq, k):
+    """The edges a Prufer sequence codes, decoded naively: each entry
+    joins the smallest vertex of remaining degree 1 to it."""
+    degree = [1] * k
+    for v in seq:
+        degree[v] += 1
+    edges = []
+    for v in seq:
+        leaf = min(i for i in range(k) if degree[i] == 1)
+        edges.append((leaf, v))
+        degree[leaf] -= 1
+        degree[v] -= 1
+    edges.append(tuple(i for i in range(k) if degree[i] == 1))
+    return edges
+
+
 def check_tree_oracle(t, report, deep=False):
-    """`verify.check_tree` as it was: BFS distance rows, k^2 row-by-row
-    sums for the product D^{-1} D = I, and a `Fraction` inverse compared
-    with the closed form entry by entry. Reads `trees.scaled_inverse_rows`,
-    `trees.embed_bits` and `trees.graham_lovasz_inverse` through the
-    module, so a fault patched into them reaches this route too."""
+    """`verify.check_tree` as it was: BFS distance rows, its own BFS
+    embedding, k^2 row-by-row sums for the product D^{-1} D = I, and a
+    `Fraction` inverse compared with the closed form entry by entry. Reads
+    `trees.scaled_inverse_rows` and `trees.graham_lovasz_inverse` through
+    the module, so a fault patched into them reaches this route too."""
     n = t.n
     k = t.vertex_count
     drows = tree_distance_rows_bfs(t)
-    ebits = trees.embed_bits(t)
+    ebits = embed_bits_oracle(t)
     iso = all(
         drows[i][j] == (ebits[i] ^ ebits[j]).bit_count() for i in range(k) for j in range(i)
     )

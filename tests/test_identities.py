@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cubedist import cube, identities, trees, verify
+from cubedist import cube, identities, ratlinalg, trees, verify
 from cubedist.cube import PointSet
 from cubedist.errors import (
     CubedistError,
@@ -263,7 +263,7 @@ class TestBorderedDistanceDet:
 
 class TestCheckPointSetSharesWork:
     """One distance build, one Gram build, one Gram-kernel pass, one
-    rank test and one rational solve per set; the checks that read them
+    rank test and one [G | u] solve pass per set; the checks that read them
     still compare two routes. `check_point_set` builds a fresh set, so
     no cache filled elsewhere hides a build."""
 
@@ -271,7 +271,7 @@ class TestCheckPointSetSharesWork:
         calls = count_calls(
             monkeypatch, cube, "gram_eliminate", "rank_of_bits", "gram_rows", "distance_rows"
         )
-        count_calls(monkeypatch, RationalMatrix, "solve", calls=calls)
+        count_calls(monkeypatch, identities, "det_solve_int", calls=calls)
         report = verify.SweepReport("count")
         verify.check_point_set(tail, n, report)
         assert report.ok
@@ -280,7 +280,11 @@ class TestCheckPointSetSharesWork:
     def test_independent_set(self, monkeypatch):
         calls = self._count(monkeypatch, H3_SET.bits[1:], 3)
         assert calls == {
-            "gram_eliminate": 1, "rank_of_bits": 1, "gram_rows": 1, "distance_rows": 1, "solve": 1
+            "gram_eliminate": 1,
+            "rank_of_bits": 1,
+            "gram_rows": 1,
+            "distance_rows": 1,
+            "det_solve_int": 1,
         }
 
     def test_dependent_set(self, monkeypatch):
@@ -312,8 +316,13 @@ class TestCheckPointSetSharesWork:
                 assert report.counter(name).failed == 1, name
 
     def test_wrong_solve_fails_both_solve_checks(self, monkeypatch):
-        real = RationalMatrix.solve
-        monkeypatch.setattr(RationalMatrix, "solve", lambda m, v: tuple(w + 1 for w in real(m, v)))
+        real = identities.det_solve_int
+
+        def wrong(rows):  # G^{-1}u + 1, as det G * G^{-1}u + det G
+            det, ys = real(rows)
+            return det, [[y + det for y in row] for row in ys]
+
+        monkeypatch.setattr(identities, "det_solve_int", wrong)
         report = verify.SweepReport("injected")
         verify.check_point_set(H3_SET.bits[1:], 3, report)
         failed = {name for name, c in report.counters.items() if c.failed}
@@ -353,24 +362,56 @@ class TestSweepsCountRouteErrors:
         assert self._failed(report) == {"affine_criterion"}
 
     def test_singular_tree_distance_matrix(self, monkeypatch):
-        real = trees.tree_distance_rows
+        real = trees.tree_rows_and_bits
 
         def singular(t):
-            rows = real(t)
+            rows, bits = real(t)
             rows[1] = rows[0][:]
-            return rows
+            return rows, bits
 
-        monkeypatch.setattr(trees, "tree_distance_rows", singular)
+        monkeypatch.setattr(trees, "tree_rows_and_bits", singular)
         report = verify.SweepReport("injected")
         verify.check_tree(trees.prufer_to_tree((0, 0), 4), report, deep=True)
         assert "inverse_entries_direct" in self._failed(report)
 
     def test_embedding_repeats_a_point(self, monkeypatch):
-        real = trees.embed_bits
-        monkeypatch.setattr(trees, "embed_bits", lambda t: [*real(t)[:-1], 0])
+        real = trees.tree_rows_and_bits
+
+        def repeated(t):
+            rows, bits = real(t)
+            return rows, [*bits[:-1], 0]
+
+        monkeypatch.setattr(trees, "tree_rows_and_bits", repeated)
         report = verify.SweepReport("injected")
         verify.check_tree(trees.prufer_to_tree((0, 0), 4), report, deep=True)
         assert "embedded_dinv_value" in self._failed(report)
+
+    def test_one_wrong_embedding_bit(self, monkeypatch):
+        """Rows and bits come from one traversal; a wrong bit in one image
+        still fails the isometry check, and only it: the star's images
+        1, 2, 5 stay independent, so the embedded set keeps 2/n."""
+        real = trees.tree_rows_and_bits
+
+        def flipped(t):
+            rows, bits = real(t)
+            bits[3] ^= 1
+            return rows, bits
+
+        monkeypatch.setattr(trees, "tree_rows_and_bits", flipped)
+        report = verify.SweepReport("injected")
+        verify.check_tree(trees.prufer_to_tree((0, 0), 4), report, deep=True)
+        assert self._failed(report) == {"embedding_isometry"}
+
+
+def test_gram_solve_eliminates_once(monkeypatch):
+    """det G and <G^{-1}u, u> come from one elimination of [G | u]."""
+    s = PointSet(PAIR_B.n, PAIR_B.bits)
+    want = gram_quad_oracle(s)
+    assert want == (3, F(8, 3))
+    calls = count_calls(monkeypatch, identities, "det_int")
+    count_calls(monkeypatch, ratlinalg, "det_int", calls=calls)
+    assert identities.gram_solve(s) == want
+    assert calls == {"det_int": 1}
 
 
 class TestOneRoutePerAnswer:

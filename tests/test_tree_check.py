@@ -3,16 +3,26 @@
 `oracle.check_tree_oracle` is the earlier `verify.check_tree`: one BFS per
 vertex, k^2 row-by-column sums and a `Fraction` inverse. Both routes must
 print the same report on every small labeled tree, and both must reject
-the same faults injected into the closed-form inverse.
+the same faults injected into the closed-form inverse. The trusted Prufer
+decode must build the same tree as full validation of a naive decode, and
+the single BFS the same rows and cube images as the separate traversals
+it replaced.
 """
 
 import random
+from itertools import product
 from operator import mul
 
 import pytest
 
 from cubedist import trees, verify
-from oracle import check_tree_oracle, tree_distance_rows_bfs
+from cubedist.errors import InvalidTreeError
+from oracle import (
+    check_tree_oracle,
+    embed_bits_oracle,
+    prufer_edges_oracle,
+    tree_distance_rows_bfs,
+)
 
 PRUFER8_SEED = 8
 PRUFER8_COUNT = 2000
@@ -39,6 +49,59 @@ def _failed(report):
 def test_distance_rows_match_bfs_oracle(k):
     for t in trees.enumerate_labeled_trees(k):
         assert trees.tree_distance_rows(t) == tree_distance_rows_bfs(t), t.edges
+
+
+class TestTrustedDecode:
+    """`prufer_to_tree` skips validation; the tree it builds must be the
+    one full validation builds from a naive decode of the same code."""
+
+    @staticmethod
+    def _check(seq, k):
+        t = trees.prufer_to_tree(seq, k)
+        want = trees.UnweightedTree.from_edges(k, prufer_edges_oracle(seq, k))
+        assert t == want and hash(t) == hash(want), seq
+        trees.UnweightedTree(k, t.edges)  # the public constructor accepts its edges
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6, 7])
+    def test_every_code(self, k):
+        for seq in product(range(k), repeat=k - 2):
+            self._check(seq, k)
+
+    def test_seeded_8_vertex_codes(self):
+        for seq in _prufer8_codes():
+            self._check(seq, 8)
+
+    @pytest.mark.parametrize("k", [2, trees.MAX_VERTICES + 1])
+    def test_vertex_count_out_of_range(self, k):
+        with pytest.raises(InvalidTreeError):
+            trees.prufer_to_tree([0] * (k - 2), k)
+
+
+class TestOneBfs:
+    """`tree_rows_and_bits` against the k-BFS rows and the embedding's own
+    BFS, which looks each edge up in sorted order."""
+
+    @staticmethod
+    def _check(t):
+        rows, bits = trees.tree_rows_and_bits(t)
+        assert rows == tree_distance_rows_bfs(t), t.edges
+        assert bits == embed_bits_oracle(t), t.edges
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6, 7])
+    def test_every_labeled_tree(self, k):
+        for t in trees.enumerate_labeled_trees(k):
+            self._check(t)
+
+    def test_seeded_8_vertex_prufer_codes(self):
+        for seq in _prufer8_codes():
+            self._check(trees.prufer_to_tree(seq, 8))
+
+    def test_unsorted_edges_use_sorted_coordinates(self):
+        """Coordinate j is edge j of (0,1), (0,3), (1,2), (3,4), whatever
+        order and orientation the tree was built with."""
+        t = trees.UnweightedTree(5, ((4, 3), (3, 0), (2, 1), (1, 0)))
+        self._check(t)
+        assert trees.tree_rows_and_bits(t)[1] == [0b0000, 0b0001, 0b0101, 0b0010, 0b1010]
 
 
 class TestSameReportAsOracle:
