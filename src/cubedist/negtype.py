@@ -66,9 +66,11 @@ ROOT_NONE_BELOW_CAP = "none-below-cap"
 
 
 def dp_matrix(s: PointSet, p: float) -> np.ndarray:
-    """The matrix (d(x_i, x_j)^p) at machine precision; requires p >= 1."""
-    if p < 1:
-        raise DomainError(f"exponent {p} below 1")
+    """The matrix (d(x_i, x_j)^p) at machine precision; requires finite
+    p >= 1."""
+    # NaN and the infinities would reach the eigenvalue solver and fail there
+    if not (math.isfinite(p) and p >= 1):
+        raise DomainError(f"exponent {p} is not finite and at least 1")
     return np.power(np.array(s.d_rows, dtype=float), p)
 
 

@@ -2,11 +2,7 @@
 
 `det_int` and `rank_int` run fraction-free (Bareiss) elimination on
 plain lists of Python ints, destructively, so every intermediate value
-is an integer. A square matrix of at least `INT64_MIN_ROWS` rows is
-first eliminated in numpy int64, with every intermediate entry checked
-against `INT64_LIMIT`; any entry at or past it sends the matrix back to
-the Python-int loop, so the result is exact either way. Below that size
-the Python loop is faster than numpy's per-step overhead.
+is an integer and no size or entry can overflow.
 `det_solve_int` eliminates [M | R] in one `det_int` pass and
 back-substitutes exactly, giving det M and det M * M^{-1} R in integers.
 `RationalMatrix` holds `fractions.Fraction` entries,
@@ -27,59 +23,6 @@ from typing import Iterable, Sequence
 from .errors import DimensionError, SingularMatrixError
 
 
-# Square matrices with at least this many rows try the int64 route first.
-# Per call on distance matrices of random sets in H_6 (2 vCPUs, Python
-# 3.11.7, numpy 2.4.6), Python loop against int64 route: 174 against
-# 181-192 us at k=12, 301-314 against 212-234 us at k=16, 3.4-3.7 ms
-# against 425-450 us at k=64. numpy's fixed cost per step loses below 16.
-INT64_MIN_ROWS = 16
-
-# Every entry the int64 route multiplies is below this in magnitude, so
-# both products piv*x and f*y are below 2^62 and their difference below
-# 2^63: one Bareiss step cannot overflow int64.
-INT64_LIMIT = 1 << 31
-
-
-def _det_int64(rows: list[list[int]]) -> int | None:
-    """`det_int` of a square matrix in numpy int64, or None when an entry
-    reaches `INT64_LIMIT` in magnitude, on input or after any step.
-
-    The same row-pivoting Bareiss elimination as the Python loop, on a
-    copy: `rows` is never modified. numpy is imported here, not at module
-    level, so that importing the package does not load it.
-    """
-    import numpy as np
-
-    try:
-        a = np.array(rows, dtype=np.int64)
-    except OverflowError:
-        return None
-    # max and min, not abs: abs(-2^63) wraps to -2^63 in int64
-    if a.max() >= INT64_LIMIT or a.min() <= -INT64_LIMIT:
-        return None
-    k = len(rows)
-    sign = 1
-    prev = 1
-    for c in range(k - 1):
-        if a[c, c] == 0:
-            below = np.flatnonzero(a[c + 1 :, c])
-            if below.size == 0:
-                return 0
-            r = c + 1 + int(below[0])
-            a[[c, r], c:] = a[[r, c], c:]
-            sign = -sign
-        piv = int(a[c, c])
-        sub = a[c + 1 :, c + 1 :]
-        sub *= piv
-        sub -= np.outer(a[c + 1 :, c], a[c, c + 1 :])
-        if prev != 1:
-            sub //= prev
-        if sub.max() >= INT64_LIMIT or sub.min() <= -INT64_LIMIT:
-            return None
-        prev = piv
-    return sign * int(a[k - 1, k - 1])
-
-
 def det_int(rows: list[list[int]]) -> int:
     """Determinant of the leading k x k block of k rows; may destroy `rows`.
 
@@ -88,21 +31,10 @@ def det_int(rows: list[list[int]]) -> int:
     growth stays polynomial in the minors. Columns past k take the same
     row operations: with a nonzero result, rows[i][i:] is row i of the
     fraction-free echelon form of the whole matrix.
-
-    A square input with at least `INT64_MIN_ROWS` rows runs the same
-    elimination in numpy int64 on a copy, as long as every entry stays
-    below `INT64_LIMIT` = 2^31 in magnitude (checked on entry and after
-    each step; the bound keeps each step's products below 2^62 and their
-    difference below 2^63). Otherwise, and for smaller or wider inputs,
-    the Python-int loop below runs on `rows` itself.
     """
     k = len(rows)
     if k == 0:
         return 1
-    if k >= INT64_MIN_ROWS and len(rows[0]) == k:
-        det = _det_int64(rows)
-        if det is not None:
-            return det
     sign = 1
     prev = 1
     for c in range(k - 1):

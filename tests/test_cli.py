@@ -306,13 +306,19 @@ def _run_optimized(args):
 
 
 def test_package_import_leaves_numpy_unloaded():
-    """Only `negtype` and `det_int`'s int64 route need numpy, so importing
-    the package and sweeping H_3 load none; negtype still loads on use."""
+    """Only `negtype` needs numpy, so importing the package, sweeping H_3
+    and taking the determinants of a 48-point set and a 40-vertex tree
+    load none; negtype still loads on use."""
     script = (
         "import sys\n"
         "import cubedist, cubedist.verify\n"
+        "from cubedist import identities, trees\n"
         "assert 'numpy' not in sys.modules\n"
         "assert cubedist.verify.identity_sweep_exhaustive(3).ok\n"
+        "s = cubedist.PointSet.from_bits(8, tuple((37 * i + 11) % 256 for i in range(48)))\n"
+        "assert identities.full_report(s).det_D == 0\n"
+        "t = trees.prufer_to_tree([i // 2 for i in range(38)], 40)\n"
+        "assert trees.tree_det_direct(t) == trees.graham_pollak_det(t)\n"
         "assert 'numpy' not in sys.modules\n"
         "from cubedist import sanchez_wp\n"
         "assert 'numpy' in sys.modules\n"

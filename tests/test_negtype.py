@@ -63,6 +63,15 @@ class TestDpMatrix:
         with pytest.raises(DomainError):
             negtype.dp_matrix(PATH3, 0.5)
 
+    @pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, p):
+        # every exponent-taking check goes through dp_matrix, so none of
+        # them reaches the eigenvalue solver with a non-finite exponent
+        s = PointSet.from_bits(3, (0, 1, 3, 7))
+        for fn in (negtype.dp_matrix, negtype.is_p_negative_type, negtype.strict_p_negative_type):
+            with pytest.raises(DomainError):
+                fn(s, p)
+
 
 class TestIsPNegativeType:
     def test_p1_always_holds(self):

@@ -1,7 +1,6 @@
 import random
 from fractions import Fraction
 from math import lcm
-from unittest.mock import patch
 
 import pytest
 from hypothesis import Phase, given, settings
@@ -98,7 +97,7 @@ def _low_rank_product(rng, k):
 def _small_minors(rng, k):
     """L U with L and U sparse unit-triangular, except for a few 2s on
     U's diagonal: nonsingular, with leading minors 1, 2, 4 or 8, so the
-    int64 route runs to the end and its divisions by the pivots matter."""
+    elimination runs to the end and its divisions by the pivots matter."""
     twos = set(rng.sample(range(k), rng.randint(1, 3)))
 
     def sparse_sign():
@@ -113,7 +112,7 @@ def _small_minors(rng, k):
 
 
 def _huge_entry(rng, k):
-    """Small entries and one past int64's guard or range."""
+    """Small entries and one past 2^31 or past int64's range."""
     rows = [[rng.randint(-7, 7) for _ in range(k)] for _ in range(k)]
     big = rng.choice((2**31, 2**31 + rng.randint(0, 2**20), 2**63 - 1, 2**63, 2**64 + 3))
     rows[rng.randrange(k)][rng.randrange(k)] = rng.choice((1, -1)) * big
@@ -121,11 +120,11 @@ def _huge_entry(rng, k):
 
 
 def _near_2_20(rng, k):
-    """Entries near 2^20 pass the guard on entry; their products trip it."""
+    """Entries near 2^20, whose products pass 2^31 in the first step."""
     return [[(1 << 20) + rng.randint(-8, 8) for _ in range(k)] for _ in range(k)]
 
 
-_INT64_CASES = {
+_LARGE_CASES = {
     "dense": lambda rng, k: [[rng.randint(-7, 7) for _ in range(k)] for _ in range(k)],
     "low-rank": _low_rank_product,
     "small-minors": _small_minors,
@@ -145,87 +144,41 @@ def _point_set_matrices(rng):
     return [d, bordered(g, u, 0), bordered(d, [1] * len(d), 0)]
 
 
-class _Spy:
-    """Records what each `_det_int64` call returned."""
-
-    def __init__(self):
-        self.results = []
-        self._real = ratlinalg._det_int64
-
-    def __call__(self, rows):
-        result = self._real(rows)
-        self.results.append(result)
-        return result
-
-
 # A seed draws a whole matrix, so shrinking it finds no simpler one; it
 # only reruns the oracle on more matrices of up to 48 rows.
 _NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
 
 
-class TestInt64Route:
-    """Square matrices of at least `INT64_MIN_ROWS` rows are eliminated in
-    int64 under a guard; every answer must equal the `Fraction` oracle's,
-    whether the int64 route finished or fell back to Python ints. With
-    the guard lowered to 64 the fallback runs on ordinary inputs too."""
+class TestLargeMatrices:
+    """`det_int` on 16 to 48 rows, past what permutation expansion can
+    check, against the `Fraction` oracle: dense, singular, exactly
+    divisible, with entries past any machine word, and with entries whose
+    minors grow past 2^31 at once."""
 
-    @pytest.mark.parametrize("limit", [ratlinalg.INT64_LIMIT, 64], ids=["guard-2^31", "guard-64"])
-    @pytest.mark.parametrize("kind", list(_INT64_CASES))
+    @pytest.mark.parametrize("kind", list(_LARGE_CASES))
     @settings(max_examples=8, deadline=None, derandomize=True, phases=_NO_SHRINK)
     @given(k=st.integers(16, 48), seed=st.integers(0, 2**32))
-    def test_matches_fraction_oracle(self, limit, kind, k, seed):
-        rows = _INT64_CASES[kind](random.Random(seed), k)
+    def test_matches_fraction_oracle(self, kind, k, seed):
+        rows = _LARGE_CASES[kind](random.Random(seed), k)
         expected = det_oracle(rows)
-        spy = _Spy()
-        with patch.object(ratlinalg, "_det_int64", spy), patch.object(ratlinalg, "INT64_LIMIT", limit):
-            assert det_int([row[:] for row in rows]) == expected
-        if kind == "small-minors" and limit == ratlinalg.INT64_LIMIT:
-            # the int64 route itself gave the nonzero answer
-            assert spy.results == [expected] != [0]
+        assert det_int([row[:] for row in rows]) == expected
+        if kind == "small-minors":
+            assert expected != 0
 
-    @pytest.mark.parametrize("limit", [ratlinalg.INT64_LIMIT, 64], ids=["guard-2^31", "guard-64"])
     @settings(max_examples=10, deadline=None, derandomize=True, phases=_NO_SHRINK)
     @given(seed=st.integers(0, 2**32))
-    def test_point_set_matrices(self, limit, seed):
-        spy = _Spy()
-        with patch.object(ratlinalg, "_det_int64", spy), patch.object(ratlinalg, "INT64_LIMIT", limit):
-            for rows in _point_set_matrices(random.Random(seed)):
-                copy = [row[:] for row in rows]
-                assert det_int(copy) == det_oracle(rows) == 0
-        assert len(spy.results) == 3
-        if limit == ratlinalg.INT64_LIMIT:
-            # the int64 route ran to its answer on every matrix
-            assert spy.results == [0, 0, 0]
-
-    def test_int64_route_leaves_rows_intact(self):
-        rows = _small_minors(random.Random(7), 20)
-        copy = [row[:] for row in rows]
-        assert ratlinalg._det_int64(copy) == det_oracle(rows)
-        assert copy == rows
+    def test_point_set_matrices(self, seed):
+        for rows in _point_set_matrices(random.Random(seed)):
+            assert det_int([row[:] for row in rows]) == det_oracle(rows) == 0
 
     @pytest.mark.parametrize("big", [2**31, -(2**31), 2**63 - 1, -(2**63), 2**63, -(2**63) - 1])
-    def test_entry_past_the_guard_falls_back(self, big):
+    def test_huge_entry(self, big):
         rows = eye(16)
         rows[3][5] = big
-        assert ratlinalg._det_int64([row[:] for row in rows]) is None
         assert det_int(rows) == 1
         rows = eye(16)
         rows[4][4] = big
         assert det_int(rows) == big
-
-    def test_guard_trips_mid_way(self):
-        rows = _near_2_20(random.Random(1), 16)
-        assert max(map(max, rows)) < ratlinalg.INT64_LIMIT
-        assert ratlinalg._det_int64([row[:] for row in rows]) is None
-        assert det_int([row[:] for row in rows]) == det_oracle(rows)
-
-    def test_small_and_wide_inputs_stay_on_python_ints(self, monkeypatch):
-        spy = _Spy()
-        monkeypatch.setattr(ratlinalg, "_det_int64", spy)
-        k = ratlinalg.INT64_MIN_ROWS
-        assert det_int(eye(k - 1)) == 1
-        assert M(eye(k)).inverse() == M(eye(k))
-        assert spy.results == []
 
 
 class TestRank:
