@@ -149,27 +149,38 @@ def _point_set_matrices(rng):
 _NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
 
 
-class TestLargeMatrices:
+class TestInt64Route:
     """`det_int` on 16 to 48 rows, past what permutation expansion can
     check, against the `Fraction` oracle: dense, singular, exactly
     divisible, with entries past any machine word, and with entries whose
-    minors grow past 2^31 at once."""
+    minors grow past 2^31 at once. The class and its ids are named for
+    the int64 route that once ran these sizes under a guard of 2^31 (or
+    64 in tests); `det_int` now runs them on Python ints, and each guard
+    value is kept as a scale: det(s A) = s^k det(A) must hold exactly."""
 
+    @pytest.mark.parametrize("scale", [2**31, 64], ids=["guard-2^31", "guard-64"])
     @pytest.mark.parametrize("kind", list(_LARGE_CASES))
     @settings(max_examples=8, deadline=None, derandomize=True, phases=_NO_SHRINK)
     @given(k=st.integers(16, 48), seed=st.integers(0, 2**32))
-    def test_matches_fraction_oracle(self, kind, k, seed):
+    def test_matches_fraction_oracle(self, scale, kind, k, seed):
         rows = _LARGE_CASES[kind](random.Random(seed), k)
         expected = det_oracle(rows)
         assert det_int([row[:] for row in rows]) == expected
+        assert det_int([[scale * x for x in row] for row in rows]) == scale**k * expected
         if kind == "small-minors":
             assert expected != 0
 
+    @pytest.mark.parametrize("scale", [2**31, 64], ids=["guard-2^31", "guard-64"])
     @settings(max_examples=10, deadline=None, derandomize=True, phases=_NO_SHRINK)
     @given(seed=st.integers(0, 2**32))
-    def test_point_set_matrices(self, seed):
+    def test_point_set_matrices(self, scale, seed):
         for rows in _point_set_matrices(random.Random(seed)):
             assert det_int([row[:] for row in rows]) == det_oracle(rows) == 0
+            assert det_int([[scale * x for x in row] for row in rows]) == 0
+
+
+class TestLargeMatrices:
+    """`det_int` on 16 rows with one entry past 2^31 or past int64's range."""
 
     @pytest.mark.parametrize("big", [2**31, -(2**31), 2**63 - 1, -(2**63), 2**63, -(2**63) - 1])
     def test_huge_entry(self, big):
