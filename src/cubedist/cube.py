@@ -9,14 +9,15 @@ dot products popcounts of ANDs. The set is ordered and duplicate-free;
 the first listed point is the translation base, and `normalize` XORs
 the whole set by it, which leaves all pairwise distances unchanged.
 
-The `distance_rows` / `bordered_rows` / `gram_rows` helpers build the
-distance and Gram matrices as plain integer row lists; everything in
-this module is integer arithmetic. A PointSet caches its distance rows
-(`d_rows`), and the Gram rows with u (`gram`) and Gram-kernel pass
-(`kernel`) of its tail translated by x_0 (bits[1:] when normalized),
-each built through those module functions at most once per set. Rows
-are tuples, so an elimination that forgets to copy raises instead of
-corrupting the cache.
+The `distance_rows` / `gram_rows` helpers build the distance and Gram
+matrices as tuples of integer rows, and `bordered_rows` borders a
+matrix in new row lists; everything in this module is integer
+arithmetic. A PointSet caches its distance rows (`d_rows`), and the
+Gram rows with u (`gram`) and Gram-kernel pass (`kernel`) of its tail
+translated by x_0 (bits[1:] when normalized), each built through those
+module functions at most once per set and returned as built. The
+eliminations in `ratlinalg` read rows without writing to them, so
+callers pass the cached rows straight in.
 
 Gram kernel. `gram_push` is the package's one exact elimination of the
 Gram matrix of bit patterns: it appends a point to a prefix and carries
@@ -106,13 +107,12 @@ class PointSet:
     @cached_property
     def d_rows(self) -> tuple[tuple[int, ...], ...]:
         """The distance matrix, from `distance_rows`."""
-        return tuple(map(tuple, distance_rows(self.bits)))
+        return distance_rows(self.bits)
 
     @cached_property
     def gram(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
         """(G, u) of the translated tail, from `gram_rows`."""
-        g, u = gram_rows(normalize(self).bits[1:])
-        return tuple(map(tuple, g)), tuple(u)
+        return gram_rows(normalize(self).bits[1:])
 
     @cached_property
     def kernel(self):
@@ -137,24 +137,23 @@ def normalize(s: PointSet) -> PointSet:
     return PointSet(s.n, tuple(b ^ base for b in s.bits))
 
 
-def distance_rows(bits: Sequence[int]) -> list[list[int]]:
+def distance_rows(bits: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """Pairwise Hamming distance matrix of bit patterns, as int rows."""
-    return [[(a ^ b).bit_count() for b in bits] for a in bits]
+    return tuple([tuple([(a ^ b).bit_count() for b in bits]) for a in bits])
 
 
-def bordered_rows(rows: Sequence[list[int]]) -> list[list[int]]:
+def bordered_rows(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     """The matrix [[0, 1^T], [1, rows]] as new int rows."""
     return [[0] + [1] * len(rows)] + [[1, *row] for row in rows]
 
 
-def gram_rows(tail_bits: Sequence[int]) -> tuple[list[list[int]], list[int]]:
+def gram_rows(tail_bits: Sequence[int]) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """Gram matrix and its diagonal for 0/1 points given as bit patterns.
 
     The dot product of 0/1 vectors is the popcount of the AND.
     """
-    g = [[(a & b).bit_count() for b in tail_bits] for a in tail_bits]
-    u = [g[i][i] for i in range(len(tail_bits))]
-    return g, u
+    g = tuple([tuple([(a & b).bit_count() for b in tail_bits]) for a in tail_bits])
+    return g, tuple([row[i] for i, row in enumerate(g)])
 
 
 def random_tail(rng, n: int, m: int) -> tuple[int, ...]:

@@ -22,8 +22,8 @@ a dependent set's zeros are certified there by `kernel_witness`, and the
 eliminations here are the tests' oracle for that certificate. Every
 function reads the set's cached distance rows, Gram rows and kernel
 (`PointSet.d_rows`, `.gram`, `.kernel`), so a set's matrices are built
-once however many identities are checked on it; eliminations copy the
-rows first. Nothing here runs a rank test.
+once however many identities are checked on it; the eliminations read
+the cached rows in place. Nothing here runs a rank test.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ def kernel_quad(s: PointSet) -> tuple[int, Optional[Fraction]]:
 
 def det_distance_matrix(s: PointSet) -> Fraction:
     """det(D) by direct fraction-free elimination."""
-    return Fraction(det_int([list(row) for row in s.d_rows]))
+    return Fraction(det_int(s.d_rows))
 
 
 def det_via_bordered_gram(s: PointSet) -> Fraction:

@@ -38,7 +38,7 @@ no floating-point work; otherwise det G > 0 and the corner give
 sign det(D) = (-1)^(m-1) sign(corner) and sign det [[0, 1^T], [1, D]] =
 (-1)^(m-1). `strict_p_negative_type` at p = 1 keeps its own two
 `det_int` calls, so `murugan_classify`'s three views are three routes;
-they share the input, one list of distance rows built once per set
+they share the input, one tuple of distance rows built once per set
 (`PointSet.d_rows`, cached on the set with its kernel).
 """
 
@@ -407,7 +407,7 @@ def strict_p_negative_type(s: PointSet, p: float, tol: float = DEFAULT_TOL) -> b
         raise NotNegativeTypeError(f"set does not have {p}-negative type")
     rows = s.d_rows
     if p == 1:
-        det1 = det_int([list(row) for row in rows])
+        det1 = det_int(rows)
         bord1 = det_int(cube.bordered_rows(rows))
         return det1 != 0 and bord1 != 0
     # one bordered batch factorises D_p once for both signals;

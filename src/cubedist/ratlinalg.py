@@ -1,9 +1,8 @@
 """Exact linear algebra over the integers and the rationals.
 
-`det_int` and `rank_int` run fraction-free (Bareiss) elimination on
-plain lists of Python ints, destructively, so every intermediate value
-is an integer and no size or entry can overflow.
-`det_solve_int` eliminates [M | R] in one `det_int` pass and
+`det_int`, `rank_int` and `det_solve_int` read one fraction-free
+(Bareiss) echelon form, `_echelon`, on Python ints, so no size or entry
+can overflow; it never writes to its input rows. `det_solve_int` also
 back-substitutes exactly, giving det M and det M * M^{-1} R in integers.
 `RationalMatrix` holds `fractions.Fraction` entries,
 which stay in canonical form (positive denominator, gcd-reduced), and
@@ -22,109 +21,97 @@ from typing import Iterable, Sequence
 
 from .errors import DimensionError, SingularMatrixError
 
+Rows = Sequence[Sequence[int]]
 
-def det_int(rows: list[list[int]]) -> int:
-    """Determinant of the leading k x k block of k rows; may destroy `rows`.
 
-    Bareiss elimination with row pivoting: every intermediate entry is
-    an exact minor of the input, so all divisions are exact and entry
-    growth stays polynomial in the minors. Columns past k take the same
-    row operations: with a nonzero result, rows[i][i:] is row i of the
-    fraction-free echelon form of the whole matrix.
+def _echelon(rows: Rows, ncols: int) -> tuple[int, list[Sequence[int]]]:
+    """(sign, pivot rows) of the fraction-free echelon form of the first
+    `ncols` columns; later columns take the same row operations. `rows`
+    (lists or tuples) is read, never written.
+
+    Bareiss elimination: the first row at or below the current one that
+    is nonzero in the column is the pivot row (a swap flips `sign`); a
+    column without one is skipped. Every intermediate entry is an exact
+    minor of the input, so all divisions are exact. Working and pivot
+    rows are held from the current column on, so a pivot row starts with
+    its pivot, and each update builds a new list.
     """
-    k = len(rows)
-    if k == 0:
-        return 1
+    work = list(rows)
+    nr = len(work)
     sign = 1
     prev = 1
-    for c in range(k - 1):
-        piv_row = rows[c]
-        if piv_row[c] == 0:
-            for r in range(c + 1, k):
-                if rows[r][c]:
-                    rows[c], rows[r] = rows[r], rows[c]
-                    piv_row = rows[c]
+    pivots: list[Sequence[int]] = []
+    r = 0
+    for _ in range(ncols):
+        if r == nr:
+            break
+        piv_row = work[r]
+        if not piv_row[0]:
+            for i in range(r + 1, nr):
+                if work[i][0]:
+                    piv_row, work[i] = work[i], piv_row
                     sign = -sign
                     break
             else:
-                return 0
-        piv = piv_row[c]
-        piv_tail = piv_row[c + 1 :]
-        for r in range(c + 1, k):
-            row = rows[r]
-            f = row[c]
-            if prev == 1:
-                if f:
-                    row[c + 1 :] = [piv * x - f * y for x, y in zip(row[c + 1 :], piv_tail)]
-                elif piv != 1:
-                    row[c + 1 :] = [piv * x for x in row[c + 1 :]]
-            elif f:
-                row[c + 1 :] = [(piv * x - f * y) // prev for x, y in zip(row[c + 1 :], piv_tail)]
-            else:
-                row[c + 1 :] = [(piv * x) // prev for x in row[c + 1 :]]
-        prev = piv
-    return sign * rows[-1][k - 1]
-
-
-def rank_int(rows: list[list[int]]) -> int:
-    """Rank over the rationals of an integer matrix, destroying `rows`.
-
-    Same fraction-free update as `det_int`, with zero columns skipped.
-    """
-    nr = len(rows)
-    if nr == 0:
-        return 0
-    nc = len(rows[0])
-    r = 0
-    prev = 1
-    for c in range(nc):
-        if r == nr:
-            break
-        piv_i = None
-        for i in range(r, nr):
-            if rows[i][c]:
-                piv_i = i
-                break
-        if piv_i is None:
-            continue
-        rows[r], rows[piv_i] = rows[piv_i], rows[r]
-        piv_row = rows[r]
-        piv = piv_row[c]
-        piv_tail = piv_row[c + 1 :]
-        for i in range(r + 1, nr):
-            row = rows[i]
-            f = row[c]
-            if f:
-                row[c + 1 :] = [(piv * x - f * y) // prev for x, y in zip(row[c + 1 :], piv_tail)]
-            elif piv != prev:
-                row[c + 1 :] = [(piv * x) // prev for x in row[c + 1 :]]
-            row[c] = 0
-        prev = piv
+                work[r:] = [row[1:] for row in work[r:]]
+                continue
+        pivots.append(piv_row)
+        piv = piv_row[0]
+        piv_tail = piv_row[1:]
         r += 1
-    return r
+        for j in range(r, nr):
+            row = work[j]
+            f = row[0]
+            if f:
+                work[j] = [(piv * x - f * y) // prev for x, y in zip(row[1:], piv_tail)]
+            elif piv == prev:
+                work[j] = row[1:]
+            else:
+                work[j] = [piv * x // prev for x in row[1:]]
+        prev = piv
+    return sign, pivots
 
 
-def det_solve_int(rows: list[list[int]]) -> tuple[int, list[list[int]] | None]:
+def det_int(rows: Rows) -> int:
+    """Determinant of the leading k x k block of k rows (`_echelon`):
+    0 unless each of the first k columns has a pivot, else sign times
+    the last pivot."""
+    k = len(rows)
+    sign, pivots = _echelon(rows, k)
+    if len(pivots) < k:
+        return 0
+    return sign * pivots[-1][0] if k else 1
+
+
+def rank_int(rows: Rows) -> int:
+    """Rank over the rationals of an integer matrix: the number of
+    pivots of its `_echelon` form."""
+    return len(_echelon(rows, len(rows[0]))[1]) if rows else 0
+
+
+def det_solve_int(rows: Rows) -> tuple[int, list[list[int]] | None]:
     """(det M, det M * X) with M X = R, for k integer rows [M | R] with M
-    k x k; destroys `rows`. det * X is None when det M = 0.
+    k x k. det * X is None when det M = 0.
 
-    One `det_int` pass eliminates M and carries R along. det * X is an
-    integer matrix (Cramer: it is adj(M) R), so back-substitution on the
-    fraction-free echelon form divides exactly.
+    One `_echelon` pass eliminates the k columns of M and carries R
+    along. det * X is an integer matrix (Cramer: it is adj(M) R), so
+    back-substitution on the pivot rows (row i from column i on) divides
+    exactly.
     """
     k = len(rows)
-    det = det_int(rows)
-    if det == 0:
+    sign, pivots = _echelon(rows, k)
+    if len(pivots) < k:
         return 0, None
+    det = sign * pivots[-1][0] if k else 1
     ys: list = [None] * k
     for i in range(k - 1, -1, -1):
-        row = rows[i]
-        acc = [det * b for b in row[k:]]
+        row = pivots[i]
+        acc = [det * b for b in row[k - i :]]
         for j in range(i + 1, k):
-            f = row[j]
+            f = row[j - i]
             if f:
                 acc = [a - f * y for a, y in zip(acc, ys[j])]
-        ys[i] = [a // row[i] for a in acc]
+        ys[i] = [a // row[0] for a in acc]
     return det, ys
 
 

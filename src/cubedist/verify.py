@@ -200,8 +200,7 @@ def check_tree(t: trees.UnweightedTree, report: SweepReport, deep: bool = False)
     embedding; the isometry check compares each row with the cube
     distances of that vertex's image. The product check D^{-1} * D = I
     runs on M = 2n D^{-1} from the closed form, one packed integer per
-    row (`_is_scaled_identity`), and det D comes last from `det_int`,
-    which may destroy the rows.
+    row (`_is_scaled_identity`), and det D comes from `det_int`.
 
     `deep` additionally inverts D by elimination, one `det_solve_int`
     pass giving det D and adj D = det D * D^{-1}, and passes when

@@ -11,7 +11,7 @@ that the fast routes are compared against them: `det_oracle`, a
 `Fraction` Gaussian elimination for matrices too large to expand by
 permutations, against which `det_int` is tested on 16 to 48 rows; the `Fraction`
 Gauss-Jordan inverse and Gaussian solve that `RationalMatrix.inverse`
-and `.solve` ran before they went through `det_int`; the `Fraction`
+and `.solve` ran before they went through `det_solve_int`; the `Fraction`
 Gaussian elimination that built kernel witnesses; the rank test and
 `Fraction` solve that gave <G^{-1}u, u> before the Gram kernel; in the search
 section, the per-subset evaluator (a rank test, a Gram rebuild and two
@@ -264,7 +264,7 @@ def eval_tail_oracle(tail, n):
     if m > n or cube.rank_of_bits(tail, n) != m:
         return None
     g, u = cube.gram_rows(tail)
-    bord = [[0] + u] + [[u[i]] + g[i] for i in range(m)]
+    bord = [[0, *u]] + [[u[i], *g[i]] for i in range(m)]
     return Fraction(-2 * det_int(g), det_int(bord))
 
 

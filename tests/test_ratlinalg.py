@@ -1,4 +1,5 @@
 import random
+from copy import deepcopy
 from fractions import Fraction
 from math import lcm
 
@@ -377,18 +378,18 @@ def _matches_oracle(route, oracle):
 
 
 class TestAgainstFractionOracle:
-    """`inverse` and `solve` (one `det_int` elimination, then exact
+    """`inverse` and `solve` (one `_echelon` elimination, then exact
     back-substitution) against the `Fraction` Gauss-Jordan and Gauss
     loops they replaced."""
 
     def check(self, rows, v, forced):
         a = M(rows)
         with pytest.MonkeyPatch.context() as mp:
-            calls = count_calls(mp, ratlinalg, "det_int")
+            calls = count_calls(mp, ratlinalg, "_echelon")
             inv_ok = _matches_oracle(a.inverse, lambda: inverse_oracle(a))
-            assert calls["det_int"] == 1
+            assert calls["_echelon"] == 1
             solve_ok = _matches_oracle(lambda: a.solve(v), lambda: solve_oracle(a, v))
-            assert calls["det_int"] == 2
+            assert calls["_echelon"] == 2
         assert inv_ok == solve_ok
         if forced:
             assert not inv_ok
@@ -409,6 +410,66 @@ class TestAgainstFractionOracle:
         # pivoting at every column, and an empty system
         assert self.check([[0, 0, 2], [0, 3, 1], [5, 1, 1]], [1, 2, 3], False)
         assert self.check([], [], False)
+
+
+@st.composite
+def echelon_inputs(draw):
+    """k integer rows of k + extra columns, square (extra 0) or wide;
+    when `deficient`, one row is a combination of two others (zero when
+    either is the row itself), so the leading square block is singular.
+    Given as lists of lists or as tuples of tuples."""
+    k = draw(st.integers(min_value=1, max_value=6))
+    width = k + draw(st.integers(min_value=0, max_value=3))
+    rows = draw(st.lists(st.lists(small_ints, min_size=width, max_size=width), min_size=k, max_size=k))
+    deficient = draw(st.booleans())
+    if deficient:
+        i = draw(st.integers(min_value=0, max_value=k - 1))
+        a, b = (draw(st.integers(min_value=-3, max_value=3)) for _ in range(2))
+        j1, j2 = (draw(st.integers(min_value=0, max_value=k - 1)) for _ in range(2))
+        if i in (j1, j2):
+            rows[i] = [0] * width
+        else:
+            rows[i] = [a * x + b * y for x, y in zip(rows[j1], rows[j2])]
+    if draw(st.booleans()):
+        rows = tuple(map(tuple, rows))
+    return rows, deficient
+
+
+class TestReadOnlyEchelon:
+    """`det_int`, `rank_int` and `det_solve_int` share one elimination,
+    which reads its rows and never writes to them: each answer matches
+    its `Fraction` oracle and the input is unchanged after every call."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(echelon_inputs())
+    def test_matches_fraction_oracles_and_leaves_input(self, system):
+        rows, deficient = system
+        before = deepcopy(rows)
+        k = len(rows)
+        det = det_int(rows)
+        assert rows == before
+        assert det == det_oracle(rows)
+        if deficient:
+            assert det == 0
+        assert rank_int(rows) == _rank_oracle(rows)
+        assert rows == before
+        cols = [list(col) for col in zip(*rows)]
+        assert rank_int(cols) == _rank_oracle(rows)
+        got = ratlinalg.det_solve_int(rows)
+        assert rows == before
+        a = M([row[:k] for row in rows])
+        rhs = cols[k:]
+        if det == 0:
+            assert got == (0, None)
+            with pytest.raises(SingularMatrixError):
+                solve_oracle(a, [0] * k)
+            return
+        got_det, ys = got
+        assert got_det == det
+        assert [list(y) for y in zip(*ys)] == [
+            [det * w for w in solve_oracle(a, col)] for col in rhs
+        ]
+        assert len(ys) == k and all(len(y) == len(rhs) for y in ys)
 
 
 class TestDetSolveInt:
