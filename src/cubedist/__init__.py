@@ -9,7 +9,6 @@ import importlib
 from .cube import (
     PointSet,
     affinely_independent,
-    linear_independent,
     normalize,
     parse_point_set,
     parse_point_set_file,

@@ -6,18 +6,18 @@ and all three come from bit patterns. So a PointSet is just the
 dimension n and a tuple of patterns, one machine int per point
 (coordinate k = bit k, so n <= 64); distances are popcounts of XORs and
 dot products popcounts of ANDs. The set is ordered and duplicate-free;
-the first listed point is the translation base, and `normalize` XORs
-the whole set by it, which leaves all pairwise distances unchanged.
+the first listed point is the translation base: XOR by it is an isometry
+sending x_0 to the origin, so the Gram objects of any set come from its
+translated `tail`, and `normalize` only makes the translation explicit.
 
 The `distance_rows` / `gram_rows` helpers build the distance and Gram
 matrices as tuples of integer rows, and `bordered_rows` borders a
 matrix in new row lists; everything in this module is integer
 arithmetic. A PointSet caches its distance rows (`d_rows`), and the
-Gram rows with u (`gram`) and Gram-kernel pass (`kernel`) of its tail
-translated by x_0 (bits[1:] when normalized), each built through those
-module functions at most once per set and returned as built. The
-eliminations in `ratlinalg` read rows without writing to them, so
-callers pass the cached rows straight in.
+Gram rows with u (`gram`) and Gram-kernel pass (`kernel`) of its
+`tail`, each built through those module functions at most once per set
+and returned as built. The eliminations in `ratlinalg` read rows
+without writing to them, so callers pass the cached rows straight in.
 
 Gram kernel. `gram_push` is the package's one exact elimination of the
 Gram matrix of bit patterns: it appends a point to a prefix and carries
@@ -33,10 +33,10 @@ U[i][i] = pivots[i]), whose solution c expresses the point in the
 prefix and gives a kernel vector of D. `gram_eliminate` runs the
 kernel over a whole tail; the search walk calls `gram_push` directly.
 
-`rank_of_bits`, behind `linear_independent`/`affinely_independent`, is
-a separate rank test; it runs only where independence is itself the
-reported or compared answer, and only on tails of at most n points
-(more are dependent in R^n without one).
+`rank_of_bits`, behind `affinely_independent`, is a separate rank
+test; it runs only where independence is itself the reported or
+compared answer, and only on tails of at most n points (more are
+dependent in R^n without one).
 """
 
 from __future__ import annotations
@@ -109,15 +109,21 @@ class PointSet:
         """The distance matrix, from `distance_rows`."""
         return distance_rows(self.bits)
 
+    @property
+    def tail(self) -> tuple[int, ...]:
+        """x_1 ^ x_0, ..., x_m ^ x_0 (bits[1:] when x_0 = 0); not cached."""
+        base = self.bits[0]
+        return tuple([b ^ base for b in self.bits[1:]]) if base else self.bits[1:]
+
     @cached_property
     def gram(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
         """(G, u) of the translated tail, from `gram_rows`."""
-        return gram_rows(normalize(self).bits[1:])
+        return gram_rows(self.tail)
 
     @cached_property
     def kernel(self):
         """`gram_eliminate` of the translated tail."""
-        return gram_eliminate(normalize(self).bits[1:])
+        return gram_eliminate(self.tail)
 
 
 def _pattern_string(bits: int, n: int) -> str:
@@ -131,10 +137,7 @@ def normalize(s: PointSet) -> PointSet:
     The cube's group structure makes this an isometry, so the distance
     matrix is unchanged.
     """
-    if s.normalized:
-        return s
-    base = s.bits[0]
-    return PointSet(s.n, tuple(b ^ base for b in s.bits))
+    return s if s.normalized else PointSet(s.n, (0, *s.tail))
 
 
 def distance_rows(bits: Sequence[int]) -> tuple[tuple[int, ...], ...]:
@@ -254,25 +257,10 @@ def rank_of_bits(tail_bits: Sequence[int], n: int) -> int:
     return rank_int(rows)
 
 
-def linear_independent(s: PointSet) -> bool:
-    """Whether x_1, ..., x_m are linearly independent (Gram criterion).
-
-    Requires a normalized set: for unnormalized input the question
-    concerns the differences from the base, so normalize first. More
-    than n tail points in R^n are dependent without a rank test.
-    """
-    if not s.normalized:
-        raise ValueError("linear_independent needs a normalized set; call normalize() first")
-    return s.m <= s.n and rank_of_bits(s.bits[1:], s.n) == s.m
-
-
 def affinely_independent(s: PointSet) -> bool:
-    """Whether x_0, ..., x_m are affinely independent.
-
-    Equivalent to linear independence of the XOR-translated tail, so
-    invariant under reordering and under translating the whole set.
-    """
-    return linear_independent(normalize(s))
+    """Whether x_0, ..., x_m are affinely independent: the rank test on
+    the translated tail, which more than n points fail without it."""
+    return s.m <= s.n and rank_of_bits(s.tail, s.n) == s.m
 
 
 def parse_point_set(text: str) -> PointSet:

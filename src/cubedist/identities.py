@@ -1,7 +1,8 @@
 """Exact determinant and inverse identities for cube point sets.
 
-For a normalized set {0, x_1, ..., x_m} with Gram matrix G = B B^T and
-diagonal u, the distance matrix D satisfies
+For a set {x_0, ..., x_m} with Gram matrix G = B B^T of its tail
+translated by x_0 (`PointSet.tail`) and u = diag G, the distance matrix
+D satisfies
 
     det(D) = (-1)^(m-1) 2^(m-1) det [[0, u^T], [u, G]]
     det(D) = (-1)^m 2^(m-1) det(G) <G^{-1}u, u>      (independent tail)
@@ -19,7 +20,8 @@ determinants, `gram_solve`'s pivoting solve) stay separate so that the
 sweeps compare two computations of each identity, and learn dependence
 from their own elimination. `verify` runs them on independent sets only:
 a dependent set's zeros are certified there by `kernel_witness`, and the
-eliminations here are the tests' oracle for that certificate. Every
+eliminations here are the tests' oracle for that certificate, and
+`full_report` eliminates D of independent sets only. Every
 function reads the set's cached distance rows, Gram rows and kernel
 (`PointSet.d_rows`, `.gram`, `.kernel`), so a set's matrices are built
 once however many identities are checked on it; the eliminations read
@@ -37,12 +39,6 @@ from . import cube
 from .cube import PointSet
 from .errors import DependenceError, IndependenceError, InvariantError, SingularMatrixError
 from .ratlinalg import det_int, det_solve_int
-
-
-def _require_normalized(s: PointSet) -> PointSet:
-    if not s.normalized:
-        raise ValueError("operation needs a normalized set; call normalize() first")
-    return s
 
 
 def kernel_quad(s: PointSet) -> tuple[int, Optional[Fraction]]:
@@ -66,7 +62,6 @@ def det_via_bordered_gram(s: PointSet) -> Fraction:
     Exact for every set, dependent or not, since both sides vanish
     together.
     """
-    _require_normalized(s)
     m = s.m
     g, u = s.gram
     val = det_int([[0, *u]] + [[ui, *row] for ui, row in zip(u, g)])
@@ -87,7 +82,6 @@ def gram_solve(s: PointSet) -> tuple[Fraction, Fraction]:
     """(det G, <G^{-1}u, u>) along the pivoting route: one `det_solve_int`
     pass over [G | u] gives det G and y = det G * G^{-1}u, so the form is
     <y, u> / det G. Raises DependenceError when det G is 0."""
-    _require_normalized(s)
     g, u = s.gram
     det_g, y = det_solve_int([[*row, ui] for row, ui in zip(g, u)])
     if det_g == 0:
@@ -103,7 +97,6 @@ def det_from_gram_quad(m: int, det_g: Fraction, quad: Fraction) -> Fraction:
 def gram_quad(s: PointSet) -> Fraction:
     """Exact <G^{-1}u, u> from the Gram kernel; positive by positive
     definiteness of G. Equals n whenever m = n."""
-    _require_normalized(s)
     _, quad = kernel_quad(s)
     if quad is None:
         raise DependenceError("Gram matrix is singular for a dependent tail")
@@ -125,7 +118,6 @@ def kernel_witness(s: PointSet) -> tuple[int, ...]:
     det(G_k) times the coefficients, an integer vector by Cramer's rule,
     so the back-substitution divides exactly.
     """
-    _require_normalized(s)
     _, hists, pivots, _, _, dependent = s.kernel
     if dependent is None:
         raise IndependenceError("tail points are linearly independent; D has trivial kernel")
@@ -147,7 +139,6 @@ def bordered_distance_det(s: PointSet) -> Fraction:
     """det [[0, 1^T], [1, D]], computed both by direct elimination and
     as (-1)^(m-1) 2^m det(G), det(G) from the Gram kernel; the two must
     coincide."""
-    _require_normalized(s)
     m = s.m
     det_g, _ = kernel_quad(s)
     direct = det_int(cube.bordered_rows(s.d_rows))
@@ -200,17 +191,17 @@ class DetReport:
 
 
 def full_report(s: PointSet) -> DetReport:
-    """Compute every invariant (the Gram objects are those of the tail
-    translated by x_0, so no normalization is needed); fields that
-    require invertibility are absent (None) rather than zeroed."""
-    det_d = det_distance_matrix(s)
+    """Compute every invariant; fields that require invertibility are
+    absent (None) rather than zeroed. The Gram kernel decides dependence
+    first: a dependent set has det(D) = 0 from the kernel, so only an
+    independent set, at most n + 1 points, builds and eliminates D."""
     det_g, gq = kernel_quad(s)
-    dio = 2 / gq if gq is not None else None
+    independent = gq is not None
     return DetReport(
-        det_D=det_d,
+        det_D=det_distance_matrix(s) if independent else Fraction(0),
         det_G=Fraction(det_g),
         vol_sq=Fraction(det_g),
-        affinely_independent=gq is not None,
+        affinely_independent=independent,
         gram_quad=gq,
-        dinv_ones=dio,
+        dinv_ones=2 / gq if independent else None,
     )

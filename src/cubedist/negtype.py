@@ -40,6 +40,12 @@ sign det(D) = (-1)^(m-1) sign(corner) and sign det [[0, 1^T], [1, D]] =
 `det_int` calls, so `murugan_classify`'s three views are three routes;
 they share the input, one tuple of distance rows built once per set
 (`PointSet.d_rows`, cached on the set with its kernel).
+
+A top exponent p (a scan's cap, p of `dp_matrix`) with
+2 p log2(d_max) + 2 log2(2m) >= 1023 is refused (DomainError) before any
+float is built: the largest sum of squares, sum Q_ij^2 (m^2 entries of up
+to 2 d_max^p), would overflow float64, and NaN signals or an infinite
+scale give wrong answers. Dependent sets short-circuit the scans first.
 """
 
 from __future__ import annotations
@@ -51,7 +57,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import cube
-from .cube import PointSet, normalize
+from .cube import PointSet
 from .defaults import DEFAULT_CAP, DEFAULT_GRID, DEFAULT_TOL
 from .errors import BudgetExceededError, CapExceededError, DomainError, NotNegativeTypeError
 from .ratlinalg import det_int
@@ -65,12 +71,20 @@ ROOT_BORDERED = "bordered"
 ROOT_NONE_BELOW_CAP = "none-below-cap"
 
 
+def _check_exponent(s: PointSet, top: float) -> None:
+    """Refuse a top exponent whose D_p would overflow (module docstring)."""
+    d_max = max(map(max, s.d_rows))
+    if 2 * top * math.log2(d_max) + 2 * math.log2(2 * s.m) >= 1023:
+        raise DomainError(f"exponent {top} overflows float64 for distances up to {d_max}")
+
+
 def dp_matrix(s: PointSet, p: float) -> np.ndarray:
     """The matrix (d(x_i, x_j)^p) at machine precision; requires finite
-    p >= 1."""
+    p >= 1 below the overflow limit."""
     # NaN and the infinities would reach the eigenvalue solver and fail there
     if not (math.isfinite(p) and p >= 1):
         raise DomainError(f"exponent {p} is not finite and at least 1")
+    _check_exponent(s, p)
     return np.power(np.array(s.d_rows, dtype=float), p)
 
 
@@ -379,14 +393,16 @@ def sanchez_wp(
     bordered determinant on [1, cap].
 
     Affinely dependent sets short-circuit exactly: det(D_1) = 0, so the
-    supremum is 1 with no floating-point work. Raises DomainError unless
-    cap >= 1 and grid > 0 are finite and 0 < tol < 1, and
-    BudgetExceededError for more than MAX_GRID_POINTS grid points.
+    supremum is 1 with no floating-point work, at any cap. Raises
+    DomainError unless cap >= 1 and grid > 0 are finite, 0 < tol < 1 and
+    D_cap fits float64, and BudgetExceededError for more than
+    MAX_GRID_POINTS grid points.
     """
     _check_scan(cap, tol, grid)
     _, _, _, _, corner, dependent = s.kernel
     if dependent is not None:
         return NegTypeReport(1.0, ROOT_DETERMINANT, (1.0, 1.0), 0.0, float(cap))
+    _check_exponent(s, cap)
     # exact signs at p = 1 (module docstring); corner < 0 on an independent tail
     parity = 1 if s.m % 2 else -1  # (-1)^(m-1)
     anchor = (1.0, parity if corner > 0 else -parity, parity)
@@ -441,14 +457,13 @@ def murugan_classify(
     """Affine independence (the rank test), strict 1-negative type (two
     pivoting `det_int` calls) and supremal type above 1 (the Gram kernel
     and the root scan; no root below the cap certifies the bound, since
-    the cap exceeds 1), all read from one normalized copy of the set, which
-    builds its distance rows and Gram kernel once. Arguments are checked
-    as in `sanchez_wp`."""
-    sn = normalize(s)
-    wp = sanchez_wp(sn, cap, tol, grid).wp
+    the cap exceeds 1), all read from the set itself, which builds its
+    distance rows and Gram kernel once. Arguments are checked as in
+    `sanchez_wp`."""
+    wp = sanchez_wp(s, cap, tol, grid).wp
     return MuruganClassification(
-        affinely_independent=cube.linear_independent(sn),
-        strict_1_negative_type=strict_p_negative_type(sn, 1.0, tol),
+        affinely_independent=cube.affinely_independent(s),
+        strict_1_negative_type=strict_p_negative_type(s, 1.0, tol),
         wp_exceeds_1=wp > 1.0,
     )
 
@@ -468,7 +483,7 @@ def transform_scaling_check(
     resolution in q/p matches the base scan. For p = infinity the d_p
     metric is discrete and the supremum is infinite; that case is
     reported symbolically, never scanned. Both scans are bounded as in
-    `sanchez_wp`.
+    `sanchez_wp`, whose overflow refusal covers the q-scan (q/p <= cap).
     """
     if not p >= 1:
         raise DomainError(f"exponent {p} is not at least 1")

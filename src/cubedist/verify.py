@@ -106,7 +106,7 @@ def check_point_set(tail: tuple[int, ...], n: int, report: SweepReport) -> None:
     except InvariantError:
         bord_val = None
         report.counter("bordered_distance_det").add(False, tail)
-    report.counter("affine_criterion").add((det_direct != 0) == cube.linear_independent(s), tail)
+    report.counter("affine_criterion").add((det_direct != 0) == cube.affinely_independent(s), tail)
     try:
         solve_det_g, gq = identities.gram_solve(s)
     except CubedistError:
@@ -152,7 +152,7 @@ def _certify_dependent(s: PointSet, tail: tuple[int, ...], det_g: int, report: S
     sum_null = sum(c) == 0
     report.counter("det_via_bordered_gram").add(d_null and g_null and u_null, tail)
     report.counter("bordered_distance_det").add(d_null and sum_null and det_g == 0, tail)
-    report.counter("affine_criterion").add(d_null and not cube.linear_independent(s), tail)
+    report.counter("affine_criterion").add(d_null and not cube.affinely_independent(s), tail)
     report.counter("dependent_kernel").add(d_null and sum_null, tail)
 
 
@@ -266,14 +266,19 @@ def _is_scaled_identity(m_rows: list[list[int]], d_rows: list[list[int]], scale:
     return True
 
 
-def tree_sweep(max_vertices: int = 8, deep_max_vertices: int = 6) -> SweepReport:
+# The deep checks eliminate [D | I] per tree, so the sweep runs them on
+# small trees only: up to this many vertices.
+DEEP_MAX_VERTICES = 6
+
+
+def tree_sweep(max_vertices: int = 8) -> SweepReport:
     """All labeled trees on 3..max_vertices vertices (k^(k-2) per size,
-    via Prufer sequences); deep checks up to deep_max_vertices."""
+    via Prufer sequences); deep checks up to DEEP_MAX_VERTICES."""
     report = SweepReport(label="trees")
     for name in _TREE_CHECKS:
         report.counter(name)
     for k in range(trees.MIN_VERTICES, max_vertices + 1):
-        deep = k <= deep_max_vertices
+        deep = k <= DEEP_MAX_VERTICES
         for t in trees.enumerate_labeled_trees(k):
             check_tree(t, report, deep=deep)
     return report

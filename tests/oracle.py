@@ -507,7 +507,7 @@ def sanchez_wp_oracle(s, cap=negtype.DEFAULT_CAP, tol=negtype.DEFAULT_TOL, grid=
     if cap < 1:
         raise DomainError(f"cap {cap} below 1")
     sn = normalize(s)
-    if not cube.linear_independent(sn):
+    if not cube.affinely_independent(sn):
         return negtype.NegTypeReport(1.0, negtype.ROOT_DETERMINANT, (1.0, 1.0), 0.0, float(cap))
     rows = cube.distance_rows(sn.bits)
     exact_det = det_int([row[:] for row in rows])
@@ -544,7 +544,7 @@ def transform_scaling_check_oracle(
     if p == 1.0:
         return (wp1, wp1)
     sn = normalize(s)
-    if not cube.linear_independent(sn):
+    if not cube.affinely_independent(sn):
         return (float(p), p * wp1)
     d_float = np.array(cube.distance_rows(sn.bits), dtype=float)
     hit = scan_for_roots_oracle(d_float, None, None, 1.0, p * float(cap), p * grid, tol, alpha=p)

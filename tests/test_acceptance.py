@@ -36,7 +36,7 @@ def identity_reports():
 
 @pytest.fixture(scope="module")
 def tree_report():
-    return verify.tree_sweep(max_vertices=8, deep_max_vertices=6)
+    return verify.tree_sweep(max_vertices=8)
 
 
 def _feasible_pairs():

@@ -6,16 +6,19 @@ import sys
 import pytest
 
 import cubedist
-from cubedist import negtype, search, trees, verify
+from cubedist import cube, identities, negtype, search, trees, verify
 from cubedist.cli import main
 from cubedist.cube import parse_point_set
 from cubedist.errors import DomainError
-from oracle import sanchez_wp_oracle
+from oracle import count_calls, sanchez_wp_oracle
 
 H3_FILE = "3 4\n000\n100\n010\n111\n"
 DEP_FILE = "2 4\n00\n10\n01\n11\n"
 PATH_FILE = "2 3\n00\n10\n11\n"
 CORNER_FILE = "3 3\n000\n100\n010\n"
+# patterns {0, 3, 5, 9, 14} of H_4: distances up to 3, so exponents from
+# p = 320.8 on are refused
+WIDE5_FILE = "4 5\n0000\n1100\n1010\n1001\n0111\n"
 STAR4_TREE = "4\n0 1\n0 2\n0 3\n"
 
 
@@ -48,6 +51,19 @@ class TestReport:
         assert code == 0
         assert js["det_D"] == "0"
         assert "dinv_ones" not in js
+
+    def test_dependent_set_skips_the_distance_matrix(self, monkeypatch, capsys, tmp_path):
+        """1,600 points of H_12: the Gram kernel proves the set dependent
+        within 13 points, so det(D) = 0 without building or eliminating D."""
+        f = tmp_path / "big.txt"
+        rows = [format((37 * i + 11) % 4096, "012b") for i in range(1600)]
+        f.write_text("12 1600\n" + "\n".join(rows) + "\n")
+        calls = count_calls(monkeypatch, cube, "distance_rows")
+        count_calls(monkeypatch, identities, "det_int", calls=calls)
+        code, js = run_json(capsys, ["report", str(f)])
+        assert code == 0
+        assert js == {"affinely_independent": False, "det_D": "0", "det_G": "0", "vol_sq": "0"}
+        assert calls == {}
 
     def test_malformed_exit_2(self, tmp_path, capsys):
         f = tmp_path / "bad.txt"
@@ -161,6 +177,18 @@ class TestNegtype:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+    def test_overflowing_cap_refused(self, capsys, tmp_path):
+        # past the limit a NaN grid point would close a zero band, so the
+        # supremum would move with the cap and the residual print as NaN
+        f = tmp_path / "wide5.txt"
+        f.write_text(WIDE5_FILE)
+        code, js = run_json(capsys, ["negtype", str(f), "--cap", "300", "--grid", "1"])
+        assert code == 0 and js["wp"] == 18.0
+        for flags in (["--cap", "400", "--grid", "1"], ["--cap", "1e6", "--grid", "100"]):
+            assert main(["negtype", str(f), *flags]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == "" and "overflows float64" in captured.err
 
     def test_deterministic_bytes(self, tmp_path):
         f = tmp_path / "path.txt"

@@ -9,7 +9,6 @@ from cubedist import cube, identities, negtype
 from cubedist.cube import (
     PointSet,
     affinely_independent,
-    linear_independent,
     normalize,
     parse_point_set,
 )
@@ -203,7 +202,7 @@ def _every_public_call(s):
     for call in calls:
         try:
             call(s)
-        except (CubedistError, ValueError):
+        except CubedistError:
             pass
 
 
@@ -232,12 +231,11 @@ class TestCachedMatrices:
             "gram": (tuple(map(tuple, g)), tuple(u)),
             "kernel": cube.gram_eliminate(tail),
         }
-        # the normalized set has filled all three; the raw one those that
-        # its (normalization-free) calls read
-        assert set(vars(sn)) == set(want) | {"n", "bits"}
+        # every call takes any set, so both have filled all three
         for t in (s, sn):
+            assert set(vars(t)) == set(want) | {"n", "bits"}
             for name, value in want.items():
-                assert vars(t).get(name, value) == value
+                assert vars(t)[name] == value
 
     def test_equal_sets_do_not_share_caches(self):
         a = PointSet.from_bits(3, (0, 1, 2, 7))
@@ -262,14 +260,13 @@ class TestCachedMatrices:
 
 class TestIndependence:
     def test_examples(self):
-        assert linear_independent(ps((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 1)))
+        assert affinely_independent(ps((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 1)))
         full_h2 = ps((0, 0), (1, 0), (0, 1), (1, 1))
-        assert not linear_independent(full_h2)
         assert not affinely_independent(full_h2)
 
     def test_more_points_than_dimension(self):
         s = PointSet.from_bits(2, [0, 1, 2, 3])
-        assert not linear_independent(s)
+        assert not affinely_independent(s)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_more_tail_points_than_dimension_skip_the_rank_test(self, monkeypatch, n):
@@ -279,12 +276,8 @@ class TestIndependence:
         ]
         assert tails
         for tail in tails:
-            assert not linear_independent(PointSet.from_bits(n, (0, *tail)))
+            assert not affinely_independent(PointSet.from_bits(n, (0, *tail)))
         assert calls["rank_of_bits"] == 0
-
-    def test_requires_normalized(self):
-        with pytest.raises(ValueError):
-            linear_independent(ps((1, 0), (0, 1)))
 
     def test_affine_examples(self):
         assert affinely_independent(ps((1, 0, 0), (0, 1, 0), (1, 1, 1), (0, 0, 0)))
@@ -293,7 +286,7 @@ class TestIndependence:
     def test_gf2_dependent_rationally_independent(self):
         # (1,1,0), (0,1,1), (1,0,1) sum to zero mod 2 yet have rank 3 over Q
         s = ps((0, 0, 0), (1, 1, 0), (0, 1, 1), (1, 0, 1))
-        assert linear_independent(s)
+        assert affinely_independent(s)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.sets(st.integers(0, 15), min_size=2, max_size=6), st.integers(0, 15), st.randoms())

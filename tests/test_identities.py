@@ -51,10 +51,6 @@ class TestDetViaBorderedGram:
     def test_dependent_set_gives_zero(self):
         assert identities.det_via_bordered_gram(FULL_H2) == 0
 
-    def test_requires_normalized(self):
-        with pytest.raises(ValueError):
-            identities.det_via_bordered_gram(PointSet.from_bits(2, [1, 2]))
-
     def test_matches_direct_elimination_randomly(self):
         rng = random.Random(41)
         for _ in range(60):
@@ -159,7 +155,7 @@ class TestKernelWitnessAgainstOracle:
         s = PointSet.from_bits(n, [0, *tail])
         want = _witness_or_error(kernel_witness_oracle, s)
         assert _witness_or_error(identities.kernel_witness, s) == want
-        assert (want is IndependenceError) == cube.linear_independent(s)
+        assert (want is IndependenceError) == cube.affinely_independent(s)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(_dependent_tails())
@@ -173,7 +169,7 @@ class TestKernelWitnessAgainstOracle:
         for m in range(1, 8):
             for tail in combinations(range(1, 8), m):
                 s = PointSet.from_bits(3, (0,) + tail)
-                if cube.linear_independent(s):
+                if cube.affinely_independent(s):
                     continue
                 checked += 1
                 assert identities.kernel_witness(s) == kernel_witness_oracle(s)
@@ -463,6 +459,48 @@ class TestGramKernelAgainstOracle:
         assert independent == 15 + 105 + 430 + 940
 
 
+@st.composite
+def _unnormalized_sets(draw):
+    """Sets whose first point, the translation base, is not the origin."""
+    n = draw(st.integers(2, 6))
+    k = draw(st.integers(2, min(2 * n + 2, 1 << n)))
+    bits = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=k, max_size=k, unique=True))
+    assume(bits[0])
+    return PointSet.from_bits(n, bits)
+
+
+_SET_FUNCTIONS = (
+    identities.kernel_quad,
+    identities.det_distance_matrix,
+    identities.det_via_bordered_gram,
+    identities.det_via_gram_quad,
+    identities.gram_solve,
+    identities.gram_quad,
+    identities.kernel_witness,
+    identities.bordered_distance_det,
+    identities.dinv_ones,
+    identities.full_report,
+    cube.affinely_independent,
+)
+
+
+class TestTranslation:
+    """No function needs a normalized set: each reads the set's own
+    translation by x_0, so it answers exactly as on `normalize(s)`."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_unnormalized_sets())
+    def test_unnormalized_sets_match_normalized(self, s):
+        sn = cube.normalize(s)
+        assert sn != s
+        for fn in _SET_FUNCTIONS:
+            assert _value_or_error(fn, s) == _value_or_error(fn, sn), fn.__name__
+        if not cube.affinely_independent(s):
+            c = identities.kernel_witness(s)
+            assert any(c) and sum(c) == 0
+            assert matvec(s.d_rows, c) == [0] * len(c)
+
+
 class TestDinvOnes:
     def test_h3_example(self):
         assert identities.dinv_ones(H3_SET) == F(2, 3)
@@ -475,7 +513,7 @@ class TestDinvOnes:
     def test_full_dimensional_sets_give_2_over_n(self):
         for tail in combinations(range(1, 8), 3):
             s = PointSet.from_bits(3, (0,) + tail)
-            if cube.linear_independent(s):
+            if cube.affinely_independent(s):
                 assert identities.dinv_ones(s) == F(2, 3)
 
     def test_matches_direct_inversion(self):
@@ -525,7 +563,7 @@ class TestFullReport:
                 s = PointSet.from_bits(3, (0,) + tail)
                 rep = identities.full_report(s)
                 det_g = det_int(cube.gram_rows(tail)[0])
-                independent = cube.linear_independent(s)
+                independent = cube.affinely_independent(s)
                 gq = identities.gram_quad(s) if independent else None
                 assert rep.det_D == det_int(cube.distance_rows(s.bits))
                 assert rep.det_G == det_g and rep.vol_sq == det_g
@@ -546,7 +584,7 @@ class TestCrossIdentities:
             s = PointSet.from_bits(3, (0,) + tail)
             det_d = identities.det_distance_matrix(s)
             det_g = det_int(cube.gram_rows(tail)[0])
-            if cube.linear_independent(s):
+            if cube.affinely_independent(s):
                 assert det_d == -3 * 4 * det_g
             else:
                 assert det_d == 0
@@ -558,7 +596,7 @@ class TestCrossIdentities:
             n = rng.randint(2, 5)
             m = rng.randint(1, n)
             s = PointSet.from_bits(n, [0] + sorted(rng.sample(range(1, 1 << n), m)))
-            if not cube.linear_independent(s):
+            if not cube.affinely_independent(s):
                 continue
             done += 1
             assert identities.dinv_ones(s) * identities.gram_quad(s) == 2

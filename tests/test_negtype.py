@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import warnings
 from itertools import combinations
 from types import SimpleNamespace
 
@@ -33,6 +34,8 @@ FULL_H2 = PointSet.from_bits(2, [0, 1, 2, 3])
 H3_SET = PointSet.from_coords([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 1)])
 TWO_POINTS = PointSet.from_coords([(0, 0, 0), (1, 1, 0)])
 CORNER3 = PointSet.from_coords([(0, 0, 0), (1, 0, 0), (0, 1, 0)])
+# distances up to 3 on 5 points: 2 p log2(3) + 2 log2(8) reaches 1023 at p = 320.8
+WIDE5 = PointSet.from_bits(4, (0, 3, 5, 9, 14))
 
 
 def random_sets(seed, count, dims=(3, 4, 5)):
@@ -321,6 +324,56 @@ class TestScanArguments:
     def test_nan_exponent_rejected(self):
         with pytest.raises(DomainError):
             negtype.transform_scaling_check(CORNER3, math.nan)
+
+
+class TestOverflowRefusal:
+    """An exponent whose D_p would overflow float64 is refused before any
+    float is built: past the limit NaN signals would make the supremum
+    move with the cap."""
+
+    def test_cap_below_the_limit_keeps_the_root(self):
+        rep = negtype.sanchez_wp(WIDE5, cap=300.0, grid=1.0)
+        assert rep.wp == 18.0 and rep.root_kind == negtype.ROOT_DETERMINANT
+        assert np.isfinite(negtype.dp_matrix(WIDE5, 320.0)).all()
+
+    @pytest.mark.parametrize("cap,grid", [(321.0, 1.0), (2000.0, 1.0), (1e6, 100.0)])
+    def test_scan_past_the_limit_refused(self, monkeypatch, cap, grid):
+        monkeypatch.setattr(negtype, "_PowerSignals", None)  # refused before any float
+        with pytest.raises(DomainError, match="overflows float64"):
+            negtype.sanchez_wp(WIDE5, cap=cap, grid=grid)
+        with pytest.raises(DomainError, match="overflows float64"):
+            negtype.transform_scaling_check(WIDE5, 2.0, cap=cap, grid=grid)
+        with pytest.raises(DomainError, match="overflows float64"):
+            negtype.murugan_classify(WIDE5, cap=cap, grid=grid)
+
+    def test_exponent_past_the_limit_refused(self):
+        # without the refusal numpy's LinAlgError escapes the eigenvalue solver
+        for s in (WIDE5, FULL_H2):
+            for fn in (
+                negtype.dp_matrix, negtype.is_p_negative_type, negtype.strict_p_negative_type
+            ):
+                with pytest.raises(DomainError, match="overflows float64"):
+                    fn(s, 1e4)
+
+    def test_form_scale_stays_finite_below_the_limit(self):
+        # sum q^2 over the 3 x 3 form reaches 36 * 3^(2p), so the bound
+        # covers it: an infinite scale at p = 321.6 would read this set
+        # (wp 1.9) as 321.6-negative
+        s = PointSet.from_bits(4, (3, 2, 8, 4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not negtype.is_p_negative_type(s, 321.0)
+        with pytest.raises(DomainError, match="overflows float64"):
+            negtype.is_p_negative_type(s, 321.6)
+
+    @pytest.mark.parametrize("cap,grid", [(2000.0, 1.0), (1e6, 100.0)])
+    def test_dependent_sets_keep_wp_1_at_any_cap(self, cap, grid):
+        # x, y and x | y for disjoint x, y: dependent, distances up to 6
+        for s in (FULL_H2, PointSet.from_bits(6, (0, 7, 56, 63))):
+            rep = negtype.sanchez_wp(s, cap=cap, grid=grid)
+            assert (rep.wp, rep.root_kind, rep.residual) == (1.0, negtype.ROOT_DETERMINANT, 0.0)
+            assert negtype.transform_scaling_check(s, 2.0, cap=cap, grid=grid) == (2.0, 2.0)
+            assert not negtype.murugan_classify(s, cap=cap, grid=grid).wp_exceeds_1
 
 
 class TestTransformScaling:

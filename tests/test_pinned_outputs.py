@@ -94,8 +94,9 @@ LARGE_SETS = [
 
 
 def test_report_large_sets(capsys, tmp_path):
-    """Sets of 16 to 64 points, whose determinants run on matrices of
-    at least 16 rows."""
+    """Sets of 16 to 48 points, more than n + 1 each and so affinely
+    dependent: `report` takes det(D) = 0 from the Gram kernel, which
+    stops within n + 1 tail points, and never builds their D."""
 
     def outputs():
         path = tmp_path / "set.txt"
