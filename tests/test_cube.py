@@ -279,6 +279,18 @@ class TestIndependence:
             assert not affinely_independent(PointSet.from_bits(n, (0, *tail)))
         assert calls["rank_of_bits"] == 0
 
+    def test_requires_normalized(self):
+        # The normalized-set precondition is gone: a set with x_0 != 0 is read
+        # through its translated tail and answers as its normalization does.
+        cases = [
+            (ps((1, 0), (0, 1)), True),
+            (ps((1, 0), (0, 1), (1, 1)), True),
+            (ps((1, 1), (0, 1), (1, 0), (0, 0)), False),
+        ]
+        for s, want in cases:
+            assert affinely_independent(s) is want
+            assert affinely_independent(normalize(s)) is want
+
     def test_affine_examples(self):
         assert affinely_independent(ps((1, 0, 0), (0, 1, 0), (1, 1, 1), (0, 0, 0)))
         assert affinely_independent(ps((1, 1, 0), (0, 1, 1)))

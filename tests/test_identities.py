@@ -51,6 +51,13 @@ class TestDetViaBorderedGram:
     def test_dependent_set_gives_zero(self):
         assert identities.det_via_bordered_gram(FULL_H2) == 0
 
+    def test_requires_normalized(self):
+        # No normalized set is required any more: {1, 2} of H_2 has D = [[0, 2], [2, 0]].
+        s = PointSet.from_bits(2, [1, 2])
+        assert identities.det_via_bordered_gram(s) == -4
+        assert identities.det_via_bordered_gram(cube.normalize(s)) == -4
+        assert leibniz_det(distance_matrix_from_coords(coords(s))) == -4
+
     def test_matches_direct_elimination_randomly(self):
         rng = random.Random(41)
         for _ in range(60):
