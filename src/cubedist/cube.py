@@ -31,7 +31,9 @@ the span of its predecessors; that point's column history is the right
 side of the prefix's triangular system U c = h (U[i][t] = hists[t][i],
 U[i][i] = pivots[i]), whose solution c expresses the point in the
 prefix and gives a kernel vector of D. `gram_eliminate` runs the
-kernel over a whole tail; the search walk calls `gram_push` directly.
+kernel over a whole tail; the exhaustive search walk runs the same
+integer steps on its own candidate rows, one outer-loop iteration per
+level (see `search`).
 
 `rank_of_bits`, behind `affinely_independent`, is a separate rank
 test; it runs only where independence is itself the reported or

@@ -10,21 +10,33 @@ the target value is exact:
 and it is compared against the conjectured floor 2/n.
 
 Kernel. The exhaustive scan is one depth-first walk of the lexicographic
-combination tree of {1, ..., 2^n - 1}. Each level of the walk appends one
-point through `cube.gram_push`, the package's fraction-free, no-pivot,
+combination tree of {1, ..., 2^n - 1} over the fraction-free, no-pivot,
 symmetric Bareiss elimination (Bareiss 1968) of the bordered Gram matrix
-[[G, u], [u^T, 0]], and keeps that point's row: its column history, its
-pivot (the Gram determinant of the prefix), its border entry and the
-running corner (the bordered determinant of the prefix). Appending to a
-prefix of k points costs O(k^2) integer operations, shared by every set
-below it; a leaf's value is -2 pivot / corner.
+[[G, u], [u^T, 0]] that `cube.gram_push` carries, points first and
+border last. A node of the walk is a prefix P with its pivots (the
+leading minors of G) and corner (the bordered determinant of P), and
+every later point y outside the span of P holds a candidate row (y,
+hist, piv, bord): exactly `gram_push(y, P, ...)` minus the corner, so
+piv is det G of P + y.
+Descending to the child P + x extends every later candidate by one
+elimination step against x: a popcount of x & y, k reductions by the
+stored column histories of x and y, then the pivot and border updates,
+the same integer operations as one iteration of `gram_push`'s outer
+loop. So each (child, candidate) pair costs O(k) work for a k-point
+prefix, shared by the whole subtree below the child, and every pivot,
+corner and value is the one `gram_push` gives. At the last level a
+candidate's step gives its pivot, border and the set's corner, with no
+history kept; the set's value is -2 pivot / corner.
 
 Pruning. G = B B^T is positive semidefinite, so its leading principal
 minors are nonnegative, and one of them is zero exactly when the points
-so far are linearly dependent. A zero pivot therefore proves that every
-set in the subtree is affinely dependent: the walk skips the subtree and
-counts its comb(2^n - 1 - x, m - k - 1) sets as examined. No separate
-rank test is needed.
+so far are linearly dependent. A candidate whose pivot is zero lies in
+the span of the prefix, so every set below the node that holds it is
+affinely dependent: the walk drops its row. More than n points are
+always dependent, so slices with m > n are not walked at all. Every set
+of a range is examined, as a leaf or as a set with a dropped point, so
+the range's examined count is its size, the sum of comb(2^n - 1 - x,
+m - 1) over its first elements x. No separate rank test is needed.
 
 Determinism. Minima are tracked as exact rationals with a (value,
 lexicographic witness) tie-break. Workers take contiguous ranges of first
@@ -34,7 +46,8 @@ identical runs produce identical JSON, byte for byte, whatever the
 worker count. The largest first-element subtree holds m / (2^n - 1) of
 the sets, which caps the speed-up at (2^n - 1) / m processes (6.2 for
 (5, 5)). Random probing is sequential by design for the same reason, and
-pushes each sampled tail through the same kernel (`cube.gram_eliminate`).
+pushes each sampled tail through the same elimination, one whole tail at
+a time (`cube.gram_eliminate`).
 """
 
 from __future__ import annotations
@@ -49,7 +62,7 @@ from math import comb
 from typing import Optional
 
 from . import cube
-from .cube import PointSet, gram_eliminate, gram_push
+from .cube import PointSet, gram_eliminate
 from .errors import BudgetExceededError, DomainError, InvariantError
 from .ratlinalg import det_int  # noqa: F401  (module attribute that tracing tools patch by name)
 
@@ -64,6 +77,12 @@ def _validate_params(n: int, m: int) -> None:
         raise DomainError(f"dimension {n} outside [{cube.MIN_DIM}, {cube.MAX_DIM}]")
     if not 1 <= m <= (1 << n) - 1:
         raise DomainError(f"subset size {m} outside [1, {(1 << n) - 1}] for dimension {n}")
+
+
+def _invariant_error(n, tail, num, den) -> InvariantError:
+    return InvariantError(
+        f"full-dimensional set {tail} gave {Fraction(num, den)}, expected {Fraction(2, n)}"
+    )
 
 
 class _Tally:
@@ -86,9 +105,7 @@ class _Tally:
         self.independent += 1
         num, den, n = 2 * pivot, -corner, self.n
         if self.full_dim and num * n != 2 * den:
-            raise InvariantError(
-                f"full-dimensional set {tail} gave {Fraction(num, den)}, expected {Fraction(2, n)}"
-            )
+            raise _invariant_error(n, tail, num, den)
         if num * n < 2 * den:
             self.violations.append((tail, Fraction(num, den)))
         self._offer(num, den, tail)
@@ -119,33 +136,85 @@ class _Tally:
         return self.examined, self.independent, best, self.violations
 
 
-def _descend(xs, top, m, points, hists, pivots, borders, corner, tally) -> None:
-    """Visit, in lex order, every m-subset of {1..top} that extends
-    `points` by a value from xs and then by larger values."""
-    need = m - len(points) - 1
-    for x in xs:
-        hist, piv, bord, c = gram_push(x, points, hists, pivots, borders, corner)
+def _root_rows(lo: int, top: int) -> list:
+    """The candidate rows of the empty prefix for the points lo..top."""
+    return [(y, (), y.bit_count(), y.bit_count()) for y in range(lo, top + 1)]
+
+
+def _descend(rows, children, pivots, corner, need, tail, tally) -> None:
+    """Visit, in lex order, every independent set that extends the
+    prefix `tail` by `need` points from its candidate rows, the first of
+    them from rows[:children].
+
+    A candidate row (y, hist, piv, bord) is what `cube.gram_push`
+    returns for y and the prefix, minus the corner; the walk keeps only
+    rows with a nonzero pivot. `pivots` are the prefix's pivots and
+    `corner` its bordered determinant.
+    """
+    prev = pivots[-1] if pivots else 1
+    for i in range(children):
+        x, hx, px, bx = rows[i]
+        cx = (px * corner - bx * bx) // prev
+        if need == 1:
+            tally.add((*tail, x), px, cx)
+            continue
+        if need == 2:
+            _leaves(x, hx, px, bx, cx, rows[i + 1 :], pivots, prev, tail, tally)
+            continue
+        later = []
+        for y, hy, py, by in rows[i + 1 :]:
+            a = (x & y).bit_count()
+            pv = 1
+            for ps, hs, vs in zip(pivots, hx, hy):
+                a = (ps * a - hs * vs) // pv
+                pv = ps
+            piv = (px * py - a * a) // prev
+            if piv:
+                later.append((y, (*hy, a), piv, (px * by - a * bx) // prev))
+        _descend(later, len(later) - need + 2, [*pivots, px], cx, need - 1, (*tail, x), tally)
+
+
+def _leaves(x, hx, px, bx, cx, rows, pivots, prev, tail, tally) -> None:
+    """Count the sets prefix + x + y for the candidate rows y after x:
+    one elimination step against x gives each y's pivot and border, and
+    the corner of the full set. Leaves come in lex order, so a value
+    replaces the best only when it is strictly smaller."""
+    n = tally.n
+    full_dim = tally.full_dim
+    best = tally.best
+    violations = tally.violations
+    independent = 0
+    for y, hy, py, by in rows:
+        a = (x & y).bit_count()
+        pv = 1
+        for ps, hs, vs in zip(pivots, hx, hy):
+            a = (ps * a - hs * vs) // pv
+            pv = ps
+        piv = (px * py - a * a) // prev
         if not piv:
-            tally.examined += comb(top - x, need)
-        elif not need:
-            tally.add((*points, x), piv, c)
-        else:
-            points.append(x)
-            hists.append(hist)
-            pivots.append(piv)
-            borders.append(bord)
-            _descend(range(x + 1, top - need + 2), top, m, points, hists, pivots, borders, c, tally)
-            points.pop()
-            hists.pop()
-            pivots.pop()
-            borders.pop()
+            continue
+        bord = (px * by - a * bx) // prev
+        num, den = 2 * piv, (bord * bord - piv * cx) // px
+        independent += 1
+        if full_dim and num * n != 2 * den:
+            raise _invariant_error(n, (*tail, x, y), num, den)
+        if num * n < 2 * den:
+            violations.append(((*tail, x, y), Fraction(num, den)))
+        if best is None or num * best[1] < best[0] * den:
+            best = (num, den, (*tail, x, y))
+    tally.independent += independent
+    tally.best = best
 
 
 def _scan_range(task: tuple[int, int, int, int]) -> _Tally:
-    """Walk every m-subset whose first element lies in [lo, hi)."""
+    """Walk every m-subset whose first element lies in [lo, hi); each
+    one is examined, as a leaf of the walk or as a dependent set."""
     n, m, lo, hi = task
+    top = (1 << n) - 1
     tally = _Tally(n, m)
-    _descend(range(lo, hi), (1 << n) - 1, m, [], [], [], [], 0, tally)
+    if m <= n:
+        _descend(_root_rows(lo, top), hi - lo, [], 0, m, (), tally)
+    tally.examined = sum(comb(top - x, m - 1) for x in range(lo, hi))
     return tally
 
 

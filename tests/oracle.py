@@ -15,7 +15,9 @@ and `.solve` ran before they went through `det_solve_int`; the `Fraction`
 Gaussian elimination that built kernel witnesses; the rank test and
 `Fraction` solve that gave <G^{-1}u, u> before the Gram kernel; in the search
 section, the per-subset evaluator (a rank test, a Gram rebuild and two
-pivoting Bareiss determinants for every subset); in the tree section,
+pivoting Bareiss determinants for every subset) and the exhaustive walk
+that pushed every node through `cube.gram_push` against its whole
+prefix; in the tree section,
 the per-tree check with one BFS per vertex, its own BFS for the cube
 embedding, k^2 row-by-column sums and a `Fraction` inverse, and a naive
 Prufer decode; and, in the negative-type section at the end, the scalar root scan (one `slogdet`
@@ -36,7 +38,7 @@ from math import gcd, lcm
 
 import numpy as np
 
-from cubedist import cube, identities, negtype, trees
+from cubedist import cube, identities, negtype, search, trees
 from cubedist.cube import PointSet, normalize
 from cubedist.errors import (
     CapExceededError,
@@ -286,6 +288,41 @@ def scan_oracle(n, m):
         if best is None or val < best[0]:
             best = (val, tail)
     return examined, independent, best, violations
+
+
+def descend_oracle(xs, top, m, points, hists, pivots, borders, corner, tally):
+    """The search walk before candidate rows: visit, in lex order, every
+    m-subset of {1..top} that extends `points` by a value from xs and
+    then by larger values, pushing each through `cube.gram_push` against
+    the whole prefix and counting a zero pivot's subtree as examined."""
+    need = m - len(points) - 1
+    for x in xs:
+        hist, piv, bord, c = cube.gram_push(x, points, hists, pivots, borders, corner)
+        if not piv:
+            tally.examined += math.comb(top - x, need)
+        elif not need:
+            tally.add((*points, x), piv, c)
+        else:
+            points.append(x)
+            hists.append(hist)
+            pivots.append(piv)
+            borders.append(bord)
+            descend_oracle(
+                range(x + 1, top - need + 2), top, m, points, hists, pivots, borders, c, tally
+            )
+            points.pop()
+            hists.pop()
+            pivots.pop()
+            borders.pop()
+
+
+def scan_range_oracle(task):
+    """`search._scan_range` through `descend_oracle`: the tally of every
+    m-subset whose first element lies in [lo, hi)."""
+    n, m, lo, hi = task
+    tally = search._Tally(n, m)
+    descend_oracle(range(lo, hi), (1 << n) - 1, m, [], [], [], [], 0, tally)
+    return tally
 
 
 # --- trees: the per-tree check before it went integer-only ---------------

@@ -394,13 +394,12 @@ def test_search_under_optimize():
 def test_invariant_checked_under_optimize():
     script = (
         "import sys\n"
-        "from cubedist import cube, search\n"
+        "from cubedist import search\n"
         "from cubedist.cli import main\n"
-        "real = cube.gram_push\n"
-        "def wrong(*args):\n"
-        "    hist, piv, bord, corner = real(*args)\n"
-        "    return hist, piv, bord, corner - 1\n"
-        "search.gram_push = cube.gram_push = wrong\n"
+        "real = search._root_rows\n"
+        "def wrong(lo, top):\n"
+        "    return [(y, hist, piv, bord + 1) for y, hist, piv, bord in real(lo, top)]\n"
+        "search._root_rows = wrong\n"
         "sys.exit(main(['search', '--n', '3', '--m', '3']))\n"
     )
     proc = _run_optimized(["-c", script])

@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 from math import comb
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from cubedist import cube, identities, search
 from cubedist.cube import PointSet
 from cubedist.errors import BudgetExceededError, DomainError, InvariantError
-from oracle import eval_tail_oracle, scan_oracle
+from oracle import eval_tail_oracle, scan_oracle, scan_range_oracle
 
 F = Fraction
 
@@ -64,7 +65,7 @@ class TestExhaustive:
 
 
 class TestWorkers:
-    @pytest.mark.parametrize("n,m", [(4, 3), (5, 2)])
+    @pytest.mark.parametrize("n,m", [(4, 3), (5, 2), (5, 5), (6, 3)])
     def test_worker_counts_agree_bytewise(self, monkeypatch, n, m):
         # a host with four CPUs is faked so that four processes really
         # walk four first-element ranges
@@ -274,22 +275,87 @@ class TestKernelAgainstOracle:
         assert res.independent_count < res.sets_examined
 
 
+@functools.lru_cache(maxsize=None)
+def _oracle_walk(n, m):
+    ((lo, hi),) = search._first_element_ranges(n, m, 1)
+    return scan_range_oracle((n, m, lo, hi)).parts()
+
+
+_WALK_SLICES = [(5, m) for m in range(1, 6)] + [(6, 3)]
+
+
+class TestWalkAgainstOracle:
+    """The candidate-row walk against the walk it replaced, which pushes
+    every node through `cube.gram_push` against its whole prefix."""
+
+    @pytest.mark.parametrize("n,m", _WALK_SLICES)
+    def test_serial_scan(self, n, m):
+        assert _serial_scan(n, m) == _oracle_walk(n, m)
+
+    @pytest.mark.parametrize("n,m", _WALK_SLICES)
+    @pytest.mark.parametrize("groups", [1, 2, 3, 4])
+    def test_ranges_merge_in_order(self, n, m, groups):
+        ranges = search._first_element_ranges(n, m, groups)
+        tallies = [search._scan_range((n, m, lo, hi)) for lo, hi in ranges]
+        merged = tallies[0]
+        for later in tallies[1:]:
+            merged.merge(later)
+        assert merged.parts() == _oracle_walk(n, m)
+
+    @pytest.mark.parametrize("n,m", [(4, 4), (5, 3)])
+    def test_candidate_rows_equal_gram_push(self, monkeypatch, n, m):
+        """At every node of the walk the candidate rows are, in order,
+        `gram_push`'s (hist, pivot, border) of each later point whose
+        pivot is nonzero, and the node's pivots and corner are the
+        prefix's."""
+        nodes = []
+        real = search._descend
+
+        def spy(rows, children, pivots, corner, need, tail, tally):
+            nodes.append((tail, list(pivots), corner, list(rows)))
+            real(rows, children, pivots, corner, need, tail, tally)
+
+        monkeypatch.setattr(search, "_descend", spy)
+        _serial_scan(n, m)
+        assert {len(node[0]) for node in nodes} == set(range(m - 1))
+        top = (1 << n) - 1
+        for tail, pivots, corner, rows in nodes:
+            points, hists, pivs, borders, c, dependent = cube.gram_eliminate(tail)
+            assert dependent is None and (pivs, c) == (pivots, corner)
+            expect = []
+            for y in range(tail[-1] + 1 if tail else 1, top + 1):
+                hist, piv, bord, _ = cube.gram_push(y, points, hists, pivs, borders, c)
+                if piv:
+                    expect.append((y, tuple(hist), piv, bord))
+            assert rows == expect
+
+
 def _corner_off_by_one(monkeypatch):
-    """Perturb the Gram kernel at both bindings the search reads: the
-    walk's own name and the one `cube.gram_eliminate` calls."""
+    """Perturb the Gram kernel that `cube.gram_eliminate` calls, which
+    random probing reads."""
     real = cube.gram_push
 
     def wrong(*args):
         hist, piv, bord, corner = real(*args)
         return hist, piv, bord, corner - 1
 
-    monkeypatch.setattr(search, "gram_push", wrong)
     monkeypatch.setattr(cube, "gram_push", wrong)
+
+
+def _root_border_off_by_one(monkeypatch):
+    """Perturb the exhaustive walk at its seed: every candidate row of
+    the empty prefix, from which all later rows and corners follow."""
+    real = search._root_rows
+
+    def wrong(lo, top):
+        return [(y, hist, piv, bord + 1) for y, hist, piv, bord in real(lo, top)]
+
+    monkeypatch.setattr(search, "_root_rows", wrong)
 
 
 class TestFullDimensionalInvariant:
     def test_exhaustive_raises(self, monkeypatch):
-        _corner_off_by_one(monkeypatch)
+        _root_border_off_by_one(monkeypatch)
         with pytest.raises(InvariantError):
             search.min_dinv_ones(3, 3)
 
