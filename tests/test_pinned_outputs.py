@@ -106,3 +106,24 @@ def test_report_large_sets(capsys, tmp_path):
             yield _run(capsys, ["report", str(path)])
 
     assert _digest(outputs()) == "f68486a24b996ef178e0191812b0ceb7682b799bbaaa908f1b3145788bc421df"
+
+
+SET5 = "4 5\n0000\n1000\n0100\n0010\n1101\n"
+
+
+def test_negtype_every_normalized_h3_subset_and_set5(capsys, tmp_path):
+    """Default flags; the dependent sets' answers come from the Gram
+    kernel's dependence and the independent ones' scans start from its
+    corner sign."""
+
+    def outputs():
+        path = tmp_path / "set.txt"
+        for m in range(1, 8):
+            for tail in combinations(range(1, 8), m):
+                rows = [_pattern(b, 3) for b in (0, *tail)]
+                path.write_text(f"3 {len(rows)}\n" + "\n".join(rows) + "\n")
+                yield _run(capsys, ["negtype", str(path)])
+        path.write_text(SET5)
+        yield _run(capsys, ["negtype", str(path)])
+
+    assert _digest(outputs()) == "f97dfe15450cc22bf5083a657d572b39df0a7fa0899abf5574a664d7788c0ce4"
