@@ -5,8 +5,9 @@ Subcommands: report (determinant invariants of a point-set file), tree
 type), search (conjecture scan), verify (exhaustive identity suites).
 Structured output is JSON with rationals as strings, so exactness
 survives serialization. Exit codes: 0 success, 1 search violations or
-failed verification, 2 parse errors, 3 domain errors, 4 budget/cap
-refusals, 5 a failed internal invariant.
+failed verification, 2 parse errors and files that cannot be read or
+written, 3 domain errors, 4 budget/cap refusals, 5 a failed internal
+invariant.
 """
 
 from __future__ import annotations
@@ -144,7 +145,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CubedistError as exc:

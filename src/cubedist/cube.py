@@ -19,20 +19,20 @@ Gram rows with u (`gram`) and Gram-kernel pass (`kernel`) of its
 and returned as built. The eliminations in `ratlinalg` read rows
 without writing to them, so callers pass the cached rows straight in.
 
-Gram kernel. `gram_push` is the package's one exact elimination of the
-Gram matrix of bit patterns: it appends a point to a prefix and carries
-one row of a fraction-free, no-pivot, symmetric Bareiss elimination
-(Bareiss 1968) of the bordered Gram matrix [[G, u], [u^T, 0]], points
-first and border last. Its pivots are the leading minors of G and its
-corner is the bordered determinant, so an independent tail of m points
-yields det G = pivots[-1] and <G^{-1}u, u> = -corner / det G. G = B B^T
-is positive semidefinite, so the first zero pivot is the first point in
-the span of its predecessors; that point's column history is the right
-side of the prefix's triangular system U c = h (U[i][t] = hists[t][i],
-U[i][i] = pivots[i]), whose solution c expresses the point in the
-prefix and gives a kernel vector of D. `gram_eliminate` runs the
-kernel over a whole tail; the exhaustive search walk runs the same
-integer steps on its own candidate rows, one outer-loop iteration per
+Gram kernel. `gram_eliminate` is the package's left-looking exact
+elimination of the Gram matrix of bit patterns: it takes a tail's
+points in order and gives each one row of a fraction-free, no-pivot,
+symmetric Bareiss elimination (Bareiss 1968) of the bordered Gram
+matrix [[G, u], [u^T, 0]], points first and border last. Its pivots are
+the leading minors of G and its corner is the bordered determinant, so
+an independent tail of m points yields det G = pivots[-1] and
+<G^{-1}u, u> = -corner / det G. G = B B^T is positive semidefinite, so
+the first zero pivot is the first point in the span of its
+predecessors; that point's column history is the right side of the
+prefix's triangular system U c = h (U[i][t] = hists[t][i], U[i][i] =
+pivots[i]), whose solution c expresses the point in the prefix and
+gives a kernel vector of D. The exhaustive search walk runs the same
+integer steps right-looking on its own candidate rows, one step per
 level (see `search`).
 
 `rank_of_bits`, behind `affinely_independent`, is a separate rank
@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .errors import DegenerateMetricError, DimensionError, ParseError
 from .ratlinalg import rank_int
@@ -170,42 +170,21 @@ def random_tail(rng, n: int, m: int) -> tuple[int, ...]:
     return tuple(sorted(chosen))
 
 
-def gram_push(x, points, hists, pivots, borders, corner):
-    """Eliminate point x appended to an independent prefix.
-
-    For prefix point i (0-based), hists[i][s] = a^(s)_{s,i} for s < i is
-    its column history, pivots[i] = a^(i)_{i,i} is the Gram determinant
-    of points[:i + 1] and borders[i] = a^(i)_{i,b} its border entry;
-    `corner` = a^(k)_{b,b} is the bordered determinant of the k-point
-    prefix (0 for the empty one). Returns the same four values for the
-    prefix extended by x. Intermediate entries are minors of the input,
-    so every division is exact; a zero pivot means x lies in the span of
-    the prefix.
-    """
-    hist = []
-    piv = bord = x.bit_count()
-    prev = 1
-    for q, h, p, b in zip(points, hists, pivots, borders):
-        a = (q & x).bit_count()
-        pv = 1
-        for ps, hs, vs in zip(pivots, h, hist):
-            a = (ps * a - hs * vs) // pv
-            pv = ps
-        hist.append(a)
-        piv = (p * piv - a * a) // prev
-        bord = (p * bord - a * b) // prev
-        prev = p
-    return hist, piv, bord, (piv * corner - bord * bord) // prev
-
-
 def gram_eliminate(tail: Sequence[int]):
-    """Push the tail's points through `gram_push` in order, stopping at
-    the first one in the span of its predecessors.
+    """Eliminate the tail's points in order, stopping at the first one
+    in the span of its predecessors.
+
+    Point i (0-based) gets its column history hists[i][s] = a^(s)_{s,i}
+    for s < i, its pivot pivots[i] = a^(i)_{i,i}, the Gram determinant
+    of points[:i + 1], and its border entry borders[i] = a^(i)_{i,b};
+    `corner` = a^(k)_{b,b} is the bordered determinant of the k-point
+    prefix (0 for the empty one). Intermediate entries are minors of
+    the input, so every division is exact.
 
     Returns (points, hists, pivots, borders, corner, dependent): the
     state of the independent prefix, and `dependent` = (x, hist), the
-    first dependent point and its column history, or None when the
-    whole tail is linearly independent. Then pivots[-1] = det G and
+    first point with a zero pivot and its column history, or None when
+    the whole tail is linearly independent. Then pivots[-1] = det G and
     corner = det [[G, u], [u^T, 0]].
     """
     points: list[int] = []
@@ -213,18 +192,31 @@ def gram_eliminate(tail: Sequence[int]):
     pivots: list[int] = []
     borders: list[int] = []
     corner = 0
-    dependent: Optional[tuple[int, list[int]]] = None
     for x in tail:
-        hist, piv, bord, c = gram_push(x, points, hists, pivots, borders, corner)
+        hist: list[int] = []
+        piv = bord = x.bit_count()
+        prev = 1
+        for i in range(len(points)):
+            a = (points[i] & x).bit_count()
+            h = hists[i]
+            pv = 1
+            for s in range(i):
+                ps = pivots[s]
+                a = (ps * a - h[s] * hist[s]) // pv
+                pv = ps
+            hist.append(a)
+            p = pivots[i]
+            piv = (p * piv - a * a) // prev
+            bord = (p * bord - a * borders[i]) // prev
+            prev = p
         if not piv:
-            dependent = (x, hist)
-            break
+            return points, hists, pivots, borders, corner, (x, hist)
         points.append(x)
         hists.append(hist)
         pivots.append(piv)
         borders.append(bord)
-        corner = c
-    return points, hists, pivots, borders, corner, dependent
+        corner = (piv * corner - bord * bord) // prev
+    return points, hists, pivots, borders, corner, None
 
 
 def _gf2_rank(vals: Iterable[int]) -> int:

@@ -12,31 +12,32 @@ and it is compared against the conjectured floor 2/n.
 Kernel. The exhaustive scan is one depth-first walk of the lexicographic
 combination tree of {1, ..., 2^n - 1} over the fraction-free, no-pivot,
 symmetric Bareiss elimination (Bareiss 1968) of the bordered Gram matrix
-[[G, u], [u^T, 0]] that `cube.gram_push` carries, points first and
-border last. A node of the walk is a prefix P with its pivots (the
-leading minors of G) and corner (the bordered determinant of P), and
-every later point y outside the span of P holds a candidate row (y,
-hist, piv, bord): exactly `gram_push(y, P, ...)` minus the corner, so
-piv is det G of P + y.
+[[G, u], [u^T, 0]] that `cube.gram_eliminate` runs over one tail, points
+first and border last. A node of the walk is a prefix P with its pivots
+(the leading minors of G) and corner (the bordered determinant of P),
+and every later point y outside the span of P holds a candidate row (y,
+hist, piv, bord): the column history, pivot and border entry that
+`gram_eliminate` gives y when it follows P, so piv is det G of P + y.
 Descending to the child P + x extends every later candidate by one
 elimination step against x: a popcount of x & y, k reductions by the
 stored column histories of x and y, then the pivot and border updates,
-the same integer operations as one iteration of `gram_push`'s outer
+the same integer operations as one step of `gram_eliminate`'s inner
 loop. So each (child, candidate) pair costs O(k) work for a k-point
 prefix, shared by the whole subtree below the child, and every pivot,
-corner and value is the one `gram_push` gives. At the last level a
-candidate's step gives its pivot, border and the set's corner, with no
-history kept; the set's value is -2 pivot / corner.
+corner and value is the one `gram_eliminate` gives. With two points to
+go, a candidate's step gives the pivot and border of P + x + y and so
+its corner, with no row built; the set's value is -2 pivot / corner.
 
 Pruning. G = B B^T is positive semidefinite, so its leading principal
 minors are nonnegative, and one of them is zero exactly when the points
 so far are linearly dependent. A candidate whose pivot is zero lies in
 the span of the prefix, so every set below the node that holds it is
 affinely dependent: the walk drops its row. More than n points are
-always dependent, so slices with m > n are not walked at all. Every set
-of a range is examined, as a leaf or as a set with a dropped point, so
-the range's examined count is its size, the sum of comb(2^n - 1 - x,
-m - 1) over its first elements x. No separate rank test is needed.
+always dependent, so a slice with m > n is answered without walking,
+before the budget check. Every set of a range is examined, as a leaf or
+as a set with a dropped point, so the range's examined count is its
+size, the sum of comb(2^n - 1 - x, m - 1) over its first elements x. No
+separate rank test is needed.
 
 Determinism. Minima are tracked as exact rationals with a (value,
 lexicographic witness) tie-break. Workers take contiguous ranges of first
@@ -146,64 +147,56 @@ def _descend(rows, children, pivots, corner, need, tail, tally) -> None:
     prefix `tail` by `need` points from its candidate rows, the first of
     them from rows[:children].
 
-    A candidate row (y, hist, piv, bord) is what `cube.gram_push`
-    returns for y and the prefix, minus the corner; the walk keeps only
-    rows with a nonzero pivot. `pivots` are the prefix's pivots and
-    `corner` its bordered determinant.
+    A candidate row (y, hist, piv, bord) is y's column history, pivot
+    and border entry after elimination against the prefix (see
+    `cube.gram_eliminate`); the walk keeps only rows with a nonzero
+    pivot. `pivots` are the prefix's pivots and `corner` its bordered
+    determinant. Each child x extends the rows after it by one
+    elimination step: into the child's rows, or, with two points to
+    go, straight into the values of the sets prefix + x + y. Those
+    leaves come in lex order, so a value replaces the best only when it
+    is strictly smaller.
     """
+    k = len(pivots)
     prev = pivots[-1] if pivots else 1
+    count = len(rows)
+    n, full_dim, best = tally.n, tally.full_dim, tally.best
+    independent = 0
     for i in range(children):
         x, hx, px, bx = rows[i]
         cx = (px * corner - bx * bx) // prev
         if need == 1:
             tally.add((*tail, x), px, cx)
             continue
-        if need == 2:
-            _leaves(x, hx, px, bx, cx, rows[i + 1 :], pivots, prev, tail, tally)
-            continue
         later = []
-        for y, hy, py, by in rows[i + 1 :]:
+        for j in range(i + 1, count):
+            y, hy, py, by = rows[j]
             a = (x & y).bit_count()
             pv = 1
-            for ps, hs, vs in zip(pivots, hx, hy):
-                a = (ps * a - hs * vs) // pv
+            for s in range(k):
+                ps = pivots[s]
+                a = (ps * a - hx[s] * hy[s]) // pv
                 pv = ps
             piv = (px * py - a * a) // prev
-            if piv:
-                later.append((y, (*hy, a), piv, (px * by - a * bx) // prev))
-        _descend(later, len(later) - need + 2, [*pivots, px], cx, need - 1, (*tail, x), tally)
-
-
-def _leaves(x, hx, px, bx, cx, rows, pivots, prev, tail, tally) -> None:
-    """Count the sets prefix + x + y for the candidate rows y after x:
-    one elimination step against x gives each y's pivot and border, and
-    the corner of the full set. Leaves come in lex order, so a value
-    replaces the best only when it is strictly smaller."""
-    n = tally.n
-    full_dim = tally.full_dim
-    best = tally.best
-    violations = tally.violations
-    independent = 0
-    for y, hy, py, by in rows:
-        a = (x & y).bit_count()
-        pv = 1
-        for ps, hs, vs in zip(pivots, hx, hy):
-            a = (ps * a - hs * vs) // pv
-            pv = ps
-        piv = (px * py - a * a) // prev
-        if not piv:
-            continue
-        bord = (px * by - a * bx) // prev
-        num, den = 2 * piv, (bord * bord - piv * cx) // px
-        independent += 1
-        if full_dim and num * n != 2 * den:
-            raise _invariant_error(n, (*tail, x, y), num, den)
-        if num * n < 2 * den:
-            violations.append(((*tail, x, y), Fraction(num, den)))
-        if best is None or num * best[1] < best[0] * den:
-            best = (num, den, (*tail, x, y))
-    tally.independent += independent
-    tally.best = best
+            if not piv:
+                continue
+            bord = (px * by - a * bx) // prev
+            if need > 2:
+                later.append((y, (*hy, a), piv, bord))
+                continue
+            num, den = 2 * piv, (bord * bord - piv * cx) // px
+            independent += 1
+            if full_dim and num * n != 2 * den:
+                raise _invariant_error(n, (*tail, x, y), num, den)
+            if num * n < 2 * den:
+                tally.violations.append(((*tail, x, y), Fraction(num, den)))
+            if best is None or num * best[1] < best[0] * den:
+                best = (num, den, (*tail, x, y))
+        if need > 2:
+            _descend(later, len(later) - need + 2, [*pivots, px], cx, need - 1, (*tail, x), tally)
+    if need == 2:
+        tally.independent += independent
+        tally.best = best
 
 
 def _scan_range(task: tuple[int, int, int, int]) -> _Tally:
@@ -212,8 +205,7 @@ def _scan_range(task: tuple[int, int, int, int]) -> _Tally:
     n, m, lo, hi = task
     top = (1 << n) - 1
     tally = _Tally(n, m)
-    if m <= n:
-        _descend(_root_rows(lo, top), hi - lo, [], 0, m, (), tally)
+    _descend(_root_rows(lo, top), hi - lo, [], 0, m, (), tally)
     tally.examined = sum(comb(top - x, m - 1) for x in range(lo, hi))
     return tally
 
@@ -326,14 +318,17 @@ def min_dinv_ones(
     """Exact minimum of <D^{-1}1, 1> over every affinely independent
     normalized (m+1)-point set in H_n.
 
-    Refuses enumerations larger than `budget`. Work splits into at most
-    `workers` contiguous ranges of first elements (see
+    For m > n every set is dependent, so the answer comes back at once.
+    Otherwise refuses enumerations larger than `budget`. Work splits
+    into at most `workers` contiguous ranges of first elements (see
     `_first_element_ranges`); the tallies merge in order with the walk's
     own lexicographic tie-break, so the result does not depend on the
     worker count.
     """
     _validate_params(n, m)
     total = comb((1 << n) - 1, m)
+    if m > n:
+        return _result_from_parts(n, m, MODE_EXHAUSTIVE, total, 0, None, [])
     if total > budget:
         raise BudgetExceededError(
             f"enumeration of ({n}, {m}) needs {total} subsets, over budget {budget}",

@@ -15,9 +15,10 @@ and `.solve` ran before they went through `det_solve_int`; the `Fraction`
 Gaussian elimination that built kernel witnesses; the rank test and
 `Fraction` solve that gave <G^{-1}u, u> before the Gram kernel; in the search
 section, the per-subset evaluator (a rank test, a Gram rebuild and two
-pivoting Bareiss determinants for every subset) and the exhaustive walk
-that pushed every node through `cube.gram_push` against its whole
-prefix; in the tree section,
+pivoting Bareiss determinants for every subset), the one-point
+elimination step `gram_push` with `gram_eliminate_oracle`, the Gram
+kernel as a loop over it, and the exhaustive walk that pushed every
+node through `gram_push` against its whole prefix; in the tree section,
 the per-tree check with one BFS per vertex, its own BFS for the cube
 embedding, k^2 row-by-column sums and a `Fraction` inverse, and a naive
 Prufer decode; and, in the negative-type section at the end, the scalar root scan (one `slogdet`
@@ -290,14 +291,59 @@ def scan_oracle(n, m):
     return examined, independent, best, violations
 
 
+def gram_push(x, points, hists, pivots, borders, corner):
+    """Eliminate point x appended to an independent prefix.
+
+    For prefix point i (0-based), hists[i][s] = a^(s)_{s,i} for s < i is
+    its column history, pivots[i] = a^(i)_{i,i} is the Gram determinant
+    of points[:i + 1] and borders[i] = a^(i)_{i,b} its border entry;
+    `corner` = a^(k)_{b,b} is the bordered determinant of the k-point
+    prefix (0 for the empty one). Returns the same four values for the
+    prefix extended by x. Intermediate entries are minors of the input,
+    so every division is exact; a zero pivot means x lies in the span of
+    the prefix.
+    """
+    hist = []
+    piv = bord = x.bit_count()
+    prev = 1
+    for q, h, p, b in zip(points, hists, pivots, borders):
+        a = (q & x).bit_count()
+        pv = 1
+        for ps, hs, vs in zip(pivots, h, hist):
+            a = (ps * a - hs * vs) // pv
+            pv = ps
+        hist.append(a)
+        piv = (p * piv - a * a) // prev
+        bord = (p * bord - a * b) // prev
+        prev = p
+    return hist, piv, bord, (piv * corner - bord * bord) // prev
+
+
+def gram_eliminate_oracle(tail):
+    """`cube.gram_eliminate` as a loop of `gram_push` calls, stopping at
+    the first point in the span of its predecessors."""
+    points, hists, pivots, borders = [], [], [], []
+    corner = 0
+    for x in tail:
+        hist, piv, bord, c = gram_push(x, points, hists, pivots, borders, corner)
+        if not piv:
+            return points, hists, pivots, borders, corner, (x, hist)
+        points.append(x)
+        hists.append(hist)
+        pivots.append(piv)
+        borders.append(bord)
+        corner = c
+    return points, hists, pivots, borders, corner, None
+
+
 def descend_oracle(xs, top, m, points, hists, pivots, borders, corner, tally):
     """The search walk before candidate rows: visit, in lex order, every
     m-subset of {1..top} that extends `points` by a value from xs and
-    then by larger values, pushing each through `cube.gram_push` against
-    the whole prefix and counting a zero pivot's subtree as examined."""
+    then by larger values, pushing each through `gram_push` against the
+    whole prefix and counting a zero pivot's subtree as examined."""
     need = m - len(points) - 1
     for x in xs:
-        hist, piv, bord, c = cube.gram_push(x, points, hists, pivots, borders, corner)
+        hist, piv, bord, c = gram_push(x, points, hists, pivots, borders, corner)
         if not piv:
             tally.examined += math.comb(top - x, need)
         elif not need:

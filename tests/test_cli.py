@@ -85,6 +85,25 @@ class TestReport:
         assert json.loads(out.read_text())["det_D"] == "-12"
 
 
+class TestUnusableFiles:
+    """Files that cannot be read or written give one error line and
+    exit 2, like a missing file."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["report", "{dir}"], ["tree", "{dir}"], ["negtype", "{latin1}"], ["report", "{h3}", "-o", "{dir}"]],
+        ids=["report-directory", "tree-directory", "negtype-not-utf8", "report-output-directory"],
+    )
+    def test_exit_2(self, capsys, tmp_path, h3, argv):
+        latin1 = tmp_path / "latin1.txt"
+        latin1.write_bytes("3 2\n000\n100\n# é\n".encode("latin-1"))
+        paths = {"dir": str(tmp_path), "latin1": str(latin1), "h3": h3}
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestTree:
     def test_star4(self, capsys, tmp_path):
         f = tmp_path / "star.txt"
@@ -211,6 +230,16 @@ class TestSearch:
 
     def test_out_of_range_exit_3(self):
         assert main(["search", "--n", "3", "--m", "9"]) == 3
+
+    def test_more_points_than_dimensions_starts_no_pool(self, monkeypatch, capsys):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("no worker pool for a slice with m > n")
+
+        monkeypatch.setattr(search.multiprocessing, "Pool", no_pool)
+        monkeypatch.setattr(search.os, "cpu_count", lambda: 4)
+        code, js = run_json(capsys, ["search", "--n", "5", "--m", "20", "--workers", "2"])
+        assert code == 0
+        assert (js["sets_examined"], js["independent_count"]) == (84_672_315, 0)
 
     def test_random_mode(self, capsys):
         code, js = run_json(

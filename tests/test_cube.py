@@ -19,6 +19,7 @@ from oracle import (
     count_calls,
     distance_matrix_from_coords,
     format_point_set,
+    gram_eliminate_oracle,
     gram_of_differences,
     leibniz_det,
 )
@@ -256,6 +257,24 @@ class TestCachedMatrices:
         assert s.d_rows == cube.distance_rows(s.bits)
         assert s.gram == cube.gram_rows(s.bits[1:])
         assert identities.det_distance_matrix(s) == -12
+
+
+class TestGramEliminate:
+    """The Gram kernel against a loop of one-point `gram_push` steps:
+    the same prefix state, corner and dependent point with its history."""
+
+    def test_every_h4_tail(self):
+        for m in range(1, 16):
+            for tail in combinations(range(1, 16), m):
+                assert cube.gram_eliminate(tail) == gram_eliminate_oracle(tail)
+
+    @pytest.mark.parametrize("n,seed", [(6, 0), (8, 1)])
+    def test_seeded_tails_in_any_order(self, n, seed):
+        rng = random.Random(seed)
+        for _ in range(2000):
+            tail = list(cube.random_tail(rng, n, rng.randrange(1, n + 3)))
+            rng.shuffle(tail)
+            assert cube.gram_eliminate(tail) == gram_eliminate_oracle(tail)
 
 
 class TestIndependence:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from cubedist import cube, identities, search
 from cubedist.cube import PointSet
 from cubedist.errors import BudgetExceededError, DomainError, InvariantError
-from oracle import eval_tail_oracle, scan_oracle, scan_range_oracle
+from oracle import eval_tail_oracle, gram_push, scan_oracle, scan_range_oracle
 
 F = Fraction
 
@@ -51,6 +51,15 @@ class TestExhaustive:
             search.min_dinv_ones(5, 5, budget=1000)
         assert err.value.required == 169_911
 
+    def test_more_points_than_dimensions_needs_no_budget(self, monkeypatch):
+        """C(31, 20) = 84,672,315 sets, all dependent: answered under the
+        default budget without walking."""
+        monkeypatch.setattr(search, "_scan_range", None)
+        res = search.min_dinv_ones(5, 20)
+        assert (res.sets_examined, res.independent_count) == (comb(31, 20), 0)
+        assert res.min_value is None and res.witness is None and res.violations == ()
+        assert search.min_dinv_ones(5, 20, budget=1).to_json() == res.to_json()
+
     def test_m_equals_n_slice_value(self):
         res = search.min_dinv_ones(4, 4)
         assert res.min_value == F(1, 2)
@@ -80,13 +89,15 @@ class TestWorkers:
         assert r.sets_examined == 3
 
     def test_uneven_subtrees_agree_bytewise(self, monkeypatch):
-        # (4, 5): first-element subtrees hold 1001, 715, 495, ... sets, so
-        # no split into three or four groups is even. A host with four
-        # CPUs is faked so that the pool really starts 3 and 4 processes.
-        r1 = search.min_dinv_ones(4, 5, workers=1)
+        # (4, 4): first-element subtrees hold 364, 286, 220, ... of 1365
+        # sets, so no split into three or four groups is even. A host
+        # with four CPUs is faked so that the pool really starts 3 and 4
+        # processes.
+        r1 = search.min_dinv_ones(4, 4, workers=1)
         monkeypatch.setattr(search.os, "cpu_count", lambda: 4)
         for w in (2, 3, 4):
-            assert search.min_dinv_ones(4, 5, workers=w).to_json() == r1.to_json()
+            assert len(search._first_element_ranges(4, 4, w)) == w
+            assert search.min_dinv_ones(4, 4, workers=w).to_json() == r1.to_json()
 
     @pytest.mark.parametrize("n,m", [(4, 5), (3, 5), (5, 2), (4, 1), (3, 7), (2, 2)])
     @pytest.mark.parametrize("groups", [1, 2, 3, 4, 7])
@@ -285,8 +296,8 @@ _WALK_SLICES = [(5, m) for m in range(1, 6)] + [(6, 3)]
 
 
 class TestWalkAgainstOracle:
-    """The candidate-row walk against the walk it replaced, which pushes
-    every node through `cube.gram_push` against its whole prefix."""
+    """The candidate-row walk against the oracle walk, which pushes
+    every node through `gram_push` against its whole prefix."""
 
     @pytest.mark.parametrize("n,m", _WALK_SLICES)
     @pytest.mark.parametrize("groups", [1, 2, 3, 4])
@@ -321,22 +332,21 @@ class TestWalkAgainstOracle:
             assert dependent is None and (pivs, c) == (pivots, corner)
             expect = []
             for y in range(tail[-1] + 1 if tail else 1, top + 1):
-                hist, piv, bord, _ = cube.gram_push(y, points, hists, pivs, borders, c)
+                hist, piv, bord, _ = gram_push(y, points, hists, pivs, borders, c)
                 if piv:
                     expect.append((y, tuple(hist), piv, bord))
             assert rows == expect
 
 
 def _corner_off_by_one(monkeypatch):
-    """Perturb the Gram kernel that `cube.gram_eliminate` calls, which
-    random probing reads."""
-    real = cube.gram_push
+    """Perturb the Gram kernel that random probing reads."""
+    real = search.gram_eliminate
 
-    def wrong(*args):
-        hist, piv, bord, corner = real(*args)
-        return hist, piv, bord, corner - 1
+    def wrong(tail):
+        points, hists, pivots, borders, corner, dependent = real(tail)
+        return points, hists, pivots, borders, corner - 1, dependent
 
-    monkeypatch.setattr(cube, "gram_push", wrong)
+    monkeypatch.setattr(search, "gram_eliminate", wrong)
 
 
 def _root_border_off_by_one(monkeypatch):
