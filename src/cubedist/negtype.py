@@ -14,19 +14,21 @@ earliest sign change bisected.
 
 The scan works in stacked batches, because a single slogdet of a matrix
 this small costs mostly call overhead. Grid points are evaluated
-_GRID_CHUNK at a time with one np.power and one np.linalg.slogdet per
-matrix shape. Before each block of _BISECT_STEPS bisection steps, every
-midpoint the loop could visit next is computed with the loop's own
-arithmetic and evaluated in one batch; the unchanged bisection then
-walks through those values, so it takes the same path. The walk reads
-only signs, so a bordered bisection batch skips D_p. One memo keyed by
-p holds slogdet(D_p) for both scans, so each D_p is factorised once.
+_GRID_CHUNK at a time with one np.power of the bordered matrix and one
+np.linalg.slogdet per matrix shape. Before each block of _BISECT_STEPS
+bisection steps, every midpoint the loop could visit next is computed
+with the loop's own arithmetic and evaluated in one batch; the
+unchanged bisection then walks through those values, so it takes the
+same path. The walk reads only signs, so a bordered bisection batch
+skips D_p. D_p is the raised bordered matrix's block, and one record of
+its slogdet and row norms per p serves both scans, so each D_p is
+factorised once and the determinant scan reuses the bordered scan's.
 The bordered scan runs first; the determinant scan then stops as soon
 as its grid walk or its bisection is past the bordered root with no
 zero band open, since any root it could still find is later and so
 cannot win (a tie goes to the determinant root, which that scan still
-finds). Every result equals the
-scalar one-matrix-per-call scan's exactly.
+finds). Every result equals the scalar one-matrix-per-call scan's
+exactly.
 
 Everything at p = 1 is decided in exact integer arithmetic (D_1 is
 integral); for p > 1 determinants are evaluated at machine precision via
@@ -123,21 +125,25 @@ _BatchFn = Callable[..., list[_Signal]]
 class _PowerSignals:
     """Signals of det(D_p) and of the bordered determinant at exponents
     p (the matrices are raised to p / alpha), evaluated in stacked
-    batches and memoised by p.
+    batches and derived when read from two records memoised by p.
+
+    A batch raises the bordered matrix once; D_p is its lower-right
+    block, the same floats. The bordered record is its (sign, log |det|)
+    and the D_p record is (sign, log |det|, log Hadamard bound), so each
+    D_p is factorised once for both signals, and the determinant scan
+    reads the grid records the bordered scan made. A bordered batch
+    asked for signs only (ratios=False) skips D_p: the sign of the
+    bordered determinant alone is the bordered signal's sign.
 
     The determinant signal is the raw sign of det(D_p) and the log of
-    |det| over its Hadamard bound. The sign is 0 only for a float-exact
-    zero; callers decide zero classification from the scale-free ratio.
-    Near a simple root the raw sign stays faithful far below the
-    tol * Hadamard threshold, so bisection can keep narrowing inside the
-    classified-zero band. The bordered signal's ratio is
+    |det| over its Hadamard bound; the sign is 0 only for a float-exact
+    zero or a zero row. Callers decide zero classification from the
+    scale-free ratio: near a simple root the raw sign stays faithful far
+    below the tol * Hadamard threshold, so bisection can keep narrowing
+    inside the classified-zero band. The bordered signal's ratio is
     log |det bordered / det D_p| = log |<D_p^{-1}1, 1>|, the
     dimensionless quantity whose vanishing is scanned (the bordered
-    matrix's own Hadamard bound overscales it). slogdet(D_p) is memoised
-    by p for both signals, so each D_p is factorised once; a bordered
-    batch factorises the D_p block of its raised bordered matrices, and
-    skips it when asked for signs only (ratios=False), since the sign of
-    the bordered determinant alone is the bordered signal's sign.
+    matrix's own Hadamard bound overscales it).
 
     `anchor` = (lo, det sign, bordered sign) fixes both signals at lo to
     exact signs with ratio 0, so no batch ever evaluates lo.
@@ -149,81 +155,70 @@ class _PowerSignals:
         bord[0, 1:] = 1.0
         bord[1:, 0] = 1.0
         bord[1:, 1:] = d_float
-        self._d = d_float
         self._bord = bord
         self._alpha = alpha
-        self._slogdet: dict[float, tuple[float, float]] = {}
-        self._bordered_slogdet: dict[float, tuple[float, float]] = {}
-        self._det: dict[float, _Signal] = {}
-        self._bordered: dict[float, _Signal] = {}
+        # p -> (sign, log|det|, log Hadamard bound or None for a zero row) of D_p
+        self._dp: dict[float, tuple[float, float, Optional[float]]] = {}
+        # p -> (sign, log|det|) of the bordered matrix
+        self._full: dict[float, tuple[float, float]] = {}
         if anchor is not None:
             lo, det_sign, bord_sign = anchor
-            self._det[lo] = (det_sign, 0.0)
-            self._bordered[lo] = (bord_sign, 0.0)
+            self._dp[lo] = (det_sign, 0.0, 0.0)
+            self._full[lo] = (bord_sign, 0.0)
 
-    def _raise(self, base: np.ndarray, ps: list[float]) -> np.ndarray:
-        return np.power(base, (np.array(ps) / self._alpha)[:, None, None])
+    def _raise(self, ps: list[float]) -> np.ndarray:
+        return np.power(self._bord, (np.array(ps) / self._alpha)[:, None, None])
 
-    def _factorise(self, ps: list[float], dp: np.ndarray) -> list[tuple[float, float]]:
-        known = [self._slogdet.get(p) for p in ps]
-        if None in known:
-            sign, logabs = np.linalg.slogdet(dp)
-            known = list(zip(sign.tolist(), logabs.tolist()))
-            self._slogdet.update(zip(ps, known))
-        return known
+    def _factorise(self, ps: list[float], full: Optional[np.ndarray] = None) -> None:
+        """Record D_p for every p in ps, from the raised bordered
+        matrices `full` (raised here when not given)."""
+        if not ps:
+            return
+        dp = (self._raise(ps) if full is None else full)[:, 1:, 1:]
+        sign, logabs = np.linalg.slogdet(dp)
+        norms = np.sqrt((dp * dp).sum(axis=2))
+        # a zero row bounds |det| by 0: the signal is 0 without a log
+        flat = (norms == 0.0).any(axis=1)
+        norms[flat] = 1.0
+        logh = np.log(norms).sum(axis=1).tolist()
+        for p, sd, ld, lh, zero in zip(ps, sign.tolist(), logabs.tolist(), logh, flat.tolist()):
+            self._dp[p] = (sd, ld, None if zero else lh)
 
     def det(self, ps: list[float], ratios: bool = True) -> list[_Signal]:
         # the factorisation that gives the sign gives the ratio too, so
         # determinant signals always carry it, whatever `ratios` asks
-        memo = self._det
-        missing = [p for p in ps if p not in memo]
-        if missing:
-            dp = self._raise(self._d, missing)
-            norms = np.sqrt((dp * dp).sum(axis=2))
-            # a zero row bounds |det| by 0: the signal is 0 without a log
-            flat = (norms == 0.0).any(axis=1)
-            norms[flat] = 1.0
-            logh = np.log(norms).sum(axis=1).tolist()
-            for p, (sd, ld), lh, zero in zip(missing, self._factorise(missing, dp), logh, flat.tolist()):
-                memo[p] = (0, -math.inf) if zero or sd == 0.0 else ((1 if sd > 0 else -1), ld - lh)
-        return [memo[p] for p in ps]
+        self._factorise([p for p in ps if p not in self._dp])
+        out = []
+        for p in ps:
+            sd, ld, lh = self._dp[p]
+            zero = lh is None or sd == 0.0
+            out.append((0, -math.inf) if zero else ((1 if sd > 0 else -1), ld - lh))
+        return out
 
     def bordered(self, ps: list[float], ratios: bool = True) -> list[_Signal]:
-        memo = self._bordered
-        missing = [p for p in ps if p not in memo]
-        if not missing:
-            return [memo[p] for p in ps]
-        new = [p for p in missing if p not in self._bordered_slogdet]
+        new = [p for p in ps if p not in self._full]
         if new:
-            full = self._raise(self._bord, new)
+            full = self._raise(new)
             sign, logabs = np.linalg.slogdet(full)
-            self._bordered_slogdet.update(zip(new, zip(sign.tolist(), logabs.tolist())))
+            self._full.update(zip(new, zip(sign.tolist(), logabs.tolist())))
             if ratios:
-                self._factorise(new, full[:, 1:, 1:])
-        if not ratios:
-            # the sign of the bordered determinant needs no D_p
-            return [
-                memo[p] if p in memo else _sign_only(self._bordered_slogdet[p][0]) for p in ps
-            ]
-        rest = [p for p in missing if p not in self._slogdet]
-        if rest:
-            self._factorise(rest, self._raise(self._d, rest))
-        for p in missing:
-            sb, lb = self._bordered_slogdet[p]
-            sd, ld = self._slogdet[p]
+                self._factorise(new, full)
+        if ratios:
+            self._factorise([p for p in ps if p not in self._dp])
+        out = []
+        for p in ps:
+            sb, lb = self._full[p]
+            dp = self._dp.get(p)
             if sb == 0.0:
-                memo[p] = (0, -math.inf)
-            elif sd == 0.0:
-                # D_p itself is float-singular here; the determinant scan
-                # owns this root, so report the bordered value as nonzero
-                memo[p] = ((1 if sb > 0 else -1), 0.0)
+                out.append((0, -math.inf))
+            elif dp is None or dp[0] == 0.0:
+                # signs only; or D_p itself is float-singular here, and
+                # the determinant scan owns this root, so the bordered
+                # value reads as nonzero
+                out.append(((1 if sb > 0 else -1), None if dp is None else 0.0))
             else:
-                memo[p] = ((1 if sb > 0 else -1), lb - ld)
-        return [memo[p] for p in ps]
-
-
-def _sign_only(sign: float) -> _Signal:
-    return (0, -math.inf) if sign == 0.0 else ((1 if sign > 0 else -1), None)
+                out.append(((1 if sb > 0 else -1), lb - dp[1]))
+        return out
 
 
 def _residual(ratio: float) -> float:
@@ -458,8 +453,11 @@ def murugan_classify(
     pivoting `det_int` calls) and supremal type above 1 (the Gram kernel
     and the root scan; no root below the cap certifies the bound, since
     the cap exceeds 1), all read from the set itself, which builds its
-    distance rows and Gram kernel once. Arguments are checked as in
-    `sanchez_wp`."""
+    distance rows and Gram kernel once. Raises DomainError for cap <= 1,
+    where a scan that sees no exponent past 1 cannot show wp > 1; other
+    arguments are checked as in `sanchez_wp`."""
+    if not cap > 1:
+        raise DomainError(f"classification needs cap > 1; got cap={cap}")
     wp = sanchez_wp(s, cap, tol, grid).wp
     return MuruganClassification(
         affinely_independent=cube.affinely_independent(s),

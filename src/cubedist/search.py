@@ -40,9 +40,10 @@ size, the sum of comb(2^n - 1 - x, m - 1) over its first elements x. No
 separate rank test is needed.
 
 Determinism. Minima are tracked as exact rationals with a (value,
-lexicographic witness) tie-break. Workers take contiguous ranges of first
-elements, balanced by subtree size, and walk each from the empty prefix;
-their tallies merge in lex order through the same tie-break, so
+lexicographic witness) tie-break. One process walks all first elements
+as one range. More processes take one task per first element, walked
+from the empty prefix and scheduled by the pool; the tallies come back
+in task order and merge in lex order through the same tie-break, so
 identical runs produce identical JSON, byte for byte, whatever the
 worker count. The largest first-element subtree holds m / (2^n - 1) of
 the sets, which caps the speed-up at (2^n - 1) / m processes (6.2 for
@@ -210,34 +211,6 @@ def _scan_range(task: tuple[int, int, int, int]) -> _Tally:
     return tally
 
 
-def _first_element_ranges(n: int, m: int, groups: int) -> list[tuple[int, int]]:
-    """Cut the first elements 1..2^n - m of the m-subsets of {1..2^n - 1}
-    into at most `groups` contiguous ranges [lo, hi), balanced by size.
-
-    A cut falls after the first element whose subtree takes the running
-    size to a multiple of total / groups, so a range holds at most
-    total / groups sets plus its own first subtree.
-    """
-    top = (1 << n) - 1
-    end = top - m + 2
-    total = comb(top, m)
-    ranges: list[tuple[int, int]] = []
-    lo = 1
-    done = 0
-    cut = 1
-    for x in range(1, end):
-        if cut == groups:
-            break
-        done += comb(top - x, m - 1)
-        if done * groups >= cut * total:
-            ranges.append((lo, x + 1))
-            lo = x + 1
-            cut = min(groups, done * groups // total + 1)
-    if lo < end:
-        ranges.append((lo, end))
-    return ranges
-
-
 def _pool_size(workers: int, tasks: int) -> int:
     """Processes to start: never more than requested, than there are
     tasks, or than the machine has CPUs."""
@@ -319,11 +292,11 @@ def min_dinv_ones(
     normalized (m+1)-point set in H_n.
 
     For m > n every set is dependent, so the answer comes back at once.
-    Otherwise refuses enumerations larger than `budget`. Work splits
-    into at most `workers` contiguous ranges of first elements (see
-    `_first_element_ranges`); the tallies merge in order with the walk's
-    own lexicographic tie-break, so the result does not depend on the
-    worker count.
+    Otherwise refuses enumerations larger than `budget`. One process
+    walks every first element in one range; more take one task per
+    first element, which the pool schedules, and the tallies merge in
+    task order with the walk's own lexicographic tie-break, so the
+    result does not depend on the worker count.
     """
     _validate_params(n, m)
     total = comb((1 << n) - 1, m)
@@ -334,13 +307,14 @@ def min_dinv_ones(
             f"enumeration of ({n}, {m}) needs {total} subsets, over budget {budget}",
             required=total,
         )
-    groups = _pool_size(int(workers), total)
-    tasks = [(n, m, lo, hi) for lo, hi in _first_element_ranges(n, m, groups)]
-    if len(tasks) == 1:
-        tallies = [_scan_range(tasks[0])]
+    end = (1 << n) - m + 1  # one past the last first element
+    processes = _pool_size(int(workers), end - 1)
+    if processes == 1:
+        tallies = [_scan_range((n, m, 1, end))]
     else:
-        with multiprocessing.Pool(len(tasks)) as pool:
-            tallies = pool.map(_scan_range, tasks)
+        tasks = [(n, m, x, x + 1) for x in range(1, end)]
+        with multiprocessing.Pool(processes) as pool:
+            tallies = pool.map(_scan_range, tasks, chunksize=1)
     tally = tallies[0]
     for later in tallies[1:]:
         tally.merge(later)

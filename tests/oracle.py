@@ -25,9 +25,10 @@ Prufer decode; and, in the negative-type section at the end, the scalar root sca
 per matrix and exponent, each scan run to its end).
 
 A few helpers only tests need live here too: `coords` and
-`format_point_set` (a point set as coordinate tuples and as file text)
-and `rational_from_str`, a strict reader of the rational strings the
-package writes into JSON.
+`format_point_set` (a point set as coordinate tuples and as file text),
+`rational_from_str`, a strict reader of the rational strings the
+package writes into JSON, and the call and pool recorders
+`count_calls` and `record_pools`.
 """
 
 import math
@@ -67,6 +68,36 @@ def count_calls(monkeypatch, owner, *names, calls=None):
 
         monkeypatch.setattr(owner, name, wrapper)
     return calls
+
+
+def record_pools(monkeypatch, module, inline=False):
+    """Replace module.multiprocessing.Pool by a pool that records its
+    process count and each `map` call's tasks and chunksize in the
+    returned list, one (processes, tasks, chunksize) per call. The pool
+    is real, or with inline=True starts no process and maps in this one."""
+    seen = []
+    real = module.multiprocessing.Pool
+
+    class RecordingPool:
+        def __init__(self, processes):
+            self._processes = processes
+            self._pool = None if inline else real(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            if self._pool is not None:
+                self._pool.__exit__(*exc)
+
+        def map(self, fn, tasks, chunksize=None):
+            seen.append((self._processes, list(tasks), chunksize))
+            if self._pool is None:
+                return [fn(task) for task in tasks]
+            return self._pool.map(fn, tasks, chunksize)
+
+    monkeypatch.setattr(module.multiprocessing, "Pool", RecordingPool)
+    return seen
 
 
 def leibniz_det(rows):

@@ -10,7 +10,7 @@ from cubedist import cube, identities, negtype, search, trees, verify
 from cubedist.cli import main
 from cubedist.cube import parse_point_set
 from cubedist.errors import DomainError
-from oracle import count_calls, sanchez_wp_oracle
+from oracle import count_calls, record_pools, sanchez_wp_oracle
 
 H3_FILE = "3 4\n000\n100\n010\n111\n"
 DEP_FILE = "2 4\n00\n10\n01\n11\n"
@@ -264,12 +264,13 @@ class TestSearch:
 
     def test_worker_flag_equivalence(self, monkeypatch, tmp_path):
         # a host with four CPUs is faked so that four processes really
-        # walk four first-element ranges
+        # share the first elements, one task each
         monkeypatch.setattr(search.os, "cpu_count", lambda: 4)
-        assert len(search._first_element_ranges(4, 3, 4)) == 4
+        pools = record_pools(monkeypatch, search)
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         assert main(["search", "--n", "4", "--m", "3", "--workers", "1", "-o", str(a)]) == 0
         assert main(["search", "--n", "4", "--m", "3", "--workers", "4", "-o", str(b)]) == 0
+        assert pools == [(4, [(4, 3, x, x + 1) for x in range(1, 14)], 1)]
         assert a.read_bytes() == b.read_bytes()
 
     def test_unknown_flag_exit_2(self):

@@ -207,6 +207,18 @@ class TestMurugan:
                 c = negtype.murugan_classify(PointSet.from_bits(3, (0,) + tail))
                 assert c.consistent
 
+    def test_cap_must_exceed_1(self, monkeypatch):
+        # at cap 1 the scan sees no exponent past 1, so its lower bound
+        # wp = 1 could not show that an independent set has wp > 1
+        corner = PointSet.from_bits(3, (0, 1, 2, 4))
+        assert negtype.sanchez_wp(corner, cap=1.0).is_lower_bound
+        calls = count_calls(monkeypatch, negtype, "sanchez_wp", "strict_p_negative_type")
+        with pytest.raises(DomainError, match="cap > 1"):
+            negtype.murugan_classify(corner, cap=1.0)
+        assert calls == {}  # refused before any work
+        c = negtype.murugan_classify(corner, cap=1.125)
+        assert c.consistent and c.affinely_independent
+
 
 def _h3_subsets():
     for m in range(1, 8):
@@ -487,6 +499,29 @@ class TestBatchedScanAgainstOracle:
         monkeypatch.setattr(np.linalg, "slogdet", counted)
         assert negtype.strict_p_negative_type(PATH3, 1.5)
         assert calls == [(1, 4, 4), (1, 3, 3)]
+
+    def test_determinant_scan_reuses_the_bordered_factorisations(self, monkeypatch):
+        # grid exponents that the bordered scan evaluates with ratios
+        ps = [1.0 + 0.125 * k for k in range(1, 9)]
+        d_float = np.array(H3_SET.d_rows, dtype=float)
+        signals = negtype._PowerSignals(d_float)
+        signals.bordered(ps)
+        calls = count_calls(monkeypatch, np, "power")
+        got = signals.det(ps)
+        assert calls == {}  # no D_p raised again
+        monkeypatch.undo()
+        assert got == negtype._PowerSignals(d_float).det(ps)
+
+    def test_signs_only_bordered_batch_skips_d_p(self, monkeypatch):
+        # bisection midpoints: the walk reads only the bordered signs
+        ps = [1.0625, 1.1875]
+        d_float = np.array(H3_SET.d_rows, dtype=float)
+        shapes = []
+        real = np.linalg.slogdet
+        monkeypatch.setattr(np.linalg, "slogdet", lambda a: shapes.append(a.shape) or real(a))
+        signs = [s for s, _ in negtype._PowerSignals(d_float).bordered(ps, ratios=False)]
+        assert shapes == [(2, 5, 5)]
+        assert signs == [s for s, _ in negtype._PowerSignals(d_float).bordered(ps)]
 
 
 def _crossing(root, sign=1):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from cubedist import cube, identities, search
 from cubedist.cube import PointSet
 from cubedist.errors import BudgetExceededError, DomainError, InvariantError
-from oracle import eval_tail_oracle, gram_push, scan_oracle, scan_range_oracle
+from oracle import eval_tail_oracle, gram_push, record_pools, scan_oracle, scan_range_oracle
 
 F = Fraction
 
@@ -73,15 +73,35 @@ class TestExhaustive:
                 assert res.violations == ()
 
 
+def _first_element_tasks(n, m):
+    """The pool's tasks for (n, m): one range (x, x + 1) per first element."""
+    return [(n, m, x, x + 1) for x in range(1, (1 << n) - m + 1)]
+
+
+def _pooled(monkeypatch, n, m, workers):
+    """min_dinv_ones(n, m, workers) on a host faked with 8 CPUs, the pool
+    mapped in-process; checks that a pool starts exactly when more than
+    one process is due, with min(workers, first elements) processes and
+    one task per first element, in order."""
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 8)
+    pools = record_pools(monkeypatch, search, inline=True)
+    res = search.min_dinv_ones(n, m, workers=workers)
+    tasks = _first_element_tasks(n, m)
+    processes = min(workers, len(tasks))
+    assert pools == ([] if m > n or processes == 1 else [(processes, tasks, 1)])
+    return res
+
+
 class TestWorkers:
     @pytest.mark.parametrize("n,m", [(4, 3), (5, 2), (5, 5), (6, 3)])
     def test_worker_counts_agree_bytewise(self, monkeypatch, n, m):
         # a host with four CPUs is faked so that four processes really
-        # walk four first-element ranges
+        # share the first elements
         monkeypatch.setattr(search.os, "cpu_count", lambda: 4)
-        assert len(search._first_element_ranges(n, m, 4)) == 4
+        pools = record_pools(monkeypatch, search)
         r1 = search.min_dinv_ones(n, m, workers=1)
         r4 = search.min_dinv_ones(n, m, workers=4)
+        assert pools == [(4, _first_element_tasks(n, m), 1)]
         assert r1.to_json() == r4.to_json()
 
     def test_more_workers_than_sets(self):
@@ -90,37 +110,22 @@ class TestWorkers:
 
     def test_uneven_subtrees_agree_bytewise(self, monkeypatch):
         # (4, 4): first-element subtrees hold 364, 286, 220, ... of 1365
-        # sets, so no split into three or four groups is even. A host
-        # with four CPUs is faked so that the pool really starts 3 and 4
-        # processes.
+        # sets, so the pool's tasks are uneven. A host with four CPUs is
+        # faked so that the pool really starts 2, 3 and 4 processes.
         r1 = search.min_dinv_ones(4, 4, workers=1)
         monkeypatch.setattr(search.os, "cpu_count", lambda: 4)
         for w in (2, 3, 4):
-            assert len(search._first_element_ranges(4, 4, w)) == w
+            pools = record_pools(monkeypatch, search)
             assert search.min_dinv_ones(4, 4, workers=w).to_json() == r1.to_json()
+            assert pools == [(w, _first_element_tasks(4, 4), 1)]
 
     @pytest.mark.parametrize("n,m", [(4, 5), (3, 5), (5, 2), (4, 1), (3, 7), (2, 2)])
-    @pytest.mark.parametrize("groups", [1, 2, 3, 4, 7])
-    def test_subtree_groups_merge_to_serial(self, n, m, groups):
-        """The ranges are contiguous, cover the first elements 1..2^n - m
-        once and number at most `groups`; each holds at most total /
-        groups sets plus its own first subtree; scanned in-process and
-        merged in order, their tallies equal the oracle's scan."""
-        top = (1 << n) - 1
-        total = comb(top, m)
-        ranges = search._first_element_ranges(n, m, groups)
-        assert 1 <= len(ranges) <= groups
-        assert ranges[0][0] == 1 and ranges[-1][1] == top - m + 2
-        assert all(lo < hi for lo, hi in ranges)
-        assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
-        for lo, hi in ranges:
-            size = sum(comb(top - x, m - 1) for x in range(lo, hi))
-            assert size * groups <= total + comb(top - lo, m - 1) * groups
-        tallies = [search._scan_range((n, m, lo, hi)) for lo, hi in ranges]
-        merged = tallies[0]
-        for later in tallies[1:]:
-            merged.merge(later)
-        assert merged.parts() == scan_oracle(n, m)
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4, 7])
+    def test_subtree_groups_merge_to_serial(self, monkeypatch, n, m, workers):
+        """With `workers` processes the one-task-per-first-element
+        tallies, merged in task order, equal the oracle's scan."""
+        got = _pooled(monkeypatch, n, m, workers)
+        assert got == search._result_from_parts(n, m, search.MODE_EXHAUSTIVE, *scan_oracle(n, m))
 
     def test_pool_size_clamps(self, monkeypatch):
         monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
@@ -250,8 +255,7 @@ def _dependent_tails(draw):
 
 
 def _serial_scan(n, m):
-    ((lo, hi),) = search._first_element_ranges(n, m, 1)
-    return search._scan_range((n, m, lo, hi)).parts()
+    return search._scan_range((n, m, 1, (1 << n) - m + 1)).parts()
 
 
 def _kernel_value(tail):
@@ -288,8 +292,7 @@ class TestKernelAgainstOracle:
 
 @functools.lru_cache(maxsize=None)
 def _oracle_walk(n, m):
-    ((lo, hi),) = search._first_element_ranges(n, m, 1)
-    return scan_range_oracle((n, m, lo, hi)).parts()
+    return scan_range_oracle((n, m, 1, (1 << n) - m + 1)).parts()
 
 
 _WALK_SLICES = [(5, m) for m in range(1, 6)] + [(6, 3)]
@@ -300,15 +303,12 @@ class TestWalkAgainstOracle:
     every node through `gram_push` against its whole prefix."""
 
     @pytest.mark.parametrize("n,m", _WALK_SLICES)
-    @pytest.mark.parametrize("groups", [1, 2, 3, 4])
-    def test_ranges_merge_in_order(self, n, m, groups):
-        """One range is the serial scan; more are merged in order."""
-        ranges = search._first_element_ranges(n, m, groups)
-        tallies = [search._scan_range((n, m, lo, hi)) for lo, hi in ranges]
-        merged = tallies[0]
-        for later in tallies[1:]:
-            merged.merge(later)
-        assert merged.parts() == _oracle_walk(n, m)
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    def test_ranges_merge_in_order(self, monkeypatch, n, m, workers):
+        """One process walks the serial range; more take one task per
+        first element, merged in task order."""
+        got = _pooled(monkeypatch, n, m, workers)
+        assert got == search._result_from_parts(n, m, search.MODE_EXHAUSTIVE, *_oracle_walk(n, m))
 
     @pytest.mark.parametrize("n,m", [(4, 4), (5, 3)])
     def test_candidate_rows_equal_gram_push(self, monkeypatch, n, m):
