@@ -32,8 +32,9 @@ predecessors; that point's column history is the right side of the
 prefix's triangular system U c = h (U[i][t] = hists[t][i], U[i][i] =
 pivots[i]), whose solution c expresses the point in the prefix and
 gives a kernel vector of D. The exhaustive search walk runs the same
-integer steps right-looking on its own candidate rows, one step per
-level (see `search`).
+integer steps right-looking, one step per level, on the pivots, borders
+and pair entries of the trailing block that the elimination leaves
+after each prefix (see `search`).
 
 `rank_of_bits`, behind `affinely_independent`, is a separate rank
 test; it runs only where independence is itself the reported or

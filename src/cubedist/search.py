@@ -13,20 +13,33 @@ Kernel. The exhaustive scan is one depth-first walk of the lexicographic
 combination tree of {1, ..., 2^n - 1} over the fraction-free, no-pivot,
 symmetric Bareiss elimination (Bareiss 1968) of the bordered Gram matrix
 [[G, u], [u^T, 0]] that `cube.gram_eliminate` runs over one tail, points
-first and border last. A node of the walk is a prefix P with its pivots
-(the leading minors of G) and corner (the bordered determinant of P),
-and every later point y outside the span of P holds a candidate row (y,
-hist, piv, bord): the column history, pivot and border entry that
-`gram_eliminate` gives y when it follows P, so piv is det G of P + y.
-Descending to the child P + x extends every later candidate by one
-elimination step against x: a popcount of x & y, k reductions by the
-stored column histories of x and y, then the pivot and border updates,
-the same integer operations as one step of `gram_eliminate`'s inner
-loop. So each (child, candidate) pair costs O(k) work for a k-point
-prefix, shared by the whole subtree below the child, and every pivot,
-corner and value is the one `gram_eliminate` gives. With two points to
-go, a candidate's step gives the pivot and border of P + x + y and so
-its corner, with no row built; the set's value is -2 pivot / corner.
+first and border last. A node of the walk is a prefix P with its last
+pivot prev (det G of P) and corner (the bordered determinant of P).
+Every later point y outside the span of P holds a row (y, piv, bord):
+the pivot and border entry that `gram_eliminate` gives y when it follows
+P, so piv is det G of P + y. Every pair y, z of them holds its entry
+a(y, z) of the trailing block that the elimination leaves after P, the
+Schur complement of P's block scaled by prev; by Sylvester's identity it
+is itself a minor, the determinant of the Gram matrix of P + y with its
+last column taken at z. At the root the rows are (y, |y|, |y|) and the
+entries |y & z|. Descending to the child P + x is one elimination step
+against x, with p = piv(x), for every later y and pair y, z:
+
+    piv'(y)   = (p piv(y)  - a(x, y)^2)         / prev
+    bord'(y)  = (p bord(y) - a(x, y) bord(x))   / prev
+    a'(y, z)  = (p a(y, z) - a(x, y) a(x, z))   / prev
+
+the same integer operations, with the same exact divisions, as one step
+of `gram_eliminate`'s inner loop; so every pivot, corner and value is
+the one `gram_eliminate` gives. With three points to go the child's
+entries are not stored: each leaf pair y, z takes a'(y, z) by that one
+step, then the pivot and border of P + x + y + z and so its corner, and
+the set's value is -2 pivot / corner. A leaf thus costs a fixed number
+of integer operations whatever the prefix length. A slice with m <= 2
+builds no pair entries: m = 1 needs none, and a pair of the m = 2 slice
+reads its entry as the popcount. With m >= 3 the root's table holds
+C(N, 2) entries for N <= 2^n - 1 points, and the budget C(N, m) bounds
+it by about (6 budget)^(2/3).
 
 Pruning. G = B B^T is positive semidefinite, so its leading principal
 minors are nonnegative, and one of them is zero exactly when the points
@@ -139,65 +152,100 @@ class _Tally:
 
 
 def _root_rows(lo: int, top: int) -> list:
-    """The candidate rows of the empty prefix for the points lo..top."""
-    return [(y, (), y.bit_count(), y.bit_count()) for y in range(lo, top + 1)]
+    """The rows (y, piv, bord) of the empty prefix for the points lo..top:
+    piv = bord = |y|."""
+    return [(y, y.bit_count(), y.bit_count()) for y in range(lo, top + 1)]
 
 
-def _descend(rows, children, pivots, corner, need, tail, tally) -> None:
+def _root_pairs(rows) -> list:
+    """The empty prefix's pair entries |y & z| of its rows: row i of the
+    table holds the entries with rows[i + 1:], in order."""
+    return [[(y & z).bit_count() for z, _, _ in rows[i + 1 :]] for i, (y, _, _) in enumerate(rows)]
+
+
+def _descend(rows, pairs, children, prev, corner, need, tail, tally) -> None:
     """Visit, in lex order, every independent set that extends the
-    prefix `tail` by `need` points from its candidate rows, the first of
-    them from rows[:children].
+    prefix `tail` by `need` >= 3 points from its rows, the first of them
+    from rows[:children].
 
-    A candidate row (y, hist, piv, bord) is y's column history, pivot
-    and border entry after elimination against the prefix (see
-    `cube.gram_eliminate`); the walk keeps only rows with a nonzero
-    pivot. `pivots` are the prefix's pivots and `corner` its bordered
-    determinant. Each child x extends the rows after it by one
-    elimination step: into the child's rows, or, with two points to
-    go, straight into the values of the sets prefix + x + y. Those
-    leaves come in lex order, so a value replaces the best only when it
-    is strictly smaller.
+    A row (y, piv, bord) is y's pivot and border entry after elimination
+    against the prefix, and pairs[i][j - i - 1] the entry a(y_i, y_j) of
+    rows i < j: the trailing Schur-complement block of the elimination
+    (see the module docstring). The walk keeps only rows with a nonzero
+    pivot. `prev` is the prefix's last pivot (1 for the empty prefix)
+    and `corner` its bordered determinant. Each child x takes one
+    elimination step against x: into the rows after it, then into their
+    pair entries, or, with three points to go, straight into the values
+    of the sets prefix + x + y + z. Those leaves come in lex order, so a
+    value replaces the best only when it is strictly smaller.
     """
-    k = len(pivots)
-    prev = pivots[-1] if pivots else 1
-    count = len(rows)
+    n, full_dim = tally.n, tally.full_dim
+    for i in range(children):
+        x, px, bx = rows[i]
+        cx = (px * corner - bx * bx) // prev
+        later = []  # (y, piv, bord, index of y in rows, a(x, y))
+        for j, ((y, py, by), a) in enumerate(zip(rows[i + 1 :], pairs[i]), i + 1):
+            piv = (px * py - a * a) // prev
+            if piv:
+                later.append((y, piv, (px * by - a * bx) // prev, j, a))
+        if need > 3:
+            child = []
+            for t, (_, _, _, j, a) in enumerate(later):
+                row, o = pairs[j], j + 1
+                child.append(
+                    [(px * row[l - o] - a * b) // prev for _, _, _, l, b in later[t + 1 :]]
+                )
+            rows_x = [r[:3] for r in later]
+            _descend(rows_x, child, len(later) - need + 2, px, cx, need - 1, (*tail, x), tally)
+            continue
+        best = tally.best
+        independent = 0
+        for t, (y, py, by, j, a) in enumerate(later):
+            row, o = pairs[j], j + 1
+            cy = (py * cx - by * by) // px
+            for z, pz, bz, l, b in later[t + 1 :]:
+                e = (px * row[l - o] - a * b) // prev
+                piv = (py * pz - e * e) // px
+                if not piv:
+                    continue
+                bord = (py * bz - e * by) // px
+                num, den = 2 * piv, (bord * bord - piv * cy) // py
+                independent += 1
+                if full_dim and num * n != 2 * den:
+                    raise _invariant_error(n, (*tail, x, y, z), num, den)
+                if num * n < 2 * den:
+                    tally.violations.append(((*tail, x, y, z), Fraction(num, den)))
+                if best is None or num * best[1] < best[0] * den:
+                    best = (num, den, (*tail, x, y, z))
+        tally.independent += independent
+        tally.best = best
+
+
+def _pair_leaves(rows, children, tally) -> None:
+    """Visit, in lex order, every independent pair {x, y} of the root's
+    rows with x from rows[:children]: the m = 2 slice, which builds no
+    pair entries, since a pair's entry a(x, y) is the popcount |x & y|."""
     n, full_dim, best = tally.n, tally.full_dim, tally.best
     independent = 0
     for i in range(children):
-        x, hx, px, bx = rows[i]
-        cx = (px * corner - bx * bx) // prev
-        if need == 1:
-            tally.add((*tail, x), px, cx)
-            continue
-        later = []
-        for j in range(i + 1, count):
-            y, hy, py, by = rows[j]
+        x, px, bx = rows[i]
+        cx = -bx * bx
+        for y, py, by in rows[i + 1 :]:
             a = (x & y).bit_count()
-            pv = 1
-            for s in range(k):
-                ps = pivots[s]
-                a = (ps * a - hx[s] * hy[s]) // pv
-                pv = ps
-            piv = (px * py - a * a) // prev
+            piv = px * py - a * a
             if not piv:
                 continue
-            bord = (px * by - a * bx) // prev
-            if need > 2:
-                later.append((y, (*hy, a), piv, bord))
-                continue
+            bord = px * by - a * bx
             num, den = 2 * piv, (bord * bord - piv * cx) // px
             independent += 1
             if full_dim and num * n != 2 * den:
-                raise _invariant_error(n, (*tail, x, y), num, den)
+                raise _invariant_error(n, (x, y), num, den)
             if num * n < 2 * den:
-                tally.violations.append(((*tail, x, y), Fraction(num, den)))
+                tally.violations.append(((x, y), Fraction(num, den)))
             if best is None or num * best[1] < best[0] * den:
-                best = (num, den, (*tail, x, y))
-        if need > 2:
-            _descend(later, len(later) - need + 2, [*pivots, px], cx, need - 1, (*tail, x), tally)
-    if need == 2:
-        tally.independent += independent
-        tally.best = best
+                best = (num, den, (x, y))
+    tally.independent += independent
+    tally.best = best
 
 
 def _scan_range(task: tuple[int, int, int, int]) -> _Tally:
@@ -206,7 +254,14 @@ def _scan_range(task: tuple[int, int, int, int]) -> _Tally:
     n, m, lo, hi = task
     top = (1 << n) - 1
     tally = _Tally(n, m)
-    _descend(_root_rows(lo, top), hi - lo, [], 0, m, (), tally)
+    rows = _root_rows(lo, top)
+    if m == 1:
+        for x, px, bx in rows[: hi - lo]:
+            tally.add((x,), px, -bx * bx)
+    elif m == 2:
+        _pair_leaves(rows, hi - lo, tally)
+    else:
+        _descend(rows, _root_pairs(rows), hi - lo, 1, 0, m, (), tally)
     tally.examined = sum(comb(top - x, m - 1) for x in range(lo, hi))
     return tally
 

@@ -428,7 +428,7 @@ def test_invariant_checked_under_optimize():
         "from cubedist.cli import main\n"
         "real = search._root_rows\n"
         "def wrong(lo, top):\n"
-        "    return [(y, hist, piv, bord + 1) for y, hist, piv, bord in real(lo, top)]\n"
+        "    return [(y, piv, bord + 1) for y, piv, bord in real(lo, top)]\n"
         "search._root_rows = wrong\n"
         "sys.exit(main(['search', '--n', '3', '--m', '3']))\n"
     )

@@ -1,4 +1,5 @@
 import functools
+import multiprocessing
 import random
 from fractions import Fraction
 from math import comb
@@ -297,10 +298,21 @@ def _oracle_walk(n, m):
 
 _WALK_SLICES = [(5, m) for m in range(1, 6)] + [(6, 3)]
 
+_LATE_RANGES = [(6, 6, 40, 44), (6, 5, 45, 59)]
+
+
+def _task_id(task):
+    return "-".join(map(str, task))
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_range(task):
+    return scan_range_oracle(task).parts()
+
 
 class TestWalkAgainstOracle:
-    """The candidate-row walk against the oracle walk, which pushes
-    every node through `gram_push` against its whole prefix."""
+    """The pair-entry walk against the oracle walk, which pushes every
+    node through `gram_push` against its whole prefix."""
 
     @pytest.mark.parametrize("n,m", _WALK_SLICES)
     @pytest.mark.parametrize("workers", [1, 2, 3, 4])
@@ -310,32 +322,108 @@ class TestWalkAgainstOracle:
         got = _pooled(monkeypatch, n, m, workers)
         assert got == search._result_from_parts(n, m, search.MODE_EXHAUSTIVE, *_oracle_walk(n, m))
 
-    @pytest.mark.parametrize("n,m", [(4, 4), (5, 3)])
+    @pytest.mark.parametrize("n,m", [(4, 4), (5, 3), (4, 5)])
     def test_candidate_rows_equal_gram_push(self, monkeypatch, n, m):
-        """At every node of the walk the candidate rows are, in order,
-        `gram_push`'s (hist, pivot, border) of each later point whose
-        pivot is nonzero, and the node's pivots and corner are the
-        prefix's."""
+        """At every node of the walk the rows are, in order, `gram_push`'s
+        (pivot, border) of each later point whose pivot is nonzero; each
+        pair entry of rows i < j is the history entry at index k of y_j
+        pushed after the k-point prefix + y_i; and the node's last pivot
+        and corner are the prefix's. (4, 5) has two levels of pair entries
+        built by a step below the root's popcounts."""
         nodes = []
         real = search._descend
 
-        def spy(rows, children, pivots, corner, need, tail, tally):
-            nodes.append((tail, list(pivots), corner, list(rows)))
-            real(rows, children, pivots, corner, need, tail, tally)
+        def spy(rows, pairs, children, prev, corner, need, tail, tally):
+            nodes.append((tail, prev, corner, list(rows), [list(row) for row in pairs]))
+            real(rows, pairs, children, prev, corner, need, tail, tally)
 
         monkeypatch.setattr(search, "_descend", spy)
         _serial_scan(n, m)
-        assert {len(node[0]) for node in nodes} == set(range(m - 1))
+        assert {len(node[0]) for node in nodes} == set(range(m - 2))
         top = (1 << n) - 1
-        for tail, pivots, corner, rows in nodes:
+        for tail, prev, corner, rows, pairs in nodes:
+            k = len(tail)
             points, hists, pivs, borders, c, dependent = cube.gram_eliminate(tail)
-            assert dependent is None and (pivs, c) == (pivots, corner)
-            expect = []
+            assert dependent is None and (pivs[-1] if pivs else 1, c) == (prev, corner)
+            pushed = []
             for y in range(tail[-1] + 1 if tail else 1, top + 1):
-                hist, piv, bord, _ = gram_push(y, points, hists, pivs, borders, c)
+                hist, piv, bord, cy = gram_push(y, points, hists, pivs, borders, c)
                 if piv:
-                    expect.append((y, tuple(hist), piv, bord))
-            assert rows == expect
+                    pushed.append((y, hist, piv, bord, cy))
+            assert rows == [(y, piv, bord) for y, _, piv, bord, _ in pushed]
+            expect = []
+            for i, (y, hist, piv, bord, cy) in enumerate(pushed):
+                prefix = ([*points, y], [*hists, hist], [*pivs, piv], [*borders, bord], cy)
+                expect.append([gram_push(z, *prefix)[0][k] for z, *_ in pushed[i + 1 :]])
+            assert pairs == expect
+
+    @pytest.mark.parametrize(
+        "task", [(4, 2, 1, 14), (4, 3, 1, 13), (5, 4, 1, 28), (6, 5, 45, 59)], ids=_task_id
+    )
+    def test_violations_recorded_as_the_tally_adds_them(self, monkeypatch, task):
+        """No set undercuts 2/n, so the tally is given the floor 2/1: every
+        value below 2 then counts as a violation, and the walk must record
+        them in lex order as `_Tally.add` does for the oracle walk."""
+
+        class FloorTwo(search._Tally):
+            def __init__(self, n, m):
+                super().__init__(n, m)
+                self.n = 1
+
+        monkeypatch.setattr(search, "_Tally", FloorTwo)
+        got, want = search._scan_range(task).parts(), scan_range_oracle(task).parts()
+        assert len(got[3]) > got[1] // 2
+        assert got == want
+
+    @pytest.mark.parametrize("task", _LATE_RANGES, ids=_task_id)
+    def test_late_ranges_equal_oracle(self, task):
+        """First elements late in (6, 6) and (6, 5): with m = 6 the walk
+        builds pair entries by a step at three levels below the root."""
+        assert search._scan_range(task).parts() == _oracle_range(task)
+
+    @pytest.mark.parametrize("task", _LATE_RANGES, ids=_task_id)
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_late_ranges_merge_over_workers(self, task, workers):
+        """The range as the pool walks it: one task per first element on
+        `workers` processes, the tallies merged in task order."""
+        n, m, lo, hi = task
+        tasks = [(n, m, x, x + 1) for x in range(lo, hi)]
+        with multiprocessing.Pool(workers) as pool:
+            tallies = pool.map(search._scan_range, tasks, chunksize=1)
+        for later in tallies[1:]:
+            tallies[0].merge(later)
+        assert tallies[0].parts() == _oracle_range(task)
+
+
+def _no_pair_entries(monkeypatch):
+    """Make building any pair entry, the root's or a child's, raise."""
+
+    def refuse(*args):
+        raise AssertionError("pair entries built")
+
+    monkeypatch.setattr(search, "_root_pairs", refuse)
+    monkeypatch.setattr(search, "_descend", refuse)
+
+
+class TestShortSlicesBuildNoPairEntries:
+    """Slices with m <= 2 read popcounts: a pair table for (12, 2) would
+    hold C(4095, 2) = 8,382,465 entries."""
+
+    def test_n12(self, monkeypatch):
+        _no_pair_entries(monkeypatch)
+        for m in (1, 2):
+            res = search.min_dinv_ones(12, m)
+            assert (res.independent_count, res.min_value) == (comb(4095, m), F(1, 6))
+
+    def test_pooled(self, monkeypatch):
+        _no_pair_entries(monkeypatch)
+        got = _pooled(monkeypatch, 5, 2, 4)
+        assert got == search._result_from_parts(5, 2, search.MODE_EXHAUSTIVE, *scan_oracle(5, 2))
+
+    @pytest.mark.parametrize("n,m", [(3, 1), (3, 2), (4, 2)])
+    def test_serial_equals_oracle(self, monkeypatch, n, m):
+        _no_pair_entries(monkeypatch)
+        assert _serial_scan(n, m) == scan_oracle(n, m)
 
 
 def _corner_off_by_one(monkeypatch):
@@ -350,12 +438,12 @@ def _corner_off_by_one(monkeypatch):
 
 
 def _root_border_off_by_one(monkeypatch):
-    """Perturb the exhaustive walk at its seed: every candidate row of
+    """Perturb the exhaustive walk at its seed: the border of every row of
     the empty prefix, from which all later rows and corners follow."""
     real = search._root_rows
 
     def wrong(lo, top):
-        return [(y, hist, piv, bord + 1) for y, hist, piv, bord in real(lo, top)]
+        return [(y, piv, bord + 1) for y, piv, bord in real(lo, top)]
 
     monkeypatch.setattr(search, "_root_rows", wrong)
 
@@ -365,6 +453,13 @@ class TestFullDimensionalInvariant:
         _root_border_off_by_one(monkeypatch)
         with pytest.raises(InvariantError):
             search.min_dinv_ones(3, 3)
+
+    def test_exhaustive_raises_on_pairs(self, monkeypatch):
+        """(2, 2) is the one full-dimensional slice of pairs, which the
+        walk reads from popcounts with no pair entries."""
+        _root_border_off_by_one(monkeypatch)
+        with pytest.raises(InvariantError):
+            search.min_dinv_ones(2, 2)
 
     def test_random_raises(self, monkeypatch):
         _corner_off_by_one(monkeypatch)
