@@ -33,15 +33,16 @@ exactly.
 Everything at p = 1 is decided in exact integer arithmetic (D_1 is
 integral); for p > 1 determinants are evaluated at machine precision via
 slogdet and classified as zero against a Hadamard-scaled threshold.
-`sanchez_wp` takes the p = 1 anchors from the set's Gram-kernel pass
-(`PointSet.kernel`): a zero pivot means the set is affinely
-dependent, D_1 is exactly singular and the supremum is exactly 1 with
-no floating-point work; otherwise det G > 0 and the corner give
-sign det(D) = (-1)^(m-1) sign(corner) and sign det [[0, 1^T], [1, D]] =
-(-1)^(m-1). `strict_p_negative_type` at p = 1 keeps its own two
-`det_int` calls, so `murugan_classify`'s three views are three routes;
-they share the input, one tuple of distance rows built once per set
-(`PointSet.d_rows`, cached on the set with its kernel).
+Every cube subset has 1-negative type (Q = -2G at p = 1, G = B B^T), so
+`strict_p_negative_type` at p = 1 answers from `det_int` alone, with
+no eigenvalue check. `sanchez_wp` takes the p = 1 anchors from the
+set's Gram-kernel pass (`PointSet.kernel`): a zero pivot means the set
+is affinely dependent, D_1 is exactly singular and the supremum is
+exactly 1; otherwise det G > 0 and the corner give sign det(D) =
+(-1)^(m-1) sign(corner) and sign det [[0, 1^T], [1, D]] = (-1)^(m-1).
+So `murugan_classify`'s three views are three exact routes, and only an
+independent set's root scan uses floats; they share one tuple of
+distance rows per set (`PointSet.d_rows`, cached with its kernel).
 
 A top exponent p (a scan's cap, p of `dp_matrix`) with
 2 p log2(d_max) + 2 log2(2m) >= 1023 is refused (DomainError) before any
@@ -136,13 +137,14 @@ class _PowerSignals:
     bordered determinant alone is the bordered signal's sign.
 
     The determinant signal is the raw sign of det(D_p) and the log of
-    |det| over its Hadamard bound; the sign is 0 only for a float-exact
-    zero or a zero row. Callers decide zero classification from the
-    scale-free ratio: near a simple root the raw sign stays faithful far
-    below the tol * Hadamard threshold, so bisection can keep narrowing
-    inside the classified-zero band. The bordered signal's ratio is
-    log |det bordered / det D_p| = log |<D_p^{-1}1, 1>|, the
-    dimensionless quantity whose vanishing is scanned (the bordered
+    |det| over its Hadamard bound, which is positive: no row of D_p is
+    zero, as its off-diagonal entries are d^(p/alpha) >= 1. The sign is
+    0 only for a float-exact zero. Callers decide zero classification
+    from the scale-free ratio: near a simple root the raw sign stays
+    faithful far below the tol * Hadamard threshold, so bisection can
+    keep narrowing inside the classified-zero band. The bordered
+    signal's ratio is log |det bordered / det D_p| = log |<D_p^{-1}1, 1>|,
+    the dimensionless quantity whose vanishing is scanned (the bordered
     matrix's own Hadamard bound overscales it).
 
     `anchor` = (lo, det sign, bordered sign) fixes both signals at lo to
@@ -157,8 +159,8 @@ class _PowerSignals:
         bord[1:, 1:] = d_float
         self._bord = bord
         self._alpha = alpha
-        # p -> (sign, log|det|, log Hadamard bound or None for a zero row) of D_p
-        self._dp: dict[float, tuple[float, float, Optional[float]]] = {}
+        # p -> (sign, log|det|, log Hadamard bound) of D_p
+        self._dp: dict[float, tuple[float, float, float]] = {}
         # p -> (sign, log|det|) of the bordered matrix
         self._full: dict[float, tuple[float, float]] = {}
         if anchor is not None:
@@ -176,13 +178,8 @@ class _PowerSignals:
             return
         dp = (self._raise(ps) if full is None else full)[:, 1:, 1:]
         sign, logabs = np.linalg.slogdet(dp)
-        norms = np.sqrt((dp * dp).sum(axis=2))
-        # a zero row bounds |det| by 0: the signal is 0 without a log
-        flat = (norms == 0.0).any(axis=1)
-        norms[flat] = 1.0
-        logh = np.log(norms).sum(axis=1).tolist()
-        for p, sd, ld, lh, zero in zip(ps, sign.tolist(), logabs.tolist(), logh, flat.tolist()):
-            self._dp[p] = (sd, ld, None if zero else lh)
+        logh = np.log(np.sqrt((dp * dp).sum(axis=2))).sum(axis=1).tolist()
+        self._dp.update(zip(ps, zip(sign.tolist(), logabs.tolist(), logh)))
 
     def det(self, ps: list[float], ratios: bool = True) -> list[_Signal]:
         # the factorisation that gives the sign gives the ratio too, so
@@ -191,8 +188,7 @@ class _PowerSignals:
         out = []
         for p in ps:
             sd, ld, lh = self._dp[p]
-            zero = lh is None or sd == 0.0
-            out.append((0, -math.inf) if zero else ((1 if sd > 0 else -1), ld - lh))
+            out.append((0, -math.inf) if sd == 0.0 else ((1 if sd > 0 else -1), ld - lh))
         return out
 
     def bordered(self, ps: list[float], ratios: bool = True) -> list[_Signal]:
@@ -411,16 +407,15 @@ def sanchez_wp(
 
 def strict_p_negative_type(s: PointSet, p: float, tol: float = DEFAULT_TOL) -> bool:
     """Whether p-negative type holds strictly: det(D_p) and
-    <D_p^{-1}1, 1> both nonzero. Exact integer arithmetic at p = 1.
-    Raises DomainError unless 0 < tol < 1, and NotNegativeTypeError
-    when the set does not have p-negative type at all."""
-    if not is_p_negative_type(s, p, tol):
-        raise NotNegativeTypeError(f"set does not have {p}-negative type")
+    <D_p^{-1}1, 1> both nonzero; at p = 1 decided by `det_int` alone.
+    Raises DomainError unless 0 < tol < 1, and for p != 1
+    NotNegativeTypeError when the set lacks p-negative type at all."""
+    _check_tol(tol)
     rows = s.d_rows
     if p == 1:
-        det1 = det_int(rows)
-        bord1 = det_int(cube.bordered_rows(rows))
-        return det1 != 0 and bord1 != 0
+        return det_int(rows) != 0 and det_int(cube.bordered_rows(rows)) != 0
+    if not is_p_negative_type(s, p, tol):
+        raise NotNegativeTypeError(f"set does not have {p}-negative type")
     # one bordered batch factorises D_p once for both signals;
     # <D_p^{-1}1, 1> nonzero is judged by the dimensionless bordered ratio
     signals = _PowerSignals(np.array(rows, dtype=float))
@@ -449,13 +444,13 @@ def murugan_classify(
     tol: float = DEFAULT_TOL,
     grid: float = DEFAULT_GRID,
 ) -> MuruganClassification:
-    """Affine independence (the rank test), strict 1-negative type (two
-    pivoting `det_int` calls) and supremal type above 1 (the Gram kernel
-    and the root scan; no root below the cap certifies the bound, since
-    the cap exceeds 1), all read from the set itself, which builds its
-    distance rows and Gram kernel once. Raises DomainError for cap <= 1,
-    where a scan that sees no exponent past 1 cannot show wp > 1; other
-    arguments are checked as in `sanchez_wp`."""
+    """Affine independence (the rank test), strict 1-negative type
+    (`det_int` of D, then of the bordered matrix if det D != 0) and
+    wp > 1 (the Gram kernel and the root scan, the only float work; no
+    root below the cap certifies the bound, since the cap exceeds 1),
+    all read from the set, which builds its rows and kernel once. Raises
+    DomainError for cap <= 1, where a scan that sees no exponent past 1
+    cannot show wp > 1; other arguments are checked as in `sanchez_wp`."""
     if not cap > 1:
         raise DomainError(f"classification needs cap > 1; got cap={cap}")
     wp = sanchez_wp(s, cap, tol, grid).wp

@@ -36,10 +36,10 @@ entries are not stored: each leaf pair y, z takes a'(y, z) by that one
 step, then the pivot and border of P + x + y + z and so its corner, and
 the set's value is -2 pivot / corner. A leaf thus costs a fixed number
 of integer operations whatever the prefix length. A slice with m <= 2
-builds no pair entries: m = 1 needs none, and a pair of the m = 2 slice
-reads its entry as the popcount. With m >= 3 the root's table holds
-C(N, 2) entries for N <= 2^n - 1 points, and the budget C(N, m) bounds
-it by about (6 budget)^(2/3).
+builds no pair entries: m = 1 walks the points with no rows, and a pair
+of the m = 2 slice reads its entry as the popcount. With m >= 3 the
+root's table holds C(N, 2) entries for N <= 2^n - 1 points, and the
+budget C(N, m) bounds it by about (6 budget)^(2/3).
 
 Pruning. G = B B^T is positive semidefinite, so its leading principal
 minors are nonnegative, and one of them is zero exactly when the points
@@ -54,15 +54,16 @@ separate rank test is needed.
 
 Determinism. Minima are tracked as exact rationals with a (value,
 lexicographic witness) tie-break. One process walks all first elements
-as one range. More processes take one task per first element, walked
-from the empty prefix and scheduled by the pool; the tallies come back
-in task order and merge in lex order through the same tie-break, so
-identical runs produce identical JSON, byte for byte, whatever the
-worker count. The largest first-element subtree holds m / (2^n - 1) of
-the sets, which caps the speed-up at (2^n - 1) / m processes (6.2 for
-(5, 5)). Random probing is sequential by design for the same reason, and
-pushes each sampled tail through the same elimination, one whole tail at
-a time (`cube.gram_eliminate`).
+as one range, and so does m = 1 on any worker count, since each of its
+first elements is a single set. More processes take one task per first
+element, walked from the empty prefix and scheduled by the pool; the
+tallies come back in task order and merge in lex order through the same
+tie-break, so identical runs produce identical JSON, byte for byte,
+whatever the worker count. The largest first-element subtree holds
+m / (2^n - 1) of the sets, which caps the speed-up at (2^n - 1) / m
+processes (6.2 for (5, 5)). Random probing is sequential by design for
+the same reason, and pushes each sampled tail through the same
+elimination, one whole tail at a time (`cube.gram_eliminate`).
 """
 
 from __future__ import annotations
@@ -254,13 +255,14 @@ def _scan_range(task: tuple[int, int, int, int]) -> _Tally:
     n, m, lo, hi = task
     top = (1 << n) - 1
     tally = _Tally(n, m)
-    rows = _root_rows(lo, top)
     if m == 1:
-        for x, px, bx in rows[: hi - lo]:
-            tally.add((x,), px, -bx * bx)
+        for x in range(lo, hi):
+            w = x.bit_count()
+            tally.add((x,), w, -w * w)
     elif m == 2:
-        _pair_leaves(rows, hi - lo, tally)
+        _pair_leaves(_root_rows(lo, top), hi - lo, tally)
     else:
+        rows = _root_rows(lo, top)
         _descend(rows, _root_pairs(rows), hi - lo, 1, 0, m, (), tally)
     tally.examined = sum(comb(top - x, m - 1) for x in range(lo, hi))
     return tally
@@ -347,11 +349,11 @@ def min_dinv_ones(
     normalized (m+1)-point set in H_n.
 
     For m > n every set is dependent, so the answer comes back at once.
-    Otherwise refuses enumerations larger than `budget`. One process
-    walks every first element in one range; more take one task per
-    first element, which the pool schedules, and the tallies merge in
-    task order with the walk's own lexicographic tie-break, so the
-    result does not depend on the worker count.
+    Otherwise refuses enumerations larger than `budget`. One process,
+    and m = 1 always, walks every first element in one range; more take
+    one task per first element, which the pool schedules, and the
+    tallies merge in task order with the walk's own lexicographic
+    tie-break, so the result does not depend on the worker count.
     """
     _validate_params(n, m)
     total = comb((1 << n) - 1, m)
@@ -363,7 +365,7 @@ def min_dinv_ones(
             required=total,
         )
     end = (1 << n) - m + 1  # one past the last first element
-    processes = _pool_size(int(workers), end - 1)
+    processes = 1 if m == 1 else _pool_size(int(workers), end - 1)
     if processes == 1:
         tallies = [_scan_range((n, m, 1, end))]
     else:

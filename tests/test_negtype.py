@@ -226,13 +226,40 @@ def _h3_subsets():
             yield PointSet.from_bits(3, (0,) + tail)
 
 
+class TestExactAtOne:
+    """At p = 1 strict negative type and a dependent set's classification
+    are decided with no floating point: numpy's power, slogdet and
+    eigvalsh raise, and the answers are still the float-checked ones."""
+
+    def test_no_floating_point(self, monkeypatch):
+        subsets = list(_h3_subsets())
+        want = [strict_p_negative_type_oracle(s, 1.0) for s in subsets]
+        assert want == [cube.affinely_independent(s) for s in subsets]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("floating point at p = 1")
+
+        monkeypatch.setattr(np, "power", refuse)
+        monkeypatch.setattr(np.linalg, "slogdet", refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        # fresh sets: nothing cached by the oracle
+        fresh = [PointSet(s.n, s.bits) for s in subsets]
+        assert [negtype.strict_p_negative_type(s, 1.0) for s in fresh] == want
+        dependent = [s for s, independent in zip(fresh, want) if not independent]
+        assert len(dependent) == 127 - 57  # 57 affinely independent H_3 tails
+        for s in dependent:
+            assert negtype.murugan_classify(s) == negtype.MuruganClassification(False, False, False)
+
+
 class TestMuruganRoutes:
     """The three views run three separate exact routes: the rank test,
     pivoting det_int, and the Gram kernel plus the scan."""
 
     def test_call_counts(self, monkeypatch):
         calls = count_calls(monkeypatch, cube, "rank_of_bits", "gram_eliminate", "distance_rows")
-        count_calls(monkeypatch, negtype, "det_int", calls=calls)
+        # strict 1-negative type needs no eigenvalue check: every cube
+        # subset has 1-negative type, so is_p_negative_type is not called
+        count_calls(monkeypatch, negtype, "det_int", "is_p_negative_type", calls=calls)
         # a fresh set: nothing cached by an earlier test
         assert negtype.murugan_classify(PointSet(H3_SET.n, H3_SET.bits)).consistent
         assert calls == {"rank_of_bits": 1, "gram_eliminate": 1, "distance_rows": 1, "det_int": 2}
@@ -483,7 +510,7 @@ class TestBatchedScanAgainstOracle:
         assert got == _outcome(transform_scaling_check_oracle, s, p)
 
     @settings(max_examples=80, deadline=None, derandomize=True)
-    @given(_point_sets(), st.sampled_from([1.25, 1.5, 2.0, 3.0]))
+    @given(_point_sets(), st.sampled_from([1.0, 1.25, 1.5, 2.0, 3.0]))
     def test_strict_p_negative_type(self, s, p):
         got = _outcome(negtype.strict_p_negative_type, s, p)
         assert got == _outcome(strict_p_negative_type_oracle, s, p)

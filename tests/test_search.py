@@ -1,6 +1,9 @@
 import functools
 import multiprocessing
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import cubedist
 from cubedist import cube, identities, search
 from cubedist.cube import PointSet
 from cubedist.errors import BudgetExceededError, DomainError, InvariantError
@@ -83,13 +87,14 @@ def _pooled(monkeypatch, n, m, workers):
     """min_dinv_ones(n, m, workers) on a host faked with 8 CPUs, the pool
     mapped in-process; checks that a pool starts exactly when more than
     one process is due, with min(workers, first elements) processes and
-    one task per first element, in order."""
+    one task per first element, in order. The m = 1 slice, whose
+    first elements are single sets, never starts one."""
     monkeypatch.setattr(search.os, "cpu_count", lambda: 8)
     pools = record_pools(monkeypatch, search, inline=True)
     res = search.min_dinv_ones(n, m, workers=workers)
     tasks = _first_element_tasks(n, m)
     processes = min(workers, len(tasks))
-    assert pools == ([] if m > n or processes == 1 else [(processes, tasks, 1)])
+    assert pools == ([] if m > n or m == 1 or processes == 1 else [(processes, tasks, 1)])
     return res
 
 
@@ -424,6 +429,58 @@ class TestShortSlicesBuildNoPairEntries:
     def test_serial_equals_oracle(self, monkeypatch, n, m):
         _no_pair_entries(monkeypatch)
         assert _serial_scan(n, m) == scan_oracle(n, m)
+
+
+class TestPointSlice:
+    """The m = 1 slice walks the points 1..2^n - 1 themselves, on one
+    process: no root rows, no pool, and memory that does not grow with
+    the 2^n - 1 sets."""
+
+    @pytest.mark.parametrize("n", [12, 20])
+    def test_builds_no_root_rows(self, monkeypatch, n):
+        def refuse(*args):
+            raise AssertionError("root rows built")
+
+        monkeypatch.setattr(search, "_root_rows", refuse)
+        res = search.min_dinv_ones(n, 1)
+        count = (1 << n) - 1
+        assert (res.sets_examined, res.independent_count) == (count, count)
+        assert (res.min_value, res.witness.bits) == (F(2, n), (0, count))
+
+    @pytest.mark.parametrize("n", [5, 12])
+    @pytest.mark.parametrize("cpus", [2, 4])
+    def test_starts_no_pool(self, monkeypatch, n, cpus):
+        monkeypatch.setattr(search.os, "cpu_count", lambda: cpus)
+        pools = record_pools(monkeypatch, search, inline=True)
+        serial = search.min_dinv_ones(n, 1, workers=1).to_json()
+        for workers in (2, cpus):
+            assert search.min_dinv_ones(n, 1, workers=workers).to_json() == serial
+        assert pools == []
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's VmHWM")
+    def test_memory_does_not_grow_with_the_slice(self):
+        """(20, 1) has 1,048,575 sets; a list of one row per point took
+        its peak resident size past 120 MB. The peak is the fresh
+        interpreter's own VmHWM: its ru_maxrss would also count the
+        process that started it, which Linux carries across exec."""
+        script = (
+            "from cubedist import search\n"
+            "res = search.min_dinv_ones(20, 1)\n"
+            "assert res.independent_count == (1 << 20) - 1\n"
+            "status = open('/proc/self/status').read().splitlines()\n"
+            "print(next(l.split()[1] for l in status if l.startswith('VmHWM:')))\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cubedist.__file__)))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+            timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert int(out.stdout) < 64 * 1024  # kB
 
 
 def _corner_off_by_one(monkeypatch):
