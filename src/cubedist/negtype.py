@@ -34,12 +34,13 @@ Everything at p = 1 is decided in exact integer arithmetic (D_1 is
 integral); for p > 1 determinants are evaluated at machine precision via
 slogdet and classified as zero against a Hadamard-scaled threshold.
 Every cube subset has 1-negative type (Q = -2G at p = 1, G = B B^T), so
-`strict_p_negative_type` at p = 1 answers from `det_int` alone, with
-no eigenvalue check. `sanchez_wp` takes the p = 1 anchors from the
-set's Gram-kernel pass (`PointSet.kernel`): a zero pivot means the set
-is affinely dependent, D_1 is exactly singular and the supremum is
-exactly 1; otherwise det G > 0 and the corner give sign det(D) =
-(-1)^(m-1) sign(corner) and sign det [[0, 1^T], [1, D]] = (-1)^(m-1).
+`is_p_negative_type` at p = 1 is True with no float work, and
+`strict_p_negative_type` answers from `det_int` alone. `sanchez_wp`
+takes the p = 1 anchors from the Gram kernel (`PointSet.kernel`): a
+zero pivot means the set is affinely dependent, D_1 is exactly singular
+and the supremum is exactly 1; otherwise det G > 0 and the corner
+-det G <G^{-1}u, u> < 0 give sign det(D) = (-1)^m and sign
+det [[0, 1^T], [1, D]] = (-1)^(m-1).
 So `murugan_classify`'s three views are three exact routes, and only an
 independent set's root scan uses floats; they share one tuple of
 distance rows per set (`PointSet.d_rows`, cached with its kernel).
@@ -99,9 +100,11 @@ def _check_tol(tol: float) -> None:
 
 def is_p_negative_type(s: PointSet, p: float, tol: float = DEFAULT_TOL) -> bool:
     """Negative semidefiniteness of the restricted form, with a
-    Frobenius-scaled eigenvalue tolerance. Raises DomainError unless
-    0 < tol < 1."""
+    Frobenius-scaled eigenvalue tolerance; True at p = 1, where the form
+    is -2G. Raises DomainError unless 0 < tol < 1."""
     _check_tol(tol)
+    if p == 1:
+        return True
     dp = dp_matrix(s, p)
     q = dp[1:, 1:] - dp[1:, 0:1] - dp[0:1, 1:]
     q = 0.5 * (q + q.T)
@@ -390,14 +393,12 @@ def sanchez_wp(
     MAX_GRID_POINTS grid points.
     """
     _check_scan(cap, tol, grid)
-    _, _, _, _, corner, dependent = s.kernel
-    if dependent is not None:
+    if s.kernel[-1] is not None:
         return NegTypeReport(1.0, ROOT_DETERMINANT, (1.0, 1.0), 0.0, float(cap))
     _check_exponent(s, cap)
-    # exact signs at p = 1 (module docstring); corner < 0 on an independent tail
+    # exact signs at p = 1 (module docstring): corner < 0, as G > 0 and u != 0
     parity = 1 if s.m % 2 else -1  # (-1)^(m-1)
-    anchor = (1.0, parity if corner > 0 else -parity, parity)
-    signals = _PowerSignals(np.array(s.d_rows, dtype=float), anchor=anchor)
+    signals = _PowerSignals(np.array(s.d_rows, dtype=float), anchor=(1.0, -parity, parity))
     hit = _scan_for_roots(signals, 1.0, float(cap), grid, tol)
     if hit is None:
         hit = float(cap), ROOT_NONE_BELOW_CAP, (float(cap), float(cap)), None

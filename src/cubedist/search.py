@@ -47,10 +47,9 @@ so far are linearly dependent. A candidate whose pivot is zero lies in
 the span of the prefix, so every set below the node that holds it is
 affinely dependent: the walk drops its row. More than n points are
 always dependent, so a slice with m > n is answered without walking,
-before the budget check. Every set of a range is examined, as a leaf or
-as a set with a dropped point, so the range's examined count is its
-size, the sum of comb(2^n - 1 - x, m - 1) over its first elements x. No
-separate rank test is needed.
+before the budget check. Every set of a slice is examined, as a leaf or
+as a set with a dropped point, so a slice's examined count is its size
+C(2^n - 1, m). No separate rank test is needed.
 
 Determinism. Minima are tracked as exact rationals with a (value,
 lexicographic witness) tie-break. One process walks all first elements
@@ -74,7 +73,7 @@ import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, log10
 from typing import Optional
 
 from . import cube
@@ -83,6 +82,9 @@ from .errors import BudgetExceededError, DomainError, InvariantError
 from .ratlinalg import det_int  # noqa: F401  (module attribute that tracing tools patch by name)
 
 DEFAULT_BUDGET = 10_000_000
+
+# Python prints ints of at most 4,300 digits; comb(2^22 - 1, 2^21) takes minutes
+MAX_COUNT_DIGITS = 4000
 
 MODE_EXHAUSTIVE = "exhaustive"
 MODE_RANDOM = "random"
@@ -102,22 +104,22 @@ def _invariant_error(n, tail, num, den) -> InvariantError:
 
 
 class _Tally:
-    """The partial reduction (examined, independent, best, violations) of
-    one scan. An independent set's value -2 pivot / corner is positive
-    (pivot > 0, corner < 0), so values compare by cross-multiplication
-    and a Fraction is built only for the reported ones."""
+    """The partial reduction (independent, best, violations) of one scan,
+    from which `result` builds its SearchResult. An independent set's
+    value -2 pivot / corner is positive (pivot > 0, corner < 0), so values
+    compare by cross-multiplication and a Fraction is built only for the
+    reported ones."""
 
     def __init__(self, n: int, m: int):
         self.n = n
+        self.m = m
         self.full_dim = m == n
-        self.examined = 0
         self.independent = 0
         self.best: Optional[tuple[int, int, tuple[int, ...]]] = None  # (num, den, tail)
         self.violations: list[tuple[tuple[int, ...], Fraction]] = []
 
     def add(self, tail: tuple[int, ...], pivot: int, corner: int) -> None:
         """Count the independent set {0} + tail."""
-        self.examined += 1
         self.independent += 1
         num, den, n = 2 * pivot, -corner, self.n
         if self.full_dim and num * n != 2 * den:
@@ -139,17 +141,28 @@ class _Tally:
     def merge(self, other: "_Tally") -> None:
         """Fold in the tally of the stretch of the walk that follows this
         one, so the violations stay in lex order."""
-        self.examined += other.examined
         self.independent += other.independent
         self.violations.extend(other.violations)
         if other.best is not None:
             self._offer(*other.best)
 
-    def parts(self):
-        best = self.best
-        if best is not None:
-            best = (Fraction(best[0], best[1]), best[2])
-        return self.examined, self.independent, best, self.violations
+    def result(self, mode: str, examined: int, seed: Optional[int] = None) -> "SearchResult":
+        """The scan's SearchResult, reporting `examined` sets examined."""
+        n, best = self.n, self.best
+        return SearchResult(
+            n=n,
+            m=self.m,
+            mode=mode,
+            sets_examined=examined,
+            independent_count=self.independent,
+            min_value=Fraction(best[0], best[1]) if best else None,
+            witness=PointSet.from_bits(n, (0,) + best[2]) if best else None,
+            violations=tuple(
+                Violation(points=PointSet.from_bits(n, (0,) + tail), value=val)
+                for tail, val in self.violations
+            ),
+            seed=seed,
+        )
 
 
 def _root_rows(lo: int, top: int) -> list:
@@ -250,8 +263,8 @@ def _pair_leaves(rows, children, tally) -> None:
 
 
 def _scan_range(task: tuple[int, int, int, int]) -> _Tally:
-    """Walk every m-subset whose first element lies in [lo, hi); each
-    one is examined, as a leaf of the walk or as a dependent set."""
+    """Walk every m-subset whose first element lies in [lo, hi), each
+    one as a leaf of the walk or as a dependent set."""
     n, m, lo, hi = task
     top = (1 << n) - 1
     tally = _Tally(n, m)
@@ -264,7 +277,6 @@ def _scan_range(task: tuple[int, int, int, int]) -> _Tally:
     else:
         rows = _root_rows(lo, top)
         _descend(rows, _root_pairs(rows), hi - lo, 1, 0, m, (), tally)
-    tally.examined = sum(comb(top - x, m - 1) for x in range(lo, hi))
     return tally
 
 
@@ -323,42 +335,31 @@ class SearchResult:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
 
-def _result_from_parts(n, m, mode, examined, independent, best, violations, seed=None):
-    min_value = best[0] if best else None
-    witness = PointSet.from_bits(n, (0,) + best[1]) if best else None
-    vs = tuple(
-        Violation(points=PointSet.from_bits(n, (0,) + tail), value=val) for tail, val in violations
-    )
-    return SearchResult(
-        n=n,
-        m=m,
-        mode=mode,
-        sets_examined=examined,
-        independent_count=independent,
-        min_value=min_value,
-        witness=witness,
-        violations=vs,
-        seed=seed,
-    )
-
-
 def min_dinv_ones(
     n: int, m: int, budget: int = DEFAULT_BUDGET, workers: int = 1
 ) -> SearchResult:
     """Exact minimum of <D^{-1}1, 1> over every affinely independent
     normalized (m+1)-point set in H_n.
 
-    For m > n every set is dependent, so the answer comes back at once.
-    Otherwise refuses enumerations larger than `budget`. One process,
-    and m = 1 always, walks every first element in one range; more take
-    one task per first element, which the pool schedules, and the
-    tallies merge in task order with the walk's own lexicographic
-    tie-break, so the result does not depend on the worker count.
+    Refuses (DomainError) a slice whose count C(2^n - 1, m) has more
+    than MAX_COUNT_DIGITS digits. For m > n every set is dependent, so
+    the answer comes back at once. Otherwise refuses enumerations larger
+    than `budget`. One process, and m = 1 always, walks every first
+    element in one range; more take one task per first element, which
+    the pool schedules, and the tallies merge in task order with the
+    walk's own lexicographic tie-break, so the result does not depend on
+    the worker count.
     """
     _validate_params(n, m)
-    total = comb((1 << n) - 1, m)
+    top = (1 << n) - 1
+    k = min(m, top - m)
+    # C(top, m) = C(top, k) >= (top / k)^k refuses the largest counts
+    # before `comb`; for k >= 2 by a margin far above float rounding
+    total = None if k and k * log10(top / k) > MAX_COUNT_DIGITS else comb(top, m)
+    if total is None or total >= 10**MAX_COUNT_DIGITS:
+        raise DomainError(f"({n}, {m}) has C({top}, {m}) subsets, a count over {MAX_COUNT_DIGITS} digits")
     if m > n:
-        return _result_from_parts(n, m, MODE_EXHAUSTIVE, total, 0, None, [])
+        return _Tally(n, m).result(MODE_EXHAUSTIVE, total)
     if total > budget:
         raise BudgetExceededError(
             f"enumeration of ({n}, {m}) needs {total} subsets, over budget {budget}",
@@ -375,7 +376,7 @@ def min_dinv_ones(
     tally = tallies[0]
     for later in tallies[1:]:
         tally.merge(later)
-    return _result_from_parts(n, m, MODE_EXHAUSTIVE, *tally.parts())
+    return tally.result(MODE_EXHAUSTIVE, total)
 
 
 def random_probe(
@@ -397,7 +398,7 @@ def random_probe(
             f"random probe of {trials} trials is over budget {budget}", required=trials
         )
     if m > n:
-        return _result_from_parts(n, m, MODE_RANDOM, trials, 0, None, [], seed=seed)
+        return _Tally(n, m).result(MODE_RANDOM, trials, seed)
     rng = random.Random(seed)
     tally = _Tally(n, m)
     for _ in range(trials):
@@ -405,7 +406,4 @@ def random_probe(
         _, _, pivots, _, corner, dependent = gram_eliminate(tail)
         if dependent is None:
             tally.add(tail, pivots[-1], corner)
-        else:
-            tally.examined += 1
-    examined, independent, best, violations = tally.parts()
-    return _result_from_parts(n, m, MODE_RANDOM, examined, independent, best, violations, seed=seed)
+    return tally.result(MODE_RANDOM, trials, seed)

@@ -371,35 +371,39 @@ def descend_oracle(xs, top, m, points, hists, pivots, borders, corner, tally):
     """The search walk before candidate rows: visit, in lex order, every
     m-subset of {1..top} that extends `points` by a value from xs and
     then by larger values, pushing each through `gram_push` against the
-    whole prefix and counting a zero pivot's subtree as examined."""
+    whole prefix. Returns the number of subsets visited, counting a zero
+    pivot's subtree whole."""
     need = m - len(points) - 1
+    examined = 0
     for x in xs:
         hist, piv, bord, c = gram_push(x, points, hists, pivots, borders, corner)
         if not piv:
-            tally.examined += math.comb(top - x, need)
+            examined += math.comb(top - x, need)
         elif not need:
             tally.add((*points, x), piv, c)
+            examined += 1
         else:
             points.append(x)
             hists.append(hist)
             pivots.append(piv)
             borders.append(bord)
-            descend_oracle(
+            examined += descend_oracle(
                 range(x + 1, top - need + 2), top, m, points, hists, pivots, borders, c, tally
             )
             points.pop()
             hists.pop()
             pivots.pop()
             borders.pop()
+    return examined
 
 
 def scan_range_oracle(task):
-    """`search._scan_range` through `descend_oracle`: the tally of every
-    m-subset whose first element lies in [lo, hi)."""
+    """`search._scan_range` through `descend_oracle`: (examined, tally)
+    of every m-subset whose first element lies in [lo, hi)."""
     n, m, lo, hi = task
     tally = search._Tally(n, m)
-    descend_oracle(range(lo, hi), (1 << n) - 1, m, [], [], [], [], 0, tally)
-    return tally
+    examined = descend_oracle(range(lo, hi), (1 << n) - 1, m, [], [], [], [], 0, tally)
+    return examined, tally
 
 
 # --- trees: the per-tree check before it went integer-only ---------------

@@ -231,6 +231,12 @@ class TestSearch:
     def test_out_of_range_exit_3(self):
         assert main(["search", "--n", "3", "--m", "9"]) == 3
 
+    def test_unprintable_count_exit_3(self, capsys):
+        """C(16383, 8000) has 4,929 digits, past what json prints."""
+        assert main(["search", "--n", "14", "--m", "8000"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and err.startswith("error: ")
+
     def test_more_points_than_dimensions_starts_no_pool(self, monkeypatch, capsys):
         def no_pool(*args, **kwargs):
             raise AssertionError("no worker pool for a slice with m > n")

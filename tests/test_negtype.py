@@ -2,7 +2,7 @@ import json
 import math
 import random
 import warnings
-from itertools import combinations
+from itertools import combinations, islice
 from types import SimpleNamespace
 
 import numpy as np
@@ -227,9 +227,10 @@ def _h3_subsets():
 
 
 class TestExactAtOne:
-    """At p = 1 strict negative type and a dependent set's classification
-    are decided with no floating point: numpy's power, slogdet and
-    eigvalsh raise, and the answers are still the float-checked ones."""
+    """At p = 1 negative type, strict negative type and a dependent set's
+    classification are decided with no floating point: numpy's power,
+    slogdet and eigvalsh raise, and the answers are still the
+    float-checked ones."""
 
     def test_no_floating_point(self, monkeypatch):
         subsets = list(_h3_subsets())
@@ -245,10 +246,19 @@ class TestExactAtOne:
         # fresh sets: nothing cached by the oracle
         fresh = [PointSet(s.n, s.bits) for s in subsets]
         assert [negtype.strict_p_negative_type(s, 1.0) for s in fresh] == want
+        assert all(negtype.is_p_negative_type(s, 1.0) for s in fresh)
         dependent = [s for s, independent in zip(fresh, want) if not independent]
         assert len(dependent) == 127 - 57  # 57 affinely independent H_3 tails
         for s in dependent:
             assert negtype.murugan_classify(s) == negtype.MuruganClassification(False, False, False)
+
+    def test_tolerance_below_rounding(self):
+        """Every cube subset has 1-negative type. A float eigenvalue check
+        at tol=1e-17 read rounding as positive on 1,577 of these 2,241 H_4
+        sets, the first 200 tails of each size."""
+        tails = [t for k in range(1, 16) for t in islice(combinations(range(1, 16), k), 200)]
+        assert len(tails) == 2241
+        assert all(negtype.is_p_negative_type(PointSet(4, (0, *t)), 1.0, 1e-17) for t in tails)
 
 
 class TestMuruganRoutes:

@@ -69,6 +69,37 @@ class TestExhaustive:
         res = search.min_dinv_ones(4, 4)
         assert res.min_value == F(1, 2)
 
+    @pytest.mark.parametrize(
+        "n,m,digits",
+        [(5, 20, 8), (13, 4095, 2464), (14, 3000, 3386), (64, 65, 1162), (14, 4098, 4000), (14, 12285, 4000)],
+    )
+    def test_printable_counts_answered(self, n, m, digits):
+        """Slices with m > n answer with their count up to MAX_COUNT_DIGITS
+        digits, both sides of C(2^n - 1, m) = C(2^n - 1, 2^n - 1 - m)."""
+        res = search.min_dinv_ones(n, m)
+        assert res.sets_examined == comb((1 << n) - 1, m)
+        assert f'"sets_examined": {res.sets_examined},' in res.to_json()
+        assert len(str(res.sets_examined)) == digits
+
+    @pytest.mark.parametrize("n,m", [(14, 4099), (14, 12284), (14, 8000)])
+    def test_count_past_the_digit_limit_refused(self, n, m):
+        """Counts of 4,001 digits, on both sides, and of 4,929 digits, past
+        the 4,300 that Python prints, are refused."""
+        with pytest.raises(DomainError, match="4000 digits"):
+            search.min_dinv_ones(n, m)
+
+    @pytest.mark.parametrize("n,m", [(22, 1 << 21), (64, 1 << 63)])
+    def test_huge_count_refused_before_counting(self, monkeypatch, n, m):
+        """comb(2^22 - 1, 2^21) alone runs for minutes: the bound
+        (N / k)^k <= C(N, k) refuses these without it."""
+
+        def refuse(*args):
+            raise AssertionError("count computed")
+
+        monkeypatch.setattr(search, "comb", refuse)
+        with pytest.raises(DomainError):
+            search.min_dinv_ones(n, m)
+
     def test_minimum_bounded_by_2_over_n(self):
         for n in (2, 3, 4):
             for m in range(1, min(6, (1 << n))):
@@ -96,6 +127,40 @@ def _pooled(monkeypatch, n, m, workers):
     processes = min(workers, len(tasks))
     assert pools == ([] if m > n or m == 1 or processes == 1 else [(processes, tasks, 1)])
     return res
+
+
+def _parts(tally):
+    """A tally's (independent, best, violations), its best as (value,
+    tail) as the oracles give it."""
+    best = tally.best
+    return tally.independent, best and (F(best[0], best[1]), best[2]), tally.violations
+
+
+def _projected(res):
+    """A SearchResult as the oracles' (examined, independent, best,
+    violations), with each set given by its tail."""
+    best = None if res.witness is None else (res.min_value, res.witness.bits[1:])
+    violations = [(v.points.bits[1:], v.value) for v in res.violations]
+    return res.sets_examined, res.independent_count, best, violations
+
+
+def _range_size(n, m, lo, hi):
+    """How many m-subsets of {1, ..., 2^n - 1} have their first element
+    in [lo, hi)."""
+    return sum(comb((1 << n) - 1 - x, m - 1) for x in range(lo, hi))
+
+
+def _whole(n, m):
+    """The (n, m) slice as one range of first elements."""
+    return (n, m, 1, (1 << n) - m + 1)
+
+
+def _scan_oracle(n, m):
+    """`scan_oracle`'s tuple, after checking that the oracle visited all
+    C(2^n - 1, m) subsets."""
+    got = scan_oracle(n, m)
+    assert got[0] == comb((1 << n) - 1, m) == _range_size(*_whole(n, m))
+    return got
 
 
 class TestWorkers:
@@ -130,8 +195,7 @@ class TestWorkers:
     def test_subtree_groups_merge_to_serial(self, monkeypatch, n, m, workers):
         """With `workers` processes the one-task-per-first-element
         tallies, merged in task order, equal the oracle's scan."""
-        got = _pooled(monkeypatch, n, m, workers)
-        assert got == search._result_from_parts(n, m, search.MODE_EXHAUSTIVE, *scan_oracle(n, m))
+        assert _projected(_pooled(monkeypatch, n, m, workers)) == _scan_oracle(n, m)
 
     def test_pool_size_clamps(self, monkeypatch):
         monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
@@ -155,18 +219,18 @@ class TestWorkers:
 
         def merged(a, b):
             a.merge(b)
-            return a.parts()
+            return _parts(a)
 
         half_13, half_14 = ((1, 3), 3, -12), ((1, 4), 3, -12)
         for x, y in [(half_14, half_13), (half_13, half_14)]:
-            assert merged(tally(*x), tally(*y)) == (2, 2, (F(1, 2), (1, 3)), [])
+            assert merged(tally(*x), tally(*y)) == (2, (F(1, 2), (1, 3)), [])
         # the smaller value wins over the lex-smaller tail
         two_thirds_78, one_13 = ((7, 8), 1, -3), ((1, 3), 1, -2)
         for x, y in [(two_thirds_78, one_13), (one_13, two_thirds_78)]:
-            assert merged(tally(*x), tally(*y))[2] == (F(2, 3), (7, 8))
+            assert merged(tally(*x), tally(*y))[1] == (F(2, 3), (7, 8))
         # an empty tally is the identity, on either side
-        assert merged(tally(*half_14), search._Tally(4, 2))[2] == (F(1, 2), (1, 4))
-        assert merged(search._Tally(4, 2), tally(*half_14))[2] == (F(1, 2), (1, 4))
+        assert merged(tally(*half_14), search._Tally(4, 2))[1] == (F(1, 2), (1, 4))
+        assert merged(search._Tally(4, 2), tally(*half_14))[1] == (F(1, 2), (1, 4))
 
 
 class TestRandomProbe:
@@ -185,6 +249,12 @@ class TestRandomProbe:
         res = search.random_probe(6, 4, 300, seed=2)
         assert res.sets_examined == 300
         assert res.independent_count <= 300
+
+    @pytest.mark.parametrize("trials", [0, 1, 37])
+    @pytest.mark.parametrize("n,m", [(4, 3), (3, 1), (3, 5)])
+    def test_examined_is_trials(self, n, m, trials):
+        for seed in range(3):
+            assert search.random_probe(n, m, trials, seed).sets_examined == trials
 
     def test_probe_minimum_dominates_exhaustive(self):
         probe = search.random_probe(4, 3, 500, seed=77)
@@ -261,7 +331,7 @@ def _dependent_tails(draw):
 
 
 def _serial_scan(n, m):
-    return search._scan_range((n, m, 1, (1 << n) - m + 1)).parts()
+    return _parts(search._scan_range(_whole(n, m)))
 
 
 def _kernel_value(tail):
@@ -287,18 +357,17 @@ class TestKernelAgainstOracle:
         "n,m", [(n, m) for n in (2, 3, 4) for m in range(1, 1 << n)]
     )
     def test_full_scan_matches_oracle(self, n, m):
-        assert _serial_scan(n, m) == scan_oracle(n, m)
+        assert _serial_scan(n, m) == _scan_oracle(n, m)[1:]
 
-    @pytest.mark.parametrize("n,m", [(4, 6), (3, 5), (2, 3), (4, 9)])
-    def test_pruned_slices_count_every_subset(self, n, m):
-        res = search.min_dinv_ones(n, m)
-        assert res.sets_examined == comb((1 << n) - 1, m)
-        assert res.independent_count < res.sets_examined
-
-
-@functools.lru_cache(maxsize=None)
-def _oracle_walk(n, m):
-    return scan_range_oracle((n, m, 1, (1 << n) - m + 1)).parts()
+    @pytest.mark.parametrize("n,m", [(n, m) for n in (2, 3, 4, 5) for m in range(1, 1 << n)])
+    def test_pruned_slices_count_every_subset(self, monkeypatch, n, m):
+        """Every slice reports its size as examined, serial and with one
+        task per first element. Only slices with m <= 2 have no dependent
+        set: distinct nonzero patterns are never proportional."""
+        for workers in (1, 2):
+            res = _pooled(monkeypatch, n, m, workers)
+            assert res.sets_examined == comb((1 << n) - 1, m)
+            assert (res.independent_count < res.sets_examined) == (m > 2)
 
 
 _WALK_SLICES = [(5, m) for m in range(1, 6)] + [(6, 3)]
@@ -312,7 +381,11 @@ def _task_id(task):
 
 @functools.lru_cache(maxsize=None)
 def _oracle_range(task):
-    return scan_range_oracle(task).parts()
+    """The oracle walk's (independent, best, violations) of the range,
+    after checking that it visited each of the range's subsets."""
+    examined, tally = scan_range_oracle(task)
+    assert examined == _range_size(*task)
+    return _parts(tally)
 
 
 class TestWalkAgainstOracle:
@@ -324,8 +397,8 @@ class TestWalkAgainstOracle:
     def test_ranges_merge_in_order(self, monkeypatch, n, m, workers):
         """One process walks the serial range; more take one task per
         first element, merged in task order."""
-        got = _pooled(monkeypatch, n, m, workers)
-        assert got == search._result_from_parts(n, m, search.MODE_EXHAUSTIVE, *_oracle_walk(n, m))
+        got = _projected(_pooled(monkeypatch, n, m, workers))
+        assert got == (comb((1 << n) - 1, m), *_oracle_range(_whole(n, m)))
 
     @pytest.mark.parametrize("n,m", [(4, 4), (5, 3), (4, 5)])
     def test_candidate_rows_equal_gram_push(self, monkeypatch, n, m):
@@ -376,15 +449,17 @@ class TestWalkAgainstOracle:
                 self.n = 1
 
         monkeypatch.setattr(search, "_Tally", FloorTwo)
-        got, want = search._scan_range(task).parts(), scan_range_oracle(task).parts()
-        assert len(got[3]) > got[1] // 2
-        assert got == want
+        examined, want = scan_range_oracle(task)
+        assert examined == _range_size(*task)
+        got = _parts(search._scan_range(task))
+        assert len(got[2]) > got[0] // 2
+        assert got == _parts(want)
 
     @pytest.mark.parametrize("task", _LATE_RANGES, ids=_task_id)
     def test_late_ranges_equal_oracle(self, task):
         """First elements late in (6, 6) and (6, 5): with m = 6 the walk
         builds pair entries by a step at three levels below the root."""
-        assert search._scan_range(task).parts() == _oracle_range(task)
+        assert _parts(search._scan_range(task)) == _oracle_range(task)
 
     @pytest.mark.parametrize("task", _LATE_RANGES, ids=_task_id)
     @pytest.mark.parametrize("workers", [2, 4])
@@ -397,7 +472,7 @@ class TestWalkAgainstOracle:
             tallies = pool.map(search._scan_range, tasks, chunksize=1)
         for later in tallies[1:]:
             tallies[0].merge(later)
-        assert tallies[0].parts() == _oracle_range(task)
+        assert _parts(tallies[0]) == _oracle_range(task)
 
 
 def _no_pair_entries(monkeypatch):
@@ -422,13 +497,12 @@ class TestShortSlicesBuildNoPairEntries:
 
     def test_pooled(self, monkeypatch):
         _no_pair_entries(monkeypatch)
-        got = _pooled(monkeypatch, 5, 2, 4)
-        assert got == search._result_from_parts(5, 2, search.MODE_EXHAUSTIVE, *scan_oracle(5, 2))
+        assert _projected(_pooled(monkeypatch, 5, 2, 4)) == _scan_oracle(5, 2)
 
     @pytest.mark.parametrize("n,m", [(3, 1), (3, 2), (4, 2)])
     def test_serial_equals_oracle(self, monkeypatch, n, m):
         _no_pair_entries(monkeypatch)
-        assert _serial_scan(n, m) == scan_oracle(n, m)
+        assert _serial_scan(n, m) == _scan_oracle(n, m)[1:]
 
 
 class TestPointSlice:
