@@ -20,8 +20,8 @@ determinants, `gram_solve`'s pivoting solve) stay separate so that the
 sweeps compare two computations of each identity, and learn dependence
 from their own elimination. `verify` runs them on independent sets only:
 a dependent set's zeros are certified there by `kernel_witness`, and the
-eliminations here are the tests' oracle for that certificate, and
-`full_report` eliminates D of independent sets only. Every
+eliminations here are the tests' oracle for that certificate.
+`full_report` (`report`) eliminates nothing beyond the kernel pass. Every
 function reads the set's cached distance rows, Gram rows and kernel
 (`PointSet.d_rows`, `.gram`, `.kernel`), so a set's matrices are built
 once however many identities are checked on it; the eliminations read
@@ -192,13 +192,14 @@ class DetReport:
 
 def full_report(s: PointSet) -> DetReport:
     """Compute every invariant; fields that require invertibility are
-    absent (None) rather than zeroed. The Gram kernel decides dependence
-    first: a dependent set has det(D) = 0 from the kernel, so only an
-    independent set, at most n + 1 points, builds and eliminates D."""
+    absent (None) rather than zeroed. Every field comes from the one
+    Gram-kernel pass, and `report` eliminates nothing beyond it: det(D)
+    is 0 for a dependent set, else `det_from_gram_quad` (which `verify`
+    compares with elimination), so D is never built."""
     det_g, gq = kernel_quad(s)
     independent = gq is not None
     return DetReport(
-        det_D=det_distance_matrix(s) if independent else Fraction(0),
+        det_D=det_from_gram_quad(s.m, det_g, gq) if independent else Fraction(0),
         det_G=Fraction(det_g),
         vol_sq=Fraction(det_g),
         affinely_independent=independent,

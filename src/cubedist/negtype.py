@@ -50,6 +50,9 @@ A top exponent p (a scan's cap, p of `dp_matrix`) with
 float is built: the largest sum of squares, sum Q_ij^2 (m^2 entries of up
 to 2 d_max^p), would overflow float64, and NaN signals or an infinite
 scale give wrong answers. Dependent sets short-circuit the scans first.
+`murugan_classify` takes only the set and never refuses one: only an
+independent set (m <= n <= 64) reaches the check, which the default cap
+passes (2 * 16 log2(64) + 2 log2(128) = 206), and it scans 121 grid points.
 """
 
 from __future__ import annotations
@@ -439,25 +442,16 @@ class MuruganClassification:
         return self.affinely_independent == self.strict_1_negative_type == self.wp_exceeds_1
 
 
-def murugan_classify(
-    s: PointSet,
-    cap: float = DEFAULT_CAP,
-    tol: float = DEFAULT_TOL,
-    grid: float = DEFAULT_GRID,
-) -> MuruganClassification:
+def murugan_classify(s: PointSet) -> MuruganClassification:
     """Affine independence (the rank test), strict 1-negative type
     (`det_int` of D, then of the bordered matrix if det D != 0) and
-    wp > 1 (the Gram kernel and the root scan, the only float work; no
-    root below the cap certifies the bound, since the cap exceeds 1),
-    all read from the set, which builds its rows and kernel once. Raises
-    DomainError for cap <= 1, where a scan that sees no exponent past 1
-    cannot show wp > 1; other arguments are checked as in `sanchez_wp`."""
-    if not cap > 1:
-        raise DomainError(f"classification needs cap > 1; got cap={cap}")
-    wp = sanchez_wp(s, cap, tol, grid).wp
+    wp > 1 (the Gram kernel and the root scan at the defaults, the only
+    float work), all read from the set, which builds its rows and kernel
+    once. Takes only the set and refuses none (module docstring)."""
+    wp = sanchez_wp(s).wp
     return MuruganClassification(
         affinely_independent=cube.affinely_independent(s),
-        strict_1_negative_type=strict_p_negative_type(s, 1.0, tol),
+        strict_1_negative_type=strict_p_negative_type(s, 1.0),
         wp_exceeds_1=wp > 1.0,
     )
 

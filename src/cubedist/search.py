@@ -236,29 +236,26 @@ def _descend(rows, pairs, children, prev, corner, need, tail, tally) -> None:
 
 
 def _pair_leaves(rows, children, tally) -> None:
-    """Visit, in lex order, every independent pair {x, y} of the root's
-    rows with x from rows[:children]: the m = 2 slice, which builds no
-    pair entries, since a pair's entry a(x, y) is the popcount |x & y|."""
+    """Visit, in lex order, every pair {x, y} of the root's rows with x
+    from rows[:children]: the m = 2 slice, whose entry a(x, y) is the
+    popcount |x & y|. Every pair is independent, as the pivot
+    |x| |y| - |x & y|^2 > 0 for distinct nonzero x, y (Cauchy-Schwarz)."""
     n, full_dim, best = tally.n, tally.full_dim, tally.best
-    independent = 0
     for i in range(children):
         x, px, bx = rows[i]
         cx = -bx * bx
         for y, py, by in rows[i + 1 :]:
             a = (x & y).bit_count()
             piv = px * py - a * a
-            if not piv:
-                continue
             bord = px * by - a * bx
             num, den = 2 * piv, (bord * bord - piv * cx) // px
-            independent += 1
             if full_dim and num * n != 2 * den:
                 raise _invariant_error(n, (x, y), num, den)
             if num * n < 2 * den:
                 tally.violations.append(((x, y), Fraction(num, den)))
             if best is None or num * best[1] < best[0] * den:
                 best = (num, den, (x, y))
-    tally.independent += independent
+    tally.independent += sum(len(rows) - 1 - i for i in range(children))
     tally.best = best
 
 

@@ -203,8 +203,9 @@ def check_tree(t: trees.UnweightedTree, report: SweepReport, deep: bool = False)
     row (`_is_scaled_identity`), and det D comes from `det_int`.
 
     `deep` additionally inverts D by elimination, one `det_solve_int`
-    pass giving det D and adj D = det D * D^{-1}, and passes when
-    2n adj D = det D * M entrywise; it also reruns the <D^{-1}1,1> value
+    pass giving det D, which the determinant check then reads in place
+    of `det_int`'s, and adj D = det D * D^{-1}; it passes when
+    2n adj D = det D * M entrywise. It also reruns the <D^{-1}1,1> value
     through the Gram route of the embedded point set, the one check that
     uses `Fraction`.
     """
@@ -235,7 +236,9 @@ def check_tree(t: trees.UnweightedTree, report: SweepReport, deep: bool = False)
         except CubedistError:
             dinv_ok = False
         report.counter("embedded_dinv_value").add(dinv_ok, t.edges)
-    report.counter("tree_det_formula").add(det_int(drows) == trees.graham_pollak_det(t), t.edges)
+    else:
+        det = det_int(drows)
+    report.counter("tree_det_formula").add(det == trees.graham_pollak_det(t), t.edges)
 
 
 def _is_scaled_identity(m_rows: list[list[int]], d_rows: list[list[int]], scale: int) -> bool:

@@ -65,6 +65,27 @@ class TestReport:
         assert js == {"affinely_independent": False, "det_D": "0", "det_G": "0", "vol_sq": "0"}
         assert calls == {}
 
+    def test_independent_set_skips_the_distance_matrix(self, monkeypatch, capsys, tmp_path):
+        """{0, e_1, ..., e_64} in H_64: every field comes from the Gram
+        kernel, det(D) = (-1)^m 2^(m-1) det(G) <G^{-1}u, u> = 64 * 2^63,
+        without building or eliminating D."""
+        f = tmp_path / "simplex64.txt"
+        rows = ["0" * 64] + ["0" * k + "1" + "0" * (63 - k) for k in range(64)]
+        f.write_text("64 65\n" + "\n".join(rows) + "\n")
+        calls = count_calls(monkeypatch, cube, "distance_rows")
+        count_calls(monkeypatch, identities, "det_int", calls=calls)
+        code, js = run_json(capsys, ["report", str(f)])
+        assert code == 0
+        assert js == {
+            "affinely_independent": True,
+            "det_D": "590295810358705651712",  # 64 * 2^63
+            "det_G": "1",
+            "vol_sq": "1",
+            "gram_quad": "64",
+            "dinv_ones": "1/32",
+        }
+        assert calls == {}
+
     def test_malformed_exit_2(self, tmp_path, capsys):
         f = tmp_path / "bad.txt"
         f.write_text("3 2\n10x\n010\n")

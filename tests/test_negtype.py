@@ -152,6 +152,13 @@ class TestSanchezWp:
         with pytest.raises(DomainError):
             negtype.sanchez_wp(PATH3, cap=0.5)
 
+    def test_cap_1_is_a_lower_bound(self):
+        # at cap 1 the scan sees no exponent past 1: an independent set
+        # gets the lower bound wp = 1, not a root
+        corner = PointSet.from_bits(3, (0, 1, 2, 4))
+        rep = negtype.sanchez_wp(corner, cap=1.0)
+        assert rep.is_lower_bound and rep.wp == 1.0
+
     def test_grid_consistency_with_negative_type(self):
         # negative type holds below the root and fails above it
         for s in random_sets(73, 12):
@@ -207,16 +214,15 @@ class TestMurugan:
                 c = negtype.murugan_classify(PointSet.from_bits(3, (0,) + tail))
                 assert c.consistent
 
-    def test_cap_must_exceed_1(self, monkeypatch):
-        # at cap 1 the scan sees no exponent past 1, so its lower bound
-        # wp = 1 could not show that an independent set has wp > 1
-        corner = PointSet.from_bits(3, (0, 1, 2, 4))
-        assert negtype.sanchez_wp(corner, cap=1.0).is_lower_bound
-        calls = count_calls(monkeypatch, negtype, "sanchez_wp", "strict_p_negative_type")
-        with pytest.raises(DomainError, match="cap > 1"):
-            negtype.murugan_classify(corner, cap=1.0)
-        assert calls == {}  # refused before any work
-        c = negtype.murugan_classify(corner, cap=1.125)
+    @pytest.mark.parametrize(
+        "s",
+        [WIDE5, TWO_POINTS, PointSet.from_bits(64, (0, *(1 << k for k in range(64))))],
+        ids=["wide5", "pair", "simplex64"],
+    )
+    def test_refuses_no_set(self, s):
+        # every set is independent, and WIDE5's scan would overflow past
+        # cap 320; the default cap keeps every scan below the limit
+        c = negtype.murugan_classify(s)
         assert c.consistent and c.affinely_independent
 
 
@@ -347,8 +353,6 @@ class TestScanArguments:
             negtype.sanchez_wp(CORNER3, **kwargs)
         with pytest.raises(DomainError):
             negtype.transform_scaling_check(CORNER3, 2.0, **kwargs)
-        with pytest.raises(DomainError):
-            negtype.murugan_classify(CORNER3, **kwargs)
         if "tol" in kwargs:
             # the path has 2-negative type but not 3-negative type
             for fn in (negtype.is_p_negative_type, negtype.strict_p_negative_type):
@@ -392,8 +396,6 @@ class TestOverflowRefusal:
             negtype.sanchez_wp(WIDE5, cap=cap, grid=grid)
         with pytest.raises(DomainError, match="overflows float64"):
             negtype.transform_scaling_check(WIDE5, 2.0, cap=cap, grid=grid)
-        with pytest.raises(DomainError, match="overflows float64"):
-            negtype.murugan_classify(WIDE5, cap=cap, grid=grid)
 
     def test_exponent_past_the_limit_refused(self):
         # without the refusal numpy's LinAlgError escapes the eigenvalue solver
@@ -422,7 +424,7 @@ class TestOverflowRefusal:
             rep = negtype.sanchez_wp(s, cap=cap, grid=grid)
             assert (rep.wp, rep.root_kind, rep.residual) == (1.0, negtype.ROOT_DETERMINANT, 0.0)
             assert negtype.transform_scaling_check(s, 2.0, cap=cap, grid=grid) == (2.0, 2.0)
-            assert not negtype.murugan_classify(s, cap=cap, grid=grid).wp_exceeds_1
+            assert not negtype.murugan_classify(s).wp_exceeds_1
 
 
 class TestTransformScaling:

@@ -19,6 +19,7 @@ from cubedist import trees, verify
 from cubedist.errors import InvalidTreeError
 from oracle import (
     check_tree_oracle,
+    count_calls,
     embed_bits_oracle,
     prufer_edges_oracle,
     tree_distance_rows_bfs,
@@ -120,6 +121,17 @@ class TestSameReportAsOracle:
         assert new.lines() == old.lines()
         assert new.ok
         assert all(c.checked == PRUFER8_COUNT for c in new.counters.values())
+
+
+@pytest.mark.parametrize("deep,want", [(True, {"det_solve_int": 1}), (False, {"det_int": 1})])
+def test_one_elimination_of_d_per_tree(monkeypatch, deep, want):
+    """A deep check takes det D from its inversion of D, not from a
+    second elimination."""
+    calls = count_calls(monkeypatch, verify, "det_int", "det_solve_int")
+    report = verify.SweepReport("trees")
+    verify.check_tree(trees.prufer_to_tree((1, 3, 1), 5), report, deep=deep)
+    assert report.ok
+    assert calls == want
 
 
 FAULT_TREES = [
