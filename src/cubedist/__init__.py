@@ -1,10 +1,8 @@
 """Exact distance-matrix invariants of finite subsets of the Hamming cube.
 
-`negtype` imports numpy, so it and the names it exports load on first
-access (PEP 562): `import cubedist` alone does not load numpy.
+Only `negtype`'s floating-point scans use numpy, and they import it when
+they first build a float matrix: `import cubedist` does not load it.
 """
-
-import importlib
 
 from .cube import (
     PointSet,
@@ -39,6 +37,16 @@ from .identities import (
     gram_quad,
     kernel_witness,
 )
+from .negtype import (
+    MuruganClassification,
+    NegTypeReport,
+    dp_matrix,
+    is_p_negative_type,
+    murugan_classify,
+    sanchez_wp,
+    strict_p_negative_type,
+    transform_scaling_check,
+)
 from .ratlinalg import RationalMatrix
 from .search import (
     SearchResult,
@@ -59,23 +67,3 @@ from .trees import (
 )
 
 __version__ = "0.1.0"
-
-_NEGTYPE_NAMES = frozenset({
-    "MuruganClassification",
-    "NegTypeReport",
-    "dp_matrix",
-    "is_p_negative_type",
-    "murugan_classify",
-    "sanchez_wp",
-    "strict_p_negative_type",
-    "transform_scaling_check",
-})
-
-
-def __getattr__(name):
-    if name != "negtype" and name not in _NEGTYPE_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    # import_module, not `from . import negtype`: that looks the name up on
-    # this package first and so calls back into __getattr__ without end
-    negtype = importlib.import_module(".negtype", __name__)
-    return negtype if name == "negtype" else getattr(negtype, name)

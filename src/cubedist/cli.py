@@ -16,9 +16,8 @@ import argparse
 import json
 import sys
 
-from . import identities, search, trees, verify
+from . import identities, negtype, search, trees, verify
 from .cube import parse_point_set_file
-from .defaults import DEFAULT_CAP, DEFAULT_GRID, DEFAULT_TOL
 from .errors import CubedistError, InvariantError
 from .trees import parse_tree_file
 
@@ -56,8 +55,6 @@ def _cmd_tree(args) -> int:
 
 
 def _cmd_negtype(args) -> int:
-    from . import negtype  # loads numpy, which no other subcommand needs
-
     s = parse_point_set_file(args.input)
     report = negtype.sanchez_wp(s, cap=args.cap, tol=args.tol, grid=args.grid)
     _emit(report.to_json_dict(), args.output)
@@ -109,9 +106,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("negtype", help="supremal negative type of a point set")
     p.add_argument("input", help="point-set file")
-    p.add_argument("--cap", type=float, default=DEFAULT_CAP, help="scan cap (default 16)")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="bisection/zero tolerance")
-    p.add_argument("--grid", type=float, default=DEFAULT_GRID, help="scan step (default 1/8)")
+    p.add_argument("--cap", type=float, default=negtype.DEFAULT_CAP, help="scan cap (default 16)")
+    p.add_argument("--tol", type=float, default=negtype.DEFAULT_TOL, help="bisection/zero tolerance")
+    p.add_argument("--grid", type=float, default=negtype.DEFAULT_GRID, help="scan step (default 1/8)")
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_negtype)
 

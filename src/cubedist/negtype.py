@@ -40,19 +40,24 @@ takes the p = 1 anchors from the Gram kernel (`PointSet.kernel`): a
 zero pivot means the set is affinely dependent, D_1 is exactly singular
 and the supremum is exactly 1; otherwise det G > 0 and the corner
 -det G <G^{-1}u, u> < 0 give sign det(D) = (-1)^m and sign
-det [[0, 1^T], [1, D]] = (-1)^(m-1).
-So `murugan_classify`'s three views are three exact routes, and only an
-independent set's root scan uses floats; they share one tuple of
-distance rows per set (`PointSet.d_rows`, cached with its kernel).
+det [[0, 1^T], [1, D]] = (-1)^(m-1). A pair at distance d has no root
+at any p (det D_p = -d^(2p), bordered determinant 2 d^p), so no scan.
+So `murugan_classify`'s three views are three exact routes, and only the
+scan of an independent set of three or more points uses floats; they
+share one tuple of distance rows per set (`PointSet.d_rows`, cached with
+its kernel). numpy is imported where a float matrix is built
+(`dp_matrix`, `is_p_negative_type` past p = 1, `_PowerSignals`): this
+module's import, every p = 1 answer, dependent sets and pairs load none.
 
 A top exponent p (a scan's cap, p of `dp_matrix`) with
 2 p log2(d_max) + 2 log2(2m) >= 1023 is refused (DomainError) before any
 float is built: the largest sum of squares, sum Q_ij^2 (m^2 entries of up
 to 2 d_max^p), would overflow float64, and NaN signals or an infinite
-scale give wrong answers. Dependent sets short-circuit the scans first.
-`murugan_classify` takes only the set and never refuses one: only an
-independent set (m <= n <= 64) reaches the check, which the default cap
-passes (2 * 16 log2(64) + 2 log2(128) = 206), and it scans 121 grid points.
+scale give wrong answers. Dependent sets and pairs short-circuit the
+scans first. `murugan_classify` takes only the set and never refuses
+one: only an independent set (2 <= m <= n <= 64) reaches the check,
+which the default cap passes (2 * 16 log2(64) + 2 log2(128) = 206), and
+it scans 121 grid points.
 """
 
 from __future__ import annotations
@@ -61,13 +66,15 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-import numpy as np
-
 from . import cube
 from .cube import PointSet
-from .defaults import DEFAULT_CAP, DEFAULT_GRID, DEFAULT_TOL
 from .errors import BudgetExceededError, CapExceededError, DomainError, NotNegativeTypeError
 from .ratlinalg import det_int
+
+# The root scan's default cap, tolerance and grid step.
+DEFAULT_CAP = 16.0
+DEFAULT_TOL = 1e-9
+DEFAULT_GRID = 0.125
 
 # Larger scans are refused, not run: the memo keeps every exponent (at the
 # limit a 2-point set takes about 1 s and 60 MB, CPython 3.11, one core).
@@ -85,13 +92,14 @@ def _check_exponent(s: PointSet, top: float) -> None:
         raise DomainError(f"exponent {top} overflows float64 for distances up to {d_max}")
 
 
-def dp_matrix(s: PointSet, p: float) -> np.ndarray:
-    """The matrix (d(x_i, x_j)^p) at machine precision; requires finite
-    p >= 1 below the overflow limit."""
+def dp_matrix(s: PointSet, p: float):
+    """The matrix (d(x_i, x_j)^p) at machine precision, a numpy array;
+    requires finite p >= 1 below the overflow limit."""
     # NaN and the infinities would reach the eigenvalue solver and fail there
     if not (math.isfinite(p) and p >= 1):
         raise DomainError(f"exponent {p} is not finite and at least 1")
     _check_exponent(s, p)
+    import numpy as np
     return np.power(np.array(s.d_rows, dtype=float), p)
 
 
@@ -108,6 +116,7 @@ def is_p_negative_type(s: PointSet, p: float, tol: float = DEFAULT_TOL) -> bool:
     _check_tol(tol)
     if p == 1:
         return True
+    import numpy as np
     dp = dp_matrix(s, p)
     q = dp[1:, 1:] - dp[1:, 0:1] - dp[0:1, 1:]
     q = 0.5 * (q + q.T)
@@ -157,12 +166,13 @@ class _PowerSignals:
     exact signs with ratio 0, so no batch ever evaluates lo.
     """
 
-    def __init__(self, d_float: np.ndarray, alpha: float = 1.0, anchor=None):
-        k = d_float.shape[0]
+    def __init__(self, d_rows, alpha: float = 1.0, anchor=None):
+        import numpy as np
+        k = len(d_rows)
         bord = np.zeros((k + 1, k + 1))
         bord[0, 1:] = 1.0
         bord[1:, 0] = 1.0
-        bord[1:, 1:] = d_float
+        bord[1:, 1:] = d_rows
         self._bord = bord
         self._alpha = alpha
         # p -> (sign, log|det|, log Hadamard bound) of D_p
@@ -174,14 +184,16 @@ class _PowerSignals:
             self._dp[lo] = (det_sign, 0.0, 0.0)
             self._full[lo] = (bord_sign, 0.0)
 
-    def _raise(self, ps: list[float]) -> np.ndarray:
+    def _raise(self, ps: list[float]):
+        import numpy as np
         return np.power(self._bord, (np.array(ps) / self._alpha)[:, None, None])
 
-    def _factorise(self, ps: list[float], full: Optional[np.ndarray] = None) -> None:
+    def _factorise(self, ps: list[float], full=None) -> None:
         """Record D_p for every p in ps, from the raised bordered
         matrices `full` (raised here when not given)."""
         if not ps:
             return
+        import numpy as np
         dp = (self._raise(ps) if full is None else full)[:, 1:, 1:]
         sign, logabs = np.linalg.slogdet(dp)
         logh = np.log(np.sqrt((dp * dp).sum(axis=2))).sum(axis=1).tolist()
@@ -200,6 +212,7 @@ class _PowerSignals:
     def bordered(self, ps: list[float], ratios: bool = True) -> list[_Signal]:
         new = [p for p in ps if p not in self._full]
         if new:
+            import numpy as np
             full = self._raise(new)
             sign, logabs = np.linalg.slogdet(full)
             self._full.update(zip(new, zip(sign.tolist(), logabs.tolist())))
@@ -390,23 +403,29 @@ def sanchez_wp(
     bordered determinant on [1, cap].
 
     Affinely dependent sets short-circuit exactly: det(D_1) = 0, so the
-    supremum is 1 with no floating-point work, at any cap. Raises
-    DomainError unless cap >= 1 and grid > 0 are finite, 0 < tol < 1 and
-    D_cap fits float64, and BudgetExceededError for more than
-    MAX_GRID_POINTS grid points.
+    supremum is 1 with no floating-point work, at any cap. So do pairs,
+    which have no root at any p (module docstring). Raises DomainError
+    unless cap >= 1 and grid > 0 are finite, 0 < tol < 1 and D_cap fits
+    float64 (pairs and dependent sets exempt), and BudgetExceededError
+    for more than MAX_GRID_POINTS grid points.
     """
     _check_scan(cap, tol, grid)
+    cap = float(cap)
     if s.kernel[-1] is not None:
-        return NegTypeReport(1.0, ROOT_DETERMINANT, (1.0, 1.0), 0.0, float(cap))
-    _check_exponent(s, cap)
-    # exact signs at p = 1 (module docstring): corner < 0, as G > 0 and u != 0
-    parity = 1 if s.m % 2 else -1  # (-1)^(m-1)
-    signals = _PowerSignals(np.array(s.d_rows, dtype=float), anchor=(1.0, -parity, parity))
-    hit = _scan_for_roots(signals, 1.0, float(cap), grid, tol)
+        return NegTypeReport(1.0, ROOT_DETERMINANT, (1.0, 1.0), 0.0, cap)
+    hit = None
+    # a pair at distance d has det D_p = -d^(2p) and bordered determinant
+    # 2 d^p, so neither vanishes at any p: no scan, and no overflow refusal
+    if s.m > 1:
+        _check_exponent(s, cap)
+        # exact signs at p = 1 (module docstring): corner < 0, as G > 0 and u != 0
+        parity = 1 if s.m % 2 else -1  # (-1)^(m-1)
+        signals = _PowerSignals(s.d_rows, anchor=(1.0, -parity, parity))
+        hit = _scan_for_roots(signals, 1.0, cap, grid, tol)
     if hit is None:
-        hit = float(cap), ROOT_NONE_BELOW_CAP, (float(cap), float(cap)), None
+        hit = cap, ROOT_NONE_BELOW_CAP, (cap, cap), None
     root, kind, bracket, residual = hit
-    return NegTypeReport(root, kind, bracket, residual, float(cap))
+    return NegTypeReport(root, kind, bracket, residual, cap)
 
 
 def strict_p_negative_type(s: PointSet, p: float, tol: float = DEFAULT_TOL) -> bool:
@@ -422,7 +441,7 @@ def strict_p_negative_type(s: PointSet, p: float, tol: float = DEFAULT_TOL) -> b
         raise NotNegativeTypeError(f"set does not have {p}-negative type")
     # one bordered batch factorises D_p once for both signals;
     # <D_p^{-1}1, 1> nonzero is judged by the dimensionless bordered ratio
-    signals = _PowerSignals(np.array(rows, dtype=float))
+    signals = _PowerSignals(rows)
     (sign_b, ratio_b), = signals.bordered([p])
     (sign_d, ratio_d), = signals.det([p])
     log_tol = math.log(tol)
@@ -488,7 +507,7 @@ def transform_scaling_check(
         # occur earlier, so the scaled supremum is exactly p
         return (float(p), p * wp1)
     _check_scan(p * float(cap), tol, p * grid)
-    signals = _PowerSignals(np.array(s.d_rows, dtype=float), alpha=p)
+    signals = _PowerSignals(s.d_rows, alpha=p)
     hit = _scan_for_roots(signals, 1.0, p * float(cap), p * grid, tol)
     if hit is None:
         raise CapExceededError(f"no root below {p * cap} for the transformed metric")

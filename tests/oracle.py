@@ -630,7 +630,9 @@ def sanchez_wp_oracle(s, cap=negtype.DEFAULT_CAP, tol=negtype.DEFAULT_TOL, grid=
     rows = cube.distance_rows(sn.bits)
     exact_det = det_int([row[:] for row in rows])
     exact_bord = det_int(cube.bordered_rows(rows))
-    hit = scan_for_roots_oracle(
+    # a pair: det D_p = -d^(2p) and the bordered determinant 2 d^p never
+    # vanish, so any root a float scan reports is spurious
+    hit = None if len(rows) == 2 else scan_for_roots_oracle(
         np.array(rows, dtype=float),
         1 if exact_det > 0 else -1,
         1 if exact_bord > 0 else -1,

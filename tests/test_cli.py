@@ -391,49 +391,73 @@ def _run_optimized(args):
 
 
 def test_package_import_leaves_numpy_unloaded():
-    """Only `negtype` needs numpy, so importing the package, sweeping H_3
-    and taking the determinants of a 48-point set and a 40-vertex tree
-    load none; negtype still loads on use."""
+    """numpy loads only where `negtype` builds a float matrix. Importing
+    the package and its negtype names, sweeping H_3, the determinants of
+    a 48-point set and a 40-vertex tree, and every exact negtype answer
+    on the subsets of H_3 load none: negative type and strict negative
+    type at p = 1, the classification of a dependent set, and `sanchez_wp`
+    on dependent sets and pairs. The first independent scan loads it."""
     script = (
         "import sys\n"
+        "from itertools import combinations\n"
         "import cubedist, cubedist.verify\n"
-        "from cubedist import identities, trees\n"
+        "from cubedist import identities, negtype, sanchez_wp, trees\n"
         "assert 'numpy' not in sys.modules\n"
         "assert cubedist.verify.identity_sweep_exhaustive(3).ok\n"
         "s = cubedist.PointSet.from_bits(8, tuple((37 * i + 11) % 256 for i in range(48)))\n"
         "assert identities.full_report(s).det_D == 0\n"
         "t = trees.prufer_to_tree([i // 2 for i in range(38)], 40)\n"
         "assert trees.tree_det_direct(t) == trees.graham_pollak_det(t)\n"
+        "scanned = []\n"
+        "for m in range(1, 8):\n"
+        "    for tail in combinations(range(1, 8), m):\n"
+        "        s = cubedist.PointSet.from_bits(3, (0,) + tail)\n"
+        "        assert negtype.is_p_negative_type(s, 1.0)\n"
+        "        independent = negtype.strict_p_negative_type(s, 1.0)\n"
+        "        if not independent:\n"
+        "            assert negtype.murugan_classify(s) == negtype.MuruganClassification(False, False, False)\n"
+        "            assert sanchez_wp(s).wp == 1.0\n"
+        "        elif m == 1:\n"
+        "            assert sanchez_wp(s).is_lower_bound\n"
+        "        else:\n"
+        "            scanned.append(s)\n"
         "assert 'numpy' not in sys.modules\n"
-        "from cubedist import sanchez_wp\n"
-        "assert 'numpy' in sys.modules\n"
         "assert sanchez_wp is cubedist.negtype.sanchez_wp\n"
-        "s = cubedist.PointSet.from_bits(2, (0, 1, 3))\n"
-        "print(cubedist.negtype.murugan_classify(s).affinely_independent)\n"
-    )
-    proc = _run_python(["-c", script])
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "True\n"
-
-
-def test_cli_import_leaves_numpy_unloaded():
-    """The command line loads `negtype`, and with it numpy, only when the
-    negtype subcommand runs; its option defaults come from a numpy-free
-    module that `negtype` re-exports."""
-    script = (
-        "import sys\n"
-        "import cubedist.cli\n"
-        "assert 'numpy' not in sys.modules\n"
-        "args = cubedist.cli.build_parser().parse_args(['negtype', 'in.txt'])\n"
-        "assert 'numpy' not in sys.modules\n"
-        "from cubedist import negtype\n"
-        "assert (args.cap, args.tol, args.grid) == "
-        "(negtype.DEFAULT_CAP, negtype.DEFAULT_TOL, negtype.DEFAULT_GRID)\n"
+        "print(len(scanned), sanchez_wp(cubedist.PointSet.from_bits(2, (0, 1, 3))).root_kind)\n"
         "print('numpy' in sys.modules)\n"
     )
     proc = _run_python(["-c", script])
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "True\n"
+    # 57 independent H_3 tails, 7 of them pairs
+    assert proc.stdout == "50 bordered\nTrue\n"
+
+
+def test_cli_import_leaves_numpy_unloaded(tmp_path):
+    """The command line imports `negtype` and its option defaults at the
+    top; numpy loads only when the negtype subcommand scans an
+    independent set of three or more points."""
+    dep, pair, path = tmp_path / "dep.txt", tmp_path / "pair.txt", tmp_path / "path.txt"
+    dep.write_text(DEP_FILE)
+    pair.write_text("4 2\n0000\n1111\n")
+    path.write_text(PATH_FILE)
+    script = (
+        "import sys\n"
+        "import cubedist.cli\n"
+        "from cubedist import negtype\n"
+        "assert 'numpy' not in sys.modules\n"
+        "args = cubedist.cli.build_parser().parse_args(['negtype', 'in.txt'])\n"
+        "assert (args.cap, args.tol, args.grid) == "
+        "(negtype.DEFAULT_CAP, negtype.DEFAULT_TOL, negtype.DEFAULT_GRID)\n"
+        "for f in sys.argv[1:]:\n"
+        "    assert cubedist.cli.main(['negtype', f, '-o', f + '.json']) == 0\n"
+        "    print('numpy' in sys.modules)\n"
+    )
+    proc = _run_python(["-c", script, str(dep), str(pair), str(path)])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\nFalse\nTrue\n"
+    outputs = [tmp_path / f"{f}.txt.json" for f in ("dep", "pair", "path")]
+    kinds = [json.loads(f.read_text())["root_kind"] for f in outputs]
+    assert kinds == ["determinant", "none-below-cap", "bordered"]
 
 
 def test_console_entry_point():

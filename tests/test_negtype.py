@@ -427,6 +427,48 @@ class TestOverflowRefusal:
             assert not negtype.murugan_classify(s).wp_exceeds_1
 
 
+def _pairs():
+    for n in range(2, 7):
+        for x, y in combinations(range(1 << n), 2):
+            yield PointSet.from_bits(n, (x, y))
+    for n in range(2, 65):
+        yield PointSet.from_bits(n, (0, (1 << n) - 1))
+
+
+class TestPairs:
+    """A pair at distance d has det D_p = -d^(2p) and bordered
+    determinant 2 d^p: neither vanishes at any p, so no cap finds a root.
+    A float scan once reported one for every d >= 4 ({0000, 1111}: a
+    bordered root at 15.5)."""
+
+    @pytest.mark.parametrize("cap", [1.0, 8.0, 16.0])
+    def test_no_root_below_any_cap(self, monkeypatch, cap):
+        monkeypatch.setattr(negtype, "_PowerSignals", None)  # no float scan
+        count = 0
+        for s in _pairs():
+            rep = negtype.sanchez_wp(s, cap=cap)
+            assert (rep.wp, rep.root_kind, rep.bracket, rep.residual) == (
+                cap, negtype.ROOT_NONE_BELOW_CAP, (cap, cap), None
+            )
+            count += 1
+        assert count == 6 + 28 + 120 + 496 + 2016 + 63
+
+    def test_classification_unchanged(self):
+        want = negtype.MuruganClassification(True, True, True)
+        assert all(negtype.murugan_classify(s) == want for s in _pairs())
+
+    def test_exempt_from_the_overflow_refusal(self):
+        # distance 64: cap 1000 would overflow float64 for a larger set
+        s = PointSet.from_bits(64, (0, (1 << 64) - 1))
+        assert negtype.sanchez_wp(s, cap=1000.0, grid=1.0).is_lower_bound
+        with pytest.raises(CapExceededError):
+            negtype.transform_scaling_check(s, 2.0, cap=1000.0, grid=1.0)
+
+    def test_oracle_agrees(self):
+        s = PointSet.from_bits(4, (0, 15))
+        assert _outcome(negtype.sanchez_wp, s) == _outcome(sanchez_wp_oracle, s)
+
+
 class TestTransformScaling:
     def test_path_doubled(self):
         got = negtype.transform_scaling_check(PATH3, 2.0)
