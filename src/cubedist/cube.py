@@ -149,7 +149,8 @@ def distance_rows(bits: Sequence[int]) -> tuple[tuple[int, ...], ...]:
 
 
 def bordered_rows(rows: Sequence[Sequence[int]]) -> list[list[int]]:
-    """The matrix [[0, 1^T], [1, rows]] as new int rows."""
+    """The matrix [[0, 1^T], [1, rows]] as new int rows: the one writer
+    of the layout that every bordered determinant, exact or float, reads."""
     return [[0] + [1] * len(rows)] + [[1, *row] for row in rows]
 
 
@@ -244,8 +245,6 @@ def rank_of_bits(tail_bits: Sequence[int], n: int) -> int:
     to exact integer elimination.
     """
     m = len(tail_bits)
-    if m == 0:
-        return 0
     if _gf2_rank(tail_bits) == m:
         return m
     rows = [[(b >> k) & 1 for k in range(n)] for b in tail_bits]

@@ -168,12 +168,7 @@ class _PowerSignals:
 
     def __init__(self, d_rows, alpha: float = 1.0, anchor=None):
         import numpy as np
-        k = len(d_rows)
-        bord = np.zeros((k + 1, k + 1))
-        bord[0, 1:] = 1.0
-        bord[1:, 0] = 1.0
-        bord[1:, 1:] = d_rows
-        self._bord = bord
+        self._bord = np.array(cube.bordered_rows(d_rows), dtype=float)
         self._alpha = alpha
         # p -> (sign, log|det|, log Hadamard bound) of D_p
         self._dp: dict[float, tuple[float, float, float]] = {}

@@ -4,10 +4,12 @@
 (Bareiss) echelon form, `_echelon`, on Python ints, so no size or entry
 can overflow; it never writes to its input rows. `det_solve_int` also
 back-substitutes exactly, giving det M and det M * M^{-1} R in integers.
-`RationalMatrix` holds `fractions.Fraction` entries,
-which stay in canonical form (positive denominator, gcd-reduced), and
-gives the second routes that the sweeps compare the Gram kernel
-against: an exact inverse and an exact linear solve. Both run through
+The sweeps' pivoting second routes call `det_solve_int` directly:
+`identities.gram_solve` on [G | u], and the deep tree check on [D | I].
+`RationalMatrix` holds `fractions.Fraction` entries, which stay in
+canonical form (positive denominator, gcd-reduced); in the package it
+only carries `trees.graham_lovasz_inverse`, the inverse that
+`cubedist tree` prints. Its inverse and solve run through
 `det_solve_int` on integer-scaled rows, so `Fraction` only holds results.
 Nothing in this module touches floating point.
 """

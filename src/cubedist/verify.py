@@ -28,7 +28,6 @@ from .ratlinalg import det_int, det_solve_int
 
 @dataclass
 class CheckCounter:
-    name: str
     checked: int = 0
     failed: int = 0
     samples: list = field(default_factory=list)
@@ -48,7 +47,7 @@ class SweepReport:
 
     def counter(self, name: str) -> CheckCounter:
         if name not in self.counters:
-            self.counters[name] = CheckCounter(name)
+            self.counters[name] = CheckCounter()
         return self.counters[name]
 
     @property
@@ -118,10 +117,13 @@ def check_point_set(tail: tuple[int, ...], n: int, report: SweepReport) -> None:
         and identities.det_from_gram_quad(m, solve_det_g, gq) == det_direct,
         tail,
     )
-    if bord_val is not None:
-        report.counter("dinv_ones_consistency").add(
-            bool(gq) and det_direct != 0 and Fraction(-bord_val, det_direct) == 2 / gq > 0, tail
-        )
+    report.counter("dinv_ones_consistency").add(
+        bord_val is not None
+        and bool(gq)
+        and det_direct != 0
+        and Fraction(-bord_val, det_direct) == 2 / gq > 0,
+        tail,
+    )
     if m == n:
         report.counter("full_dim_gram_quad").add(gq == n, tail)
         report.counter("full_dim_det").add(
@@ -159,9 +161,7 @@ def _certify_dependent(s: PointSet, tail: tuple[int, ...], det_g: int, report: S
 def identity_sweep_exhaustive(n: int) -> SweepReport:
     """Every normalized subset of H_n with the origin and m >= 1 more
     points: 2^(2^n - 1) - 1 sets."""
-    report = SweepReport(label=f"identities-n{n}")
-    for name in _IDENTITY_CHECKS:
-        report.counter(name)
+    report = SweepReport(f"identities-n{n}", {name: CheckCounter() for name in _IDENTITY_CHECKS})
     top = (1 << n) - 1
     for m in range(1, top + 1):
         for tail in combinations(range(1, top + 1), m):
@@ -172,9 +172,9 @@ def identity_sweep_exhaustive(n: int) -> SweepReport:
 def identity_sweep_random(n: int, samples: int, seed: int) -> SweepReport:
     """Seeded random subsets of H_n: size m uniform on [1, 2^n - 1],
     then m distinct nonzero patterns by rejection."""
-    report = SweepReport(label=f"identities-n{n}-random")
-    for name in _IDENTITY_CHECKS:
-        report.counter(name)
+    report = SweepReport(
+        f"identities-n{n}-random", {name: CheckCounter() for name in _IDENTITY_CHECKS}
+    )
     rng = random.Random(seed)
     top = (1 << n) - 1
     for _ in range(samples):
@@ -277,9 +277,7 @@ DEEP_MAX_VERTICES = 6
 def tree_sweep(max_vertices: int = 8) -> SweepReport:
     """All labeled trees on 3..max_vertices vertices (k^(k-2) per size,
     via Prufer sequences); deep checks up to DEEP_MAX_VERTICES."""
-    report = SweepReport(label="trees")
-    for name in _TREE_CHECKS:
-        report.counter(name)
+    report = SweepReport("trees", {name: CheckCounter() for name in _TREE_CHECKS})
     for k in range(trees.MIN_VERTICES, max_vertices + 1):
         deep = k <= DEEP_MAX_VERTICES
         for t in trees.enumerate_labeled_trees(k):

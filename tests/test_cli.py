@@ -10,7 +10,7 @@ from cubedist import cube, identities, negtype, search, trees, verify
 from cubedist.cli import main
 from cubedist.cube import parse_point_set
 from cubedist.errors import DomainError
-from oracle import count_calls, record_pools, sanchez_wp_oracle
+from oracle import count_calls, rational_from_str, record_pools, sanchez_wp_oracle
 
 H3_FILE = "3 4\n000\n100\n010\n111\n"
 DEP_FILE = "2 4\n00\n10\n01\n11\n"
@@ -155,10 +155,14 @@ class TestTree:
         f.write_text("4\n0 1\n1 2\n2 0\n")
         assert main(["tree", str(f)]) == 3
 
-    def test_bad_line_exit_2(self, tmp_path):
+    def test_bad_line_exit_2(self, tmp_path, capsys):
         f = tmp_path / "bad.txt"
         f.write_text("3\n0 1\nnope\n")
         assert main(["tree", str(f)]) == 2
+        f.write_text("3\n0 x\n1 2\n")
+        capsys.readouterr()
+        assert main(["tree", str(f)]) == 2
+        assert capsys.readouterr().err.startswith("error: line 2: ")
 
     def test_wrong_closed_form_exit_5(self, monkeypatch, tmp_path, capsys):
         f = tmp_path / "star.txt"
@@ -245,6 +249,31 @@ class TestSearch:
         assert code == 0
         assert js["min_value"] == "2/3"
         assert js["violations"] == []
+
+    def test_violations_reach_json_and_exit_1(self, monkeypatch, capsys):
+        """No set undercuts 2/n, so the walk is given the floor 2/1, under
+        which every pair of H_3 is a violation; the report still builds
+        its point sets in H_3."""
+
+        class FloorTwo(search._Tally):
+            def __init__(self, n, m):
+                super().__init__(n, m)
+                self.dim, self.n = n, 1
+
+            def result(self, *args, **kwargs):
+                self.n = self.dim
+                return super().result(*args, **kwargs)
+
+        monkeypatch.setattr(search, "_Tally", FloorTwo)
+        code, js = run_json(capsys, ["search", "--n", "3", "--m", "2"])
+        assert code == 1
+        assert len(js["violations"]) == js["independent_count"] == 21
+        for v in js["violations"]:
+            points = v["points"]
+            assert points[0] == "000" and len(points) == 3
+            assert all(len(p) == 3 and set(p) <= {"0", "1"} for p in points)
+            s = cube.PointSet.from_coords([[int(c) for c in p] for p in points])
+            assert rational_from_str(v["value"]) == identities.dinv_ones(s) < 2
 
     def test_budget_exit_4(self):
         assert main(["search", "--n", "5", "--m", "5", "--budget", "10"]) == 4

@@ -92,6 +92,8 @@ class TestPointSet:
     def test_rejects_single_point(self):
         with pytest.raises(ValueError):
             PointSet.from_bits(2, [0])
+        with pytest.raises(ValueError):
+            PointSet.from_coords([])
 
     def test_rejects_mixed_dimensions(self):
         with pytest.raises(DimensionError):

@@ -262,6 +262,7 @@ class TestBorderedDistanceDet:
         report = verify.SweepReport("injected")
         verify.check_point_set(H3_SET.bits[1:], 3, report)
         assert report.counter("bordered_distance_det").failed == 1
+        assert report.counter("dinv_ones_consistency").failed == 1
 
 
 class TestCheckPointSetSharesWork:
@@ -363,6 +364,29 @@ class TestSweepsCountRouteErrors:
         report = verify.SweepReport("injected")
         verify.check_point_set(tail, n, report)
         assert self._failed(report) == {"affine_criterion"}
+
+    def test_raising_gram_solve_fails_only_its_readers(self, monkeypatch):
+        """`gram_solve` raising on one independent tail with m < n fails
+        each counter that reads the solve once, with that tail as the
+        sample; every other counter passes and every total stays."""
+        want = verify.identity_sweep_exhaustive(3)
+        target = (1, 2)
+        real = identities.gram_solve
+
+        def refuse(s):
+            if s.tail == target:
+                raise DependenceError("injected")
+            return real(s)
+
+        monkeypatch.setattr(identities, "gram_solve", refuse)
+        report = verify.identity_sweep_exhaustive(3)
+        assert want.ok
+        assert {name: c.checked for name, c in report.counters.items()} == {
+            name: c.checked for name, c in want.counters.items()
+        }
+        readers = {"gram_quad_two_routes", "det_via_gram_quad", "dinv_ones_consistency"}
+        for name, c in report.counters.items():
+            assert (c.failed, c.samples) == ((1, [target]) if name in readers else (0, [])), name
 
     def test_singular_tree_distance_matrix(self, monkeypatch):
         real = trees.tree_rows_and_bits

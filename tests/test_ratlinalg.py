@@ -67,6 +67,8 @@ class TestDet:
 
     def test_non_square_rejected(self):
         with pytest.raises(DimensionError):
+            RationalMatrix.from_rows([[1, 2], [3]])
+        with pytest.raises(DimensionError):
             M([[1, 2, 3], [4, 5, 6]]).inverse()
         with pytest.raises(DimensionError):
             M([[1, 2, 3], [4, 5, 6]]).solve([1, 1])

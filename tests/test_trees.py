@@ -160,6 +160,11 @@ class TestPrufer:
         with pytest.raises(InvalidTreeError):
             trees.prufer_to_tree((4,), 3)
 
+    @pytest.mark.parametrize("k", [2, 66])
+    def test_enumeration_refuses_vertex_counts_out_of_range(self, k):
+        with pytest.raises(InvalidTreeError):
+            next(trees.enumerate_labeled_trees(k))
+
 
 class TestNonUniqueness:
     def test_h3_witness_is_not_an_embedded_tree(self):
@@ -177,6 +182,7 @@ class TestParsing:
     def test_round_trip(self):
         t = trees.parse_tree("4\n0 1\n0 2\n0 3\n")
         assert t == STAR4
+        assert trees.parse_tree("4\n\n0 1\n  \n0 2\n0 3\n\n") == STAR4
 
     def test_header_error(self):
         with pytest.raises(ParseError):
@@ -188,6 +194,9 @@ class TestParsing:
         with pytest.raises(ParseError) as err:
             trees.parse_tree("3\n0 1\n1 2 3\n")
         assert "line 3" in str(err.value)
+        with pytest.raises(ParseError) as err:
+            trees.parse_tree("3\n0 x\n1 2\n")
+        assert err.value.line == 2 and str(err.value).startswith("line 2: ")
 
     def test_non_tree_input(self):
         with pytest.raises(InvalidTreeError):
