@@ -150,7 +150,9 @@ def distance_rows(bits: Sequence[int]) -> tuple[tuple[int, ...], ...]:
 
 def bordered_rows(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     """The matrix [[0, 1^T], [1, rows]] as new int rows: the one writer
-    of the layout that every bordered determinant, exact or float, reads."""
+    of the all-ones border that the exact and float bordered distance
+    determinants read. `identities.det_via_bordered_gram` borders G by u
+    instead, [[0, u^T], [u, G]], and writes that matrix itself."""
     return [[0] + [1] * len(rows)] + [[1, *row] for row in rows]
 
 

@@ -51,18 +51,21 @@ before the budget check. Every set of a slice is examined, as a leaf or
 as a set with a dropped point, so a slice's examined count is its size
 C(2^n - 1, m). No separate rank test is needed.
 
-Determinism. Minima are tracked as exact rationals with a (value,
-lexicographic witness) tie-break. One process walks all first elements
-as one range, and so does m = 1 on any worker count, since each of its
-first elements is a single set. More processes take one task per first
-element, walked from the empty prefix and scheduled by the pool; the
-tallies come back in task order and merge in lex order through the same
-tie-break, so identical runs produce identical JSON, byte for byte,
-whatever the worker count. The largest first-element subtree holds
-m / (2^n - 1) of the sets, which caps the speed-up at (2^n - 1) / m
-processes (6.2 for (5, 5)). Random probing is sequential by design for
-the same reason, and pushes each sampled tail through the same
-elimination, one whole tail at a time (`cube.gram_eliminate`).
+Determinism. One rule, `_Tally.leaf`, takes each value: 2/n in an (n, n)
+slice, a violation below 2/n, the least value kept exactly with a
+(value, lexicographic witness) tie-break. The walk meets its leaves in
+lex order, so it calls the rule only below the bar max(best, 2/n), or
+off 2/n in an (n, n) slice: a value at least the bar is no violation
+and, at best a tie with a lex-later tail, no new best. One process walks
+all first elements as one range, as m = 1 does on any worker count. More
+processes take one task per first element, walked from the empty prefix;
+the tallies merge in task order through the same tie-break, so the JSON
+is the same byte for byte whatever the worker count. The largest
+first-element subtree holds m / (2^n - 1) of the sets, which caps the
+speed-up at (2^n - 1) / m processes (6.2 for (5, 5)). Random probing is
+sequential for the same reason; it pushes each drawn tail through
+`cube.gram_eliminate` and sends every value to the rule, since a later
+draw may tie with a lex-smaller tail.
 """
 
 from __future__ import annotations
@@ -97,18 +100,13 @@ def _validate_params(n: int, m: int) -> None:
         raise DomainError(f"subset size {m} outside [1, {(1 << n) - 1}] for dimension {n}")
 
 
-def _invariant_error(n, tail, num, den) -> InvariantError:
-    return InvariantError(
-        f"full-dimensional set {tail} gave {Fraction(num, den)}, expected {Fraction(2, n)}"
-    )
-
-
 class _Tally:
     """The partial reduction (independent, best, violations) of one scan,
     from which `result` builds its SearchResult. An independent set's
     value -2 pivot / corner is positive (pivot > 0, corner < 0), so values
     compare by cross-multiplication and a Fraction is built only for the
-    reported ones."""
+    reported ones. `leaf` applies the rule to a value and `bar` bounds
+    the values the walks may skip (see the module docstring)."""
 
     def __init__(self, n: int, m: int):
         self.n = n
@@ -116,17 +114,27 @@ class _Tally:
         self.full_dim = m == n
         self.independent = 0
         self.best: Optional[tuple[int, int, tuple[int, ...]]] = None  # (num, den, tail)
+        self.bar = (1, 0)  # max(best, 2/n) as (num, den); (1, 0) before the first value
         self.violations: list[tuple[tuple[int, ...], Fraction]] = []
 
     def add(self, tail: tuple[int, ...], pivot: int, corner: int) -> None:
-        """Count the independent set {0} + tail."""
+        """Count the independent set {0} + tail; its value meets `leaf`
+        with no bar test, as random probing draws out of lex order."""
         self.independent += 1
-        num, den, n = 2 * pivot, -corner, self.n
+        self.leaf(2 * pivot, -corner, tail)
+
+    def leaf(self, num: int, den: int, tail: tuple[int, ...]) -> tuple[int, int]:
+        """Check the value num / den of {0} + tail: 2/n in an (n, n) slice,
+        a violation below 2/n, offered as the best; returns the bar."""
+        n = self.n
         if self.full_dim and num * n != 2 * den:
-            raise _invariant_error(n, tail, num, den)
+            raise InvariantError(
+                f"full-dimensional set {tail} gave {Fraction(num, den)}, expected {Fraction(2, n)}"
+            )
         if num * n < 2 * den:
             self.violations.append((tail, Fraction(num, den)))
         self._offer(num, den, tail)
+        return self.bar
 
     def _offer(self, num: int, den: int, tail: tuple[int, ...]) -> None:
         """Keep the value num / den with its tail if it beats the best so
@@ -137,6 +145,7 @@ class _Tally:
             if diff > 0 or (diff == 0 and tail > best[2]):
                 return
         self.best = (num, den, tail)
+        self.bar = (num, den) if num * self.n >= 2 * den else (2, self.n)
 
     def merge(self, other: "_Tally") -> None:
         """Fold in the tally of the stretch of the walk that follows this
@@ -190,10 +199,12 @@ def _descend(rows, pairs, children, prev, corner, need, tail, tally) -> None:
     and `corner` its bordered determinant. Each child x takes one
     elimination step against x: into the rows after it, then into their
     pair entries, or, with three points to go, straight into the values
-    of the sets prefix + x + y + z. Those leaves come in lex order, so a
-    value replaces the best only when it is strictly smaller.
+    of the sets prefix + x + y + z. Those leaves come in lex order, so
+    only one below the tally's bar, or off 2/n in an (n, n) slice, needs
+    `_Tally.leaf` (see the module docstring).
     """
-    n, full_dim = tally.n, tally.full_dim
+    n, full_dim, (bar_num, bar_den) = tally.n, tally.full_dim, tally.bar
+    independent = 0
     for i in range(children):
         x, px, bx = rows[i]
         cx = (px * corner - bx * bx) // prev
@@ -212,8 +223,6 @@ def _descend(rows, pairs, children, prev, corner, need, tail, tally) -> None:
             rows_x = [r[:3] for r in later]
             _descend(rows_x, child, len(later) - need + 2, px, cx, need - 1, (*tail, x), tally)
             continue
-        best = tally.best
-        independent = 0
         for t, (y, py, by, j, a) in enumerate(later):
             row, o = pairs[j], j + 1
             cy = (py * cx - by * by) // px
@@ -225,22 +234,18 @@ def _descend(rows, pairs, children, prev, corner, need, tail, tally) -> None:
                 bord = (py * bz - e * by) // px
                 num, den = 2 * piv, (bord * bord - piv * cy) // py
                 independent += 1
-                if full_dim and num * n != 2 * den:
-                    raise _invariant_error(n, (*tail, x, y, z), num, den)
-                if num * n < 2 * den:
-                    tally.violations.append(((*tail, x, y, z), Fraction(num, den)))
-                if best is None or num * best[1] < best[0] * den:
-                    best = (num, den, (*tail, x, y, z))
-        tally.independent += independent
-        tally.best = best
+                if num * bar_den < bar_num * den or (full_dim and num * n != 2 * den):
+                    bar_num, bar_den = tally.leaf(num, den, (*tail, x, y, z))
+    tally.independent += independent
 
 
 def _pair_leaves(rows, children, tally) -> None:
     """Visit, in lex order, every pair {x, y} of the root's rows with x
     from rows[:children]: the m = 2 slice, whose entry a(x, y) is the
     popcount |x & y|. Every pair is independent, as the pivot
-    |x| |y| - |x & y|^2 > 0 for distinct nonzero x, y (Cauchy-Schwarz)."""
-    n, full_dim, best = tally.n, tally.full_dim, tally.best
+    |x| |y| - |x & y|^2 > 0 for distinct nonzero x, y (Cauchy-Schwarz).
+    A pair reaches `_Tally.leaf` only by the bar test `_descend` uses."""
+    n, full_dim, (bar_num, bar_den) = tally.n, tally.full_dim, tally.bar
     for i in range(children):
         x, px, bx = rows[i]
         cx = -bx * bx
@@ -249,14 +254,9 @@ def _pair_leaves(rows, children, tally) -> None:
             piv = px * py - a * a
             bord = px * by - a * bx
             num, den = 2 * piv, (bord * bord - piv * cx) // px
-            if full_dim and num * n != 2 * den:
-                raise _invariant_error(n, (x, y), num, den)
-            if num * n < 2 * den:
-                tally.violations.append(((x, y), Fraction(num, den)))
-            if best is None or num * best[1] < best[0] * den:
-                best = (num, den, (x, y))
+            if num * bar_den < bar_num * den or (full_dim and num * n != 2 * den):
+                bar_num, bar_den = tally.leaf(num, den, (x, y))
     tally.independent += sum(len(rows) - 1 - i for i in range(children))
-    tally.best = best
 
 
 def _scan_range(task: tuple[int, int, int, int]) -> _Tally:

@@ -103,13 +103,6 @@ class UnweightedTree:
             deg[v] += 1
         return tuple(deg)
 
-    def neighbors(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.vertex_count)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return adj
-
 
 def tree_rows_and_bits(t: UnweightedTree) -> tuple[list[list[int]], list[int]]:
     """All-pairs path lengths as int rows, and the cube images of the

@@ -26,6 +26,7 @@ per matrix and exponent, each scan run to its end).
 
 A few helpers only tests need live here too: `coords` and
 `format_point_set` (a point set as coordinate tuples and as file text),
+`neighbors` (a tree's adjacency lists, for the BFS oracles),
 `rational_from_str`, a strict reader of the rational strings the
 package writes into JSON, and the call and pool recorders
 `count_calls` and `record_pools`.
@@ -302,10 +303,11 @@ def eval_tail_oracle(tail, n):
     return Fraction(-2 * det_int(g), det_int(bord))
 
 
-def scan_oracle(n, m):
+def scan_oracle(n, m, floor=None):
     """(examined, independent, best, violations) of the (n, m) slice, one
-    subset at a time in lex order, as search.min_dinv_ones reduces it."""
-    floor = Fraction(2, n)
+    subset at a time in lex order, as search.min_dinv_ones reduces it;
+    a violation is a value below `floor`, by default 2/n."""
+    floor = Fraction(2, n) if floor is None else floor
     examined = independent = 0
     best = None
     violations = []
@@ -409,10 +411,19 @@ def scan_range_oracle(task):
 # --- trees: the per-tree check before it went integer-only ---------------
 
 
+def neighbors(t):
+    """Adjacency lists of a tree's vertices."""
+    adj = [[] for _ in range(t.vertex_count)]
+    for u, v in t.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
+
+
 def tree_distance_rows_bfs(t):
     """All-pairs path lengths of a tree, one BFS from every vertex."""
     k = t.vertex_count
-    adj = t.neighbors()
+    adj = neighbors(t)
     rows = []
     for start in range(k):
         dist = [-1] * k
@@ -434,7 +445,7 @@ def embed_bits_oracle(t):
     a dict, and v maps to the indicator of its root path."""
     norm_edges = sorted((min(u, v), max(u, v)) for u, v in t.edges)
     edge_index = {e: i for i, e in enumerate(norm_edges)}
-    adj = t.neighbors()
+    adj = neighbors(t)
     bits = [0] * t.vertex_count
     seen = [False] * t.vertex_count
     seen[0] = True

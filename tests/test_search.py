@@ -2,6 +2,7 @@ import functools
 import multiprocessing
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -288,6 +289,16 @@ class TestRandomProbe:
         res = search.random_probe(40, 10**9, 5, seed=1)
         assert (res.sets_examined, res.independent_count) == (5, 0)
 
+    def test_tie_drawn_later_with_lex_smaller_tail_wins(self, monkeypatch):
+        """Draws come out of lex order, so a value equal to the best must
+        still reach the tie-break: (1, 2, 12) replaces (3, 4, 8)."""
+        draws = iter([(3, 4, 8), (1, 2, 12)])
+        monkeypatch.setattr(cube, "random_tail", lambda rng, n, m: next(draws))
+        assert eval_tail_oracle((3, 4, 8), 4) == eval_tail_oracle((1, 2, 12), 4) == F(1, 2)
+        res = search.random_probe(4, 3, 2, seed=0)
+        assert (res.independent_count, res.min_value) == (2, F(1, 2))
+        assert res.witness.bits == (0, 1, 2, 12)
+
     def test_json_has_seed_only_in_random_mode(self):
         r = search.min_dinv_ones(3, 2)
         assert "seed" not in r.to_json_dict()
@@ -388,6 +399,18 @@ def _oracle_range(task):
     return _parts(tally)
 
 
+def _floor_at(monkeypatch, floor_n):
+    """Make the walk's tallies take 2/floor_n as their floor: a value
+    below it is a violation."""
+
+    class Floor(search._Tally):
+        def __init__(self, n, m):
+            super().__init__(n, m)
+            self.n = floor_n
+
+    monkeypatch.setattr(search, "_Tally", Floor)
+
+
 class TestWalkAgainstOracle:
     """The pair-entry walk against the oracle walk, which pushes every
     node through `gram_push` against its whole prefix."""
@@ -442,18 +465,29 @@ class TestWalkAgainstOracle:
         """No set undercuts 2/n, so the tally is given the floor 2/1: every
         value below 2 then counts as a violation, and the walk must record
         them in lex order as `_Tally.add` does for the oracle walk."""
-
-        class FloorTwo(search._Tally):
-            def __init__(self, n, m):
-                super().__init__(n, m)
-                self.n = 1
-
-        monkeypatch.setattr(search, "_Tally", FloorTwo)
+        _floor_at(monkeypatch, 1)
         examined, want = scan_range_oracle(task)
         assert examined == _range_size(*task)
         got = _parts(search._scan_range(task))
         assert len(got[2]) > got[0] // 2
         assert got == _parts(want)
+
+    @pytest.mark.parametrize("n,m,floor_n", [(4, 2, 3), (4, 3, 3), (5, 3, 4), (5, 4, 4)])
+    def test_violations_between_best_and_floor(self, monkeypatch, n, m, floor_n):
+        """With the floor raised to 2/floor_n, above the slice's minimum,
+        the bar is the floor: values between the best and the floor are
+        violations, met after the best as well, and must reach
+        `_Tally.leaf`. The whole slice as one range and as merged
+        per-element tallies must equal a per-set `Fraction` loop."""
+        _floor_at(monkeypatch, floor_n)
+        _, independent, best, violations = scan_oracle(n, m, floor=F(2, floor_n))
+        assert any(val > best[0] for _, val in violations)
+        whole = search._scan_range(_whole(n, m))
+        tallies = [search._scan_range((n, m, x, x + 1)) for x in range(1, (1 << n) - m + 1)]
+        for later in tallies[1:]:
+            tallies[0].merge(later)
+        for tally in (whole, tallies[0]):
+            assert _parts(tally) == (independent, best, violations)
 
     @pytest.mark.parametrize("task", _LATE_RANGES, ids=_task_id)
     def test_late_ranges_equal_oracle(self, task):
@@ -580,6 +614,21 @@ def _root_border_off_by_one(monkeypatch):
 
 
 class TestFullDimensionalInvariant:
+    @pytest.mark.parametrize("n,first", [(2, (1, 3)), (3, (1, 2, 7)), (4, (1, 2, 4, 15))])
+    def test_late_fault_raises_on_its_first_set(self, monkeypatch, n, first):
+        """Only the last point's root border is off by one, so the sets
+        before the first that holds it are right, and the bar has fallen
+        to 2/n when the fault comes: the walk must still raise, naming
+        that first perturbed set."""
+        real = search._root_rows
+
+        def wrong(lo, top):
+            return [(y, piv, bord - (y == top)) for y, piv, bord in real(lo, top)]
+
+        monkeypatch.setattr(search, "_root_rows", wrong)
+        with pytest.raises(InvariantError, match=re.escape(f"set {first} gave")):
+            search.min_dinv_ones(n, n)
+
     def test_exhaustive_raises(self, monkeypatch):
         _root_border_off_by_one(monkeypatch)
         with pytest.raises(InvariantError):
