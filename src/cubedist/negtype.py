@@ -28,7 +28,8 @@ as its grid walk or its bisection is past the bordered root with no
 zero band open, since any root it could still find is later and so
 cannot win (a tie goes to the determinant root, which that scan still
 finds). Every result equals the scalar one-matrix-per-call scan's
-exactly.
+exactly. A bracket that starts at an integer k >= 2 where `det_int` of
+the root kind's (integral) matrix is 0 reports the root k exactly.
 
 Everything at p = 1 is decided in exact integer arithmetic (D_1 is
 integral); for p > 1 determinants are evaluated at machine precision via
@@ -417,6 +418,12 @@ def sanchez_wp(
         parity = 1 if s.m % 2 else -1  # (-1)^(m-1)
         signals = _PowerSignals(s.d_rows, anchor=(1.0, -parity, parity))
         hit = _scan_for_roots(signals, 1.0, cap, grid, tol)
+        # an exact zero at the bracket's integer left end is the root
+        k = hit[2][0] if hit else 0.0
+        if k >= 2 and k.is_integer():
+            dk = [[d ** int(k) for d in row] for row in s.d_rows]
+            if not det_int(dk if hit[1] == ROOT_DETERMINANT else cube.bordered_rows(dk)):
+                hit = k, hit[1], (k, k), 0.0
     if hit is None:
         hit = cap, ROOT_NONE_BELOW_CAP, (cap, cap), None
     root, kind, bracket, residual = hit

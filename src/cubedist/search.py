@@ -33,9 +33,10 @@ the same integer operations, with the same exact divisions, as one step
 of `gram_eliminate`'s inner loop; so every pivot, corner and value is
 the one `gram_eliminate` gives. With three points to go the child's
 entries are not stored: each leaf pair y, z takes a'(y, z) by that one
-step, then the pivot and border of P + x + y + z and so its corner, and
-the set's value is -2 pivot / corner. A leaf thus costs a fixed number
-of integer operations whatever the prefix length. A slice with m <= 2
+step, and the rule's test is one product against a key of row y
+(`_descend`); only a leaf that passes builds the exact pivot and corner
+of P + x + y + z, and its value -2 pivot / corner. A leaf thus costs a
+fixed number of integer operations whatever the prefix length. A slice with m <= 2
 builds no pair entries: m = 1 walks the points with no rows, and a pair
 of the m = 2 slice reads its entry as the popcount. With m >= 3 the
 root's table holds C(N, 2) entries for N <= 2^n - 1 points, and the
@@ -45,7 +46,8 @@ Pruning. G = B B^T is positive semidefinite, so its leading principal
 minors are nonnegative, and one of them is zero exactly when the points
 so far are linearly dependent. A candidate whose pivot is zero lies in
 the span of the prefix, so every set below the node that holds it is
-affinely dependent: the walk drops its row. More than n points are
+affinely dependent: the walk drops its row, or counts a leaf's zero
+pivot, which a node's k (k - 1) / 2 leaf pairs less. More than n points are
 always dependent, so a slice with m > n is answered without walking,
 before the budget check. Every set of a slice is examined, as a leaf or
 as a set with a dropped point, so a slice's examined count is its size
@@ -198,13 +200,22 @@ def _descend(rows, pairs, children, prev, corner, need, tail, tally) -> None:
     pivot. `prev` is the prefix's last pivot (1 for the empty prefix)
     and `corner` its bordered determinant. Each child x takes one
     elimination step against x: into the rows after it, then into their
-    pair entries, or, with three points to go, straight into the values
-    of the sets prefix + x + y + z. Those leaves come in lex order, so
-    only one below the tally's bar, or off 2/n in an (n, n) slice, needs
-    `_Tally.leaf` (see the module docstring).
+    pair entries, or, with three points to go, into each leaf's entry
+    e = a'(y, z). Then pp = py pz - e^2 and bb = py bz - e by are px
+    times the leaf's pivot piv and border, and its value 2 piv / den has
+    px^2 py den = bb^2 - pp (py cx - by^2). So, times px^2 py, the bar
+    test 2 piv bar_den < bar_num den reads pp kb < bar_num bb^2 and the
+    test 2 piv n != 2 den reads pp kf != bb^2, with the keys of row y
+    kb = (2 bar_den px + bar_num cx) py - bar_num by^2 (made again when
+    the bar moves) and kf = (n px + cx) py - by^2. Kept pivots are
+    nonzero leading minors of the positive semidefinite G = B B^T, so
+    px^2 py > 0 and both tests are exact. Only a leaf that passes builds
+    its value for `_Tally.leaf` (see the module docstring); once an
+    (n, n) slice has its bar (2, n), its test is != alone.
     """
     n, full_dim, (bar_num, bar_den) = tally.n, tally.full_dim, tally.bar
-    independent = 0
+    exact = full_dim and bar_den > 0
+    leaves = zeros = 0
     for i in range(children):
         x, px, bx = rows[i]
         cx = (px * corner - bx * bx) // prev
@@ -223,20 +234,25 @@ def _descend(rows, pairs, children, prev, corner, need, tail, tally) -> None:
             rows_x = [r[:3] for r in later]
             _descend(rows_x, child, len(later) - need + 2, px, cx, need - 1, (*tail, x), tally)
             continue
+        leaves += len(later) * (len(later) - 1) // 2
+        hf, hb = n * px + cx, 2 * bar_den * px + bar_num * cx
         for t, (y, py, by, j, a) in enumerate(later):
             row, o = pairs[j], j + 1
-            cy = (py * cx - by * by) // px
+            key = hf * py - by * by if exact else hb * py - bar_num * by * by
             for z, pz, bz, l, b in later[t + 1 :]:
                 e = (px * row[l - o] - a * b) // prev
-                piv = (py * pz - e * e) // px
-                if not piv:
+                pp = py * pz - e * e
+                if not pp:
+                    zeros += 1
                     continue
-                bord = (py * bz - e * by) // px
-                num, den = 2 * piv, (bord * bord - piv * cy) // py
-                independent += 1
-                if num * bar_den < bar_num * den or (full_dim and num * n != 2 * den):
-                    bar_num, bar_den = tally.leaf(num, den, (*tail, x, y, z))
-    tally.independent += independent
+                bb = py * bz - e * by
+                if (pp * key != bb * bb) if exact else (pp * key < bar_num * bb * bb):
+                    piv, bord, cy = pp // px, bb // px, (py * cx - by * by) // px
+                    den = (bord * bord - piv * cy) // py
+                    bar_num, bar_den = tally.leaf(2 * piv, den, (*tail, x, y, z))
+                    exact, hb = full_dim, 2 * bar_den * px + bar_num * cx
+                    key = hf * py - by * by if exact else hb * py - bar_num * by * by
+    tally.independent += leaves - zeros
 
 
 def _pair_leaves(rows, children, tally) -> None:
@@ -244,18 +260,24 @@ def _pair_leaves(rows, children, tally) -> None:
     from rows[:children]: the m = 2 slice, whose entry a(x, y) is the
     popcount |x & y|. Every pair is independent, as the pivot
     |x| |y| - |x & y|^2 > 0 for distinct nonzero x, y (Cauchy-Schwarz).
-    A pair reaches `_Tally.leaf` only by the bar test `_descend` uses."""
+    Its value is 2 piv / den with px den = bord^2 - piv cx, so, times
+    px > 0, `_descend`'s tests read piv kb < bar_num bord^2 and
+    piv kf != bord^2 with the keys kb = 2 bar_den px + bar_num cx and
+    kf = n px + cx of x."""
     n, full_dim, (bar_num, bar_den) = tally.n, tally.full_dim, tally.bar
+    exact = full_dim and bar_den > 0
     for i in range(children):
         x, px, bx = rows[i]
         cx = -bx * bx
+        key = n * px + cx if exact else 2 * bar_den * px + bar_num * cx
         for y, py, by in rows[i + 1 :]:
             a = (x & y).bit_count()
             piv = px * py - a * a
             bord = px * by - a * bx
-            num, den = 2 * piv, (bord * bord - piv * cx) // px
-            if num * bar_den < bar_num * den or (full_dim and num * n != 2 * den):
-                bar_num, bar_den = tally.leaf(num, den, (x, y))
+            if (piv * key != bord * bord) if exact else (piv * key < bar_num * bord * bord):
+                bar_num, bar_den = tally.leaf(2 * piv, (bord * bord - piv * cx) // px, (x, y))
+                exact = full_dim
+                key = n * px + cx if exact else 2 * bar_den * px + bar_num * cx
     tally.independent += sum(len(rows) - 1 - i for i in range(children))
 
 

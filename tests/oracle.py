@@ -18,7 +18,9 @@ section, the per-subset evaluator (a rank test, a Gram rebuild and two
 pivoting Bareiss determinants for every subset), the one-point
 elimination step `gram_push` with `gram_eliminate_oracle`, the Gram
 kernel as a loop over it, and the exhaustive walk that pushed every
-node through `gram_push` against its whole prefix; in the tree section,
+node through `gram_push` against its whole prefix, and the walk's leaf
+rule before its division-free keys (`descend_divided_oracle`,
+`pair_leaves_divided_oracle`); in the tree section,
 the per-tree check with one BFS per vertex, its own BFS for the cube
 embedding, k^2 row-by-column sums and a `Fraction` inverse, and a naive
 Prufer decode; and, in the negative-type section at the end, the scalar root scan (one `slogdet`
@@ -28,8 +30,9 @@ A few helpers only tests need live here too: `coords` and
 `format_point_set` (a point set as coordinate tuples and as file text),
 `neighbors` (a tree's adjacency lists, for the BFS oracles),
 `rational_from_str`, a strict reader of the rational strings the
-package writes into JSON, and the call and pool recorders
-`count_calls` and `record_pools`.
+package writes into JSON, the call and pool recorders
+`count_calls` and `record_pools`, and `independent_count_closed_form`,
+the closed-form count of independent sets for m <= 3.
 """
 
 import math
@@ -408,6 +411,82 @@ def scan_range_oracle(task):
     return examined, tally
 
 
+def descend_divided_oracle(rows, pairs, children, prev, corner, need, tail, tally):
+    """`search._descend` with the leaf rule it had before its keys: every
+    leaf takes its pivot, border, the corner of prefix + x + y and its
+    exact value by four divisions, and calls `_Tally.leaf` when the value
+    is below the tally's bar, or off 2/n in an (n, n) slice."""
+    n, full_dim, (bar_num, bar_den) = tally.n, tally.full_dim, tally.bar
+    independent = 0
+    for i in range(children):
+        x, px, bx = rows[i]
+        cx = (px * corner - bx * bx) // prev
+        later = []
+        for j, ((y, py, by), a) in enumerate(zip(rows[i + 1 :], pairs[i]), i + 1):
+            piv = (px * py - a * a) // prev
+            if piv:
+                later.append((y, piv, (px * by - a * bx) // prev, j, a))
+        if need > 3:
+            child = []
+            for t, (_, _, _, j, a) in enumerate(later):
+                row, o = pairs[j], j + 1
+                child.append(
+                    [(px * row[l - o] - a * b) // prev for _, _, _, l, b in later[t + 1 :]]
+                )
+            rows_x = [r[:3] for r in later]
+            descend_divided_oracle(
+                rows_x, child, len(later) - need + 2, px, cx, need - 1, (*tail, x), tally
+            )
+            continue
+        for t, (y, py, by, j, a) in enumerate(later):
+            row, o = pairs[j], j + 1
+            cy = (py * cx - by * by) // px
+            for z, pz, bz, l, b in later[t + 1 :]:
+                e = (px * row[l - o] - a * b) // prev
+                piv = (py * pz - e * e) // px
+                if not piv:
+                    continue
+                bord = (py * bz - e * by) // px
+                num, den = 2 * piv, (bord * bord - piv * cy) // py
+                independent += 1
+                if num * bar_den < bar_num * den or (full_dim and num * n != 2 * den):
+                    bar_num, bar_den = tally.leaf(num, den, (*tail, x, y, z))
+    tally.independent += independent
+
+
+def pair_leaves_divided_oracle(rows, children, tally):
+    """`search._pair_leaves` with the same leaf rule as
+    `descend_divided_oracle`: each pair's exact value, then the bar test."""
+    n, full_dim, (bar_num, bar_den) = tally.n, tally.full_dim, tally.bar
+    for i in range(children):
+        x, px, bx = rows[i]
+        cx = -bx * bx
+        for y, py, by in rows[i + 1 :]:
+            a = (x & y).bit_count()
+            piv = px * py - a * a
+            bord = px * by - a * bx
+            num, den = 2 * piv, (bord * bord - piv * cx) // px
+            if num * bar_den < bar_num * den or (full_dim and num * n != 2 * den):
+                bar_num, bar_den = tally.leaf(num, den, (x, y))
+    tally.independent += sum(len(rows) - 1 - i for i in range(children))
+
+
+def independent_count_closed_form(n, m):
+    """The number of affinely independent (m + 1)-point sets {0} + tail
+    of H_n for m <= 3, from closed forms in n: every single point and
+    every pair of distinct nonzero patterns is independent, and a triple
+    is dependent exactly when one point is the disjoint union of the
+    other two; there are (3^n - 2^(n+1) + 1) / 2 such triples, one per
+    unordered pair of nonempty disjoint supports."""
+    points = (1 << n) - 1
+    if m == 1:
+        return points
+    if m == 2:
+        return math.comb(points, 2)
+    if m == 3:
+        return math.comb(points, 3) - (3**n - 2 ** (n + 1) + 1) // 2
+    raise ValueError(f"no closed form for m = {m}")
+
 # --- trees: the per-tree check before it went integer-only ---------------
 
 
@@ -657,6 +736,15 @@ def sanchez_wp_oracle(s, cap=negtype.DEFAULT_CAP, tol=negtype.DEFAULT_TOL, grid=
             float(cap), negtype.ROOT_NONE_BELOW_CAP, (float(cap), float(cap)), None, float(cap)
         )
     root, kind, bracket, residual = hit
+    # an integer left end k >= 2 where the exact D_k (or its bordered
+    # matrix) is singular is the root itself
+    k = bracket[0]
+    if k >= 2 and k == int(k):
+        dk = [[d ** int(k) for d in row] for row in rows]
+        if kind == negtype.ROOT_BORDERED:
+            dk = [[0] + [1] * len(dk)] + [[1, *row] for row in dk]
+        if det_int(dk) == 0:
+            root, bracket, residual = k, (k, k), 0.0
     return negtype.NegTypeReport(root, kind, bracket, residual, float(cap))
 
 

@@ -173,6 +173,30 @@ class TestSanchezWp:
                     assert not negtype.is_p_negative_type(s, p)
                 p += 0.25
 
+    @pytest.mark.parametrize("tail", [(1, 6), (2, 5), (3, 7), (5, 7), (6, 7)])
+    def test_exact_root_at_two(self, tail):
+        """These H_3 sets have a singular bordered D_2; the scan's bracket
+        starts at p = 2, so the root is reported as 2 exactly, not as the
+        bisection midpoint 2.0000000004656613."""
+        s = PointSet.from_bits(3, (0,) + tail)
+        d2 = [[d**2 for d in row] for row in s.d_rows]
+        assert det_int(cube.bordered_rows(d2)) == 0 and det_int(d2) != 0
+        rep = negtype.sanchez_wp(s)
+        assert (rep.wp, rep.root_kind, rep.bracket, rep.residual) == (
+            2.0,
+            negtype.ROOT_BORDERED,
+            (2.0, 2.0),
+            0.0,
+        )
+        assert negtype.murugan_classify(s) == negtype.MuruganClassification(True, True, True)
+
+    def test_integer_left_end_with_a_nonzero_determinant_keeps_the_scan(self, monkeypatch):
+        """A bracket that starts at an integer keeps the scan's answer
+        when det_int there is not zero."""
+        monkeypatch.setattr(negtype, "det_int", lambda rows: 1)
+        rep = negtype.sanchez_wp(PointSet.from_bits(3, (0, 1, 6)))
+        assert rep.wp == 2.0000000004656613 and rep.bracket == (2.0, 2.0000000009313226)
+
 
 class TestStrictNegativeType:
     def test_independent_at_one(self):
@@ -295,13 +319,20 @@ class TestMuruganRoutes:
         assert negtype.murugan_classify(PointSet(s.n, s.bits)) == want
         assert calls == {"distance_rows": 1}
 
-    def test_scans_run_no_rank_test_and_no_det_int(self, monkeypatch):
+    def test_scans_run_no_rank_test_and_det_int_only_at_an_integer_root(self, monkeypatch):
+        """`det_int` runs only to settle a bracket that starts at an
+        integer k >= 2: PATH3 and CORNER3 have their root at p = 2, once
+        through each of the two calls; H3_SET's root is not an integer."""
         calls = count_calls(monkeypatch, cube, "rank_of_bits")
         count_calls(monkeypatch, negtype, "det_int", calls=calls)
-        for s in (H3_SET, FULL_H2, PATH3, CORNER3):
+        for s in (H3_SET, FULL_H2):
             negtype.sanchez_wp(s)
             negtype.transform_scaling_check(s, 2.0)
         assert calls == {}
+        for s in (PATH3, CORNER3):
+            assert negtype.sanchez_wp(s).bracket == (2.0, 2.0)
+            negtype.transform_scaling_check(s, 2.0)
+        assert calls == {"det_int": 4}
 
     def _consistent_on_h3(self):
         return all(negtype.murugan_classify(s).consistent for s in _h3_subsets())

@@ -126,4 +126,4 @@ def test_negtype_every_normalized_h3_subset_and_set5(capsys, tmp_path):
         path.write_text(SET5)
         yield _run(capsys, ["negtype", str(path)])
 
-    assert _digest(outputs()) == "f97dfe15450cc22bf5083a657d572b39df0a7fa0899abf5574a664d7788c0ce4"
+    assert _digest(outputs()) == "ed182298b131080218a601b0cfa5995261ecd2446ac3817c81fb9a330b4dbf6a"

@@ -16,7 +16,16 @@ import cubedist
 from cubedist import cube, identities, search
 from cubedist.cube import PointSet
 from cubedist.errors import BudgetExceededError, DomainError, InvariantError
-from oracle import eval_tail_oracle, gram_push, record_pools, scan_oracle, scan_range_oracle
+from oracle import (
+    descend_divided_oracle,
+    eval_tail_oracle,
+    gram_push,
+    independent_count_closed_form,
+    pair_leaves_divided_oracle,
+    record_pools,
+    scan_oracle,
+    scan_range_oracle,
+)
 
 F = Fraction
 
@@ -507,6 +516,66 @@ class TestWalkAgainstOracle:
         for later in tallies[1:]:
             tallies[0].merge(later)
         assert _parts(tallies[0]) == _oracle_range(task)
+
+
+def _leaf_calls(monkeypatch, tasks):
+    """Each task's walk as the (num, den, tail) of every `_Tally.leaf`
+    call, followed by the tally's parts or the InvariantError it raised."""
+    calls = []
+    real = search._Tally.leaf
+
+    def spy(self, num, den, tail):
+        calls.append((num, den, tail))
+        return real(self, num, den, tail)
+
+    monkeypatch.setattr(search._Tally, "leaf", spy)
+    out = []
+    for task in tasks:
+        try:
+            end = _parts(search._scan_range(task))
+        except InvariantError as exc:
+            end = str(exc)
+        out.append((calls[:], end))
+        calls.clear()
+    return out
+
+
+class TestLeafCallsAsTheDividedRule:
+    """The walk's division-free leaf test against the rule it replaced,
+    kept as `descend_divided_oracle` and `pair_leaves_divided_oracle`:
+    the same `_Tally.leaf` calls, in the same order, with every floor
+    2/1 .. 2/n. A test that calls the rule on a value equal to the bar,
+    keeps a key made for an old bar, or drops the full-dimensional
+    test's key calls it on other leaves."""
+
+    @pytest.mark.parametrize(
+        "n,m,floor_n",
+        [(n, m, f) for n, m in [(2, 2)] + _WALK_SLICES for f in range(1, n + 1)],
+    )
+    def test_same_calls(self, monkeypatch, n, m, floor_n):
+        tasks = [_whole(n, m)]
+        if floor_n == n:
+            tasks += _first_element_tasks(n, m)
+        _floor_at(monkeypatch, floor_n)
+        got = _leaf_calls(monkeypatch, tasks)
+        monkeypatch.setattr(search, "_descend", descend_divided_oracle)
+        monkeypatch.setattr(search, "_pair_leaves", pair_leaves_divided_oracle)
+        assert got == _leaf_calls(monkeypatch, tasks)
+        assert got[0][0]
+
+
+class TestIndependentCounts:
+    """The walk's `independent_count` against counts from outside it."""
+
+    @pytest.mark.parametrize("n,m", [(n, m) for n in range(2, 8) for m in (1, 2, 3)])
+    def test_closed_form(self, n, m):
+        assert search.min_dinv_ones(n, m).independent_count == independent_count_closed_form(n, m)
+
+    @pytest.mark.parametrize(
+        "n,m,count", [(4, 4, 940), (5, 4, 27_990), (6, 4, 571_340), (5, 5, 104_286)]
+    )
+    def test_recorded(self, n, m, count):
+        assert search.min_dinv_ones(n, m).independent_count == count
 
 
 def _no_pair_entries(monkeypatch):
