@@ -742,7 +742,7 @@ def sanchez_wp_oracle(s, cap=negtype.DEFAULT_CAP, tol=negtype.DEFAULT_TOL, grid=
     if k >= 2 and k == int(k):
         dk = [[d ** int(k) for d in row] for row in rows]
         if kind == negtype.ROOT_BORDERED:
-            dk = [[0] + [1] * len(dk)] + [[1, *row] for row in dk]
+            dk = bordered(dk, [1] * len(dk), 0)
         if det_int(dk) == 0:
             root, bracket, residual = k, (k, k), 0.0
     return negtype.NegTypeReport(root, kind, bracket, residual, float(cap))
