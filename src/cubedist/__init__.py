@@ -13,7 +13,6 @@ from .cube import (
 )
 from .errors import (
     BudgetExceededError,
-    CapExceededError,
     CubedistError,
     DegenerateMetricError,
     DependenceError,
@@ -45,7 +44,6 @@ from .negtype import (
     murugan_classify,
     sanchez_wp,
     strict_p_negative_type,
-    transform_scaling_check,
 )
 from .ratlinalg import RationalMatrix
 from .search import (

@@ -6,7 +6,7 @@ type), search (conjecture scan), verify (exhaustive identity suites).
 Structured output is JSON with rationals as strings, so exactness
 survives serialization. Exit codes: 0 success, 1 search violations or
 failed verification, 2 parse errors and files that cannot be read or
-written, 3 domain errors, 4 budget/cap refusals, 5 a failed internal
+written, 3 domain errors, 4 budget refusals, 5 a failed internal
 invariant.
 """
 

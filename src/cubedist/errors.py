@@ -2,7 +2,7 @@
 
 Each class carries the CLI exit code it maps to: 2 for malformed input,
 3 for domain errors (degenerate metric, bad tree, out-of-range
-parameter), 4 for refused work (budget or cap exceeded), 5 for a failed
+parameter), 4 for refused work (budget exceeded), 5 for a failed
 internal invariant (a defect in the program, never the input's fault).
 """
 
@@ -83,12 +83,6 @@ class BudgetExceededError(CubedistError):
     def __init__(self, message, required):
         super().__init__(message)
         self.required = required
-
-
-class CapExceededError(CubedistError):
-    """No root found below the scan cap."""
-
-    exit_code = 4
 
 
 class InvariantError(CubedistError):

@@ -28,8 +28,9 @@ as its grid walk or its bisection is past the bordered root with no
 zero band open, since any root it could still find is later and so
 cannot win (a tie goes to the determinant root, which that scan still
 finds). Every result equals the scalar one-matrix-per-call scan's
-exactly. A bracket that starts at an integer k >= 2 where `det_int` of
-the root kind's (integral) matrix is 0 reports the root k exactly.
+exactly. A bracket that starts at an integer k >= 2, or a bisection
+bracket (no wider than tol) that ends at one, where `det_int` of the
+root kind's (integral) matrix D_k is 0 reports the root k exactly.
 
 Everything at p = 1 is decided in exact integer arithmetic (D_1 is
 integral); for p > 1 determinants are evaluated at machine precision via
@@ -41,8 +42,12 @@ takes the p = 1 anchors from the Gram kernel (`PointSet.kernel`): a
 zero pivot means the set is affinely dependent, D_1 is exactly singular
 and the supremum is exactly 1; otherwise det G > 0 and the corner
 -det G <G^{-1}u, u> < 0 give sign det(D) = (-1)^m and sign
-det [[0, 1^T], [1, D]] = (-1)^(m-1). A pair at distance d has no root
-at any p (det D_p = -d^(2p), bordered determinant 2 d^p), so no scan.
+det [[0, 1^T], [1, D]] = (-1)^(m-1). Every scan starts at this exact
+anchor, with exponent scale 1 (D_p is raised to p itself):
+`_scan_for_roots` builds its signals from the set, so no scan evaluates
+p = 1 in floats or starts inside a zero band. A pair at distance d has
+no root at any p (det D_p = -d^(2p), bordered determinant 2 d^p), so
+no scan.
 So `murugan_classify`'s three views are three exact routes, and only the
 scan of an independent set of three or more points uses floats; they
 share one tuple of distance rows per set (`PointSet.d_rows`, cached with
@@ -69,7 +74,7 @@ from typing import Callable, Optional
 
 from . import cube
 from .cube import PointSet
-from .errors import BudgetExceededError, CapExceededError, DomainError, NotNegativeTypeError
+from .errors import BudgetExceededError, DomainError, NotNegativeTypeError
 from .ratlinalg import det_int
 
 # The root scan's default cap, tolerance and grid step.
@@ -141,8 +146,9 @@ _BatchFn = Callable[..., list[_Signal]]
 
 class _PowerSignals:
     """Signals of det(D_p) and of the bordered determinant at exponents
-    p (the matrices are raised to p / alpha), evaluated in stacked
-    batches and derived when read from two records memoised by p.
+    p (the matrices are raised to p itself: exponent scale 1), evaluated
+    in stacked batches and derived when read from two records memoised
+    by p.
 
     A batch raises the bordered matrix once; D_p is its lower-right
     block, the same floats. The bordered record is its (sign, log |det|)
@@ -154,7 +160,7 @@ class _PowerSignals:
 
     The determinant signal is the raw sign of det(D_p) and the log of
     |det| over its Hadamard bound, which is positive: no row of D_p is
-    zero, as its off-diagonal entries are d^(p/alpha) >= 1. The sign is
+    zero, as its off-diagonal entries are d^p >= 1. The sign is
     0 only for a float-exact zero. Callers decide zero classification
     from the scale-free ratio: near a simple root the raw sign stays
     faithful far below the tol * Hadamard threshold, so bisection can
@@ -163,26 +169,28 @@ class _PowerSignals:
     the dimensionless quantity whose vanishing is scanned (the bordered
     matrix's own Hadamard bound overscales it).
 
-    `anchor` = (lo, det sign, bordered sign) fixes both signals at lo to
-    exact signs with ratio 0, so no batch ever evaluates lo.
+    `anchor` = (det sign, bordered sign) fixes both signals at p = 1 to
+    exact signs with ratio 0, so no batch ever evaluates p = 1. Every
+    scan starts at that anchor (`_scan_for_roots` builds it); only
+    `strict_p_negative_type`'s one-exponent signals, which never scan,
+    have none.
     """
 
-    def __init__(self, d_rows, alpha: float = 1.0, anchor=None):
+    def __init__(self, d_rows, anchor=None):
         import numpy as np
         self._bord = np.array(cube.bordered_rows(d_rows), dtype=float)
-        self._alpha = alpha
         # p -> (sign, log|det|, log Hadamard bound) of D_p
         self._dp: dict[float, tuple[float, float, float]] = {}
         # p -> (sign, log|det|) of the bordered matrix
         self._full: dict[float, tuple[float, float]] = {}
         if anchor is not None:
-            lo, det_sign, bord_sign = anchor
-            self._dp[lo] = (det_sign, 0.0, 0.0)
-            self._full[lo] = (bord_sign, 0.0)
+            det_sign, bord_sign = anchor
+            self._dp[1.0] = (det_sign, 0.0, 0.0)
+            self._full[1.0] = (bord_sign, 0.0)
 
     def _raise(self, ps: list[float]):
         import numpy as np
-        return np.power(self._bord, (np.array(ps) / self._alpha)[:, None, None])
+        return np.power(self._bord, np.array(ps)[:, None, None])
 
     def _factorise(self, ps: list[float], full=None) -> None:
         """Record D_p for every p in ps, from the raised bordered
@@ -280,27 +288,28 @@ def _bisect_root(
 
 def _first_root(
     signal: _BatchFn,
-    lo: float,
     cap: float,
     grid: float,
     tol: float,
     stop: Optional[float] = None,
 ):
-    """Earliest root of the signal on [lo, cap]: a sign change (refined
+    """Earliest root of the signal on [1, cap]: a sign change (refined
     by bisection on raw signs) or a zero-classified run the scan cannot
     cross (touch-zero or a run against an endpoint). None when the sign
     never changes below the cap, and also, when `stop` is given, once
     the scan or its bisection has passed `stop` with no zero run open:
     any root it could still find lies strictly above `stop`. Grid points
-    are evaluated _GRID_CHUNK at a time."""
+    are evaluated _GRID_CHUNK at a time. Every scan starts at the exact
+    anchor p = 1 with exponent scale 1, where the signal is nonzero, so a
+    zero-classified run follows a nonzero point."""
     log_tol = math.log(tol)
-    steps = int(math.ceil((cap - lo) / grid - 1e-12))
+    steps = int(math.ceil((cap - 1.0) / grid - 1e-12))
     last_p: float | None = None
     last_s = 0
     band: tuple[float, float] | None = None
     band_ratio = 0.0
     for start in range(0, steps + 1, _GRID_CHUNK):
-        ps = [min(lo + k * grid, cap) for k in range(start, min(start + _GRID_CHUNK, steps + 1))]
+        ps = [min(1.0 + k * grid, cap) for k in range(start, min(start + _GRID_CHUNK, steps + 1))]
         for p, (s, ratio) in zip(ps, signal(ps)):
             if s == 0 or ratio <= log_tol:
                 if band is None:
@@ -308,13 +317,9 @@ def _first_root(
                 else:
                     band = (band[0], p)
                 continue
-            if last_p is None:
-                if band is not None:
-                    # the scan started inside a zero band; earliest root there
-                    return band[0], band, _residual(band_ratio)
-            elif s != last_s:
+            if last_p is not None and s != last_s:
                 return _bisect_root(signal, last_p, p, last_s, tol, stop)
-            elif band is not None:
+            if band is not None:
                 # equal signs around a zero-classified run: touch-zero root
                 mid = 0.5 * (band[0] + band[1])
                 return mid, band, _residual(signal([mid])[0][1])
@@ -326,15 +331,19 @@ def _first_root(
     return None
 
 
-def _scan_for_roots(signals, lo: float, cap: float, grid: float, tol: float):
-    """Earliest root of det(D_p) and of the bordered determinant over
-    [lo, cap] as (root, kind, bracket, residual), the determinant root
-    on a tie; None when neither has a root below the cap. `signals`
-    supplies both batch signals (a `_PowerSignals`). The bordered scan
-    runs first, so the determinant scan can stop once it is past the
-    bordered root."""
-    bord = _first_root(signals.bordered, lo, cap, grid, tol)
-    det = _first_root(signals.det, lo, cap, grid, tol, stop=None if bord is None else bord[0])
+def _scan_for_roots(s: PointSet, cap: float, grid: float, tol: float):
+    """Earliest root of det(D_p) and of the bordered determinant of an
+    independent set of three or more points over [1, cap] as (root,
+    kind, bracket, residual), the determinant root on a tie; None when
+    neither has a root below the cap. Its signals are anchored at the
+    exact p = 1 signs, with exponent scale 1 (module docstring). The
+    bordered scan runs first, so the determinant scan can stop once it
+    is past the bordered root."""
+    # exact signs at p = 1 (module docstring): corner < 0, as G > 0 and u != 0
+    parity = 1 if s.m % 2 else -1  # (-1)^(m-1)
+    signals = _PowerSignals(s.d_rows, anchor=(-parity, parity))
+    bord = _first_root(signals.bordered, cap, grid, tol)
+    det = _first_root(signals.det, cap, grid, tol, stop=None if bord is None else bord[0])
     if det is not None and (bord is None or det[0] <= bord[0]):
         return det[0], ROOT_DETERMINANT, det[1], det[2]
     if bord is not None:
@@ -377,18 +386,6 @@ class NegTypeReport:
         return out
 
 
-def _check_scan(cap: float, tol: float, grid: float) -> None:
-    _check_tol(tol)
-    if not (math.isfinite(cap) and math.isfinite(grid) and cap >= 1 and grid > 0):
-        raise DomainError(f"scan needs finite cap >= 1 and grid > 0; got cap={cap}, grid={grid}")
-    points = (cap - 1) / grid + 1
-    if points > MAX_GRID_POINTS:
-        raise BudgetExceededError(
-            f"scan of [1, {cap}] in steps of {grid} needs {points:.4g} grid points, over {MAX_GRID_POINTS}",
-            required=points,
-        )
-
-
 def sanchez_wp(
     s: PointSet,
     cap: float = DEFAULT_CAP,
@@ -405,7 +402,15 @@ def sanchez_wp(
     float64 (pairs and dependent sets exempt), and BudgetExceededError
     for more than MAX_GRID_POINTS grid points.
     """
-    _check_scan(cap, tol, grid)
+    _check_tol(tol)
+    if not (math.isfinite(cap) and math.isfinite(grid) and cap >= 1 and grid > 0):
+        raise DomainError(f"scan needs finite cap >= 1 and grid > 0; got cap={cap}, grid={grid}")
+    points = (cap - 1) / grid + 1
+    if points > MAX_GRID_POINTS:
+        raise BudgetExceededError(
+            f"scan of [1, {cap}] in steps of {grid} needs {points:.4g} grid points, over {MAX_GRID_POINTS}",
+            required=points,
+        )
     cap = float(cap)
     if s.kernel[-1] is not None:
         return NegTypeReport(1.0, ROOT_DETERMINANT, (1.0, 1.0), 0.0, cap)
@@ -414,12 +419,12 @@ def sanchez_wp(
     # 2 d^p, so neither vanishes at any p: no scan, and no overflow refusal
     if s.m > 1:
         _check_exponent(s, cap)
-        # exact signs at p = 1 (module docstring): corner < 0, as G > 0 and u != 0
-        parity = 1 if s.m % 2 else -1  # (-1)^(m-1)
-        signals = _PowerSignals(s.d_rows, anchor=(1.0, -parity, parity))
-        hit = _scan_for_roots(signals, 1.0, cap, grid, tol)
-        # an exact zero at the bracket's integer left end is the root
-        k = hit[2][0] if hit else 0.0
+        hit = _scan_for_roots(s, cap, grid, tol)
+        # an exact zero at an integer end of the bracket is the root: at
+        # its left end, or at the right end of a bisection bracket (no
+        # wider than tol); a zero band keeps its left end
+        lo, hi = hit[2] if hit else (0.0, 0.0)
+        k = lo if lo.is_integer() or hi - lo > tol else hi
         if k >= 2 and k.is_integer():
             dk = [[d ** int(k) for d in row] for row in s.d_rows]
             if not det_int(dk if hit[1] == ROOT_DETERMINANT else cube.bordered_rows(dk)):
@@ -475,42 +480,3 @@ def murugan_classify(s: PointSet) -> MuruganClassification:
         strict_1_negative_type=strict_p_negative_type(s, 1.0),
         wp_exceeds_1=wp > 1.0,
     )
-
-
-def transform_scaling_check(
-    s: PointSet,
-    p: float,
-    cap: float = DEFAULT_CAP,
-    tol: float = DEFAULT_TOL,
-    grid: float = DEFAULT_GRID,
-) -> tuple[float, float]:
-    """Supremal negative type of (X, d_p) next to p times that of
-    (X, d_1); the two agree because the q-th power of the d_p metric is
-    the (q/p)-th power of the original distances.
-
-    The q-scan runs over [1, p * cap] with the grid scaled by p, so the
-    resolution in q/p matches the base scan. For p = infinity the d_p
-    metric is discrete and the supremum is infinite; that case is
-    reported symbolically, never scanned. Both scans are bounded as in
-    `sanchez_wp`, whose overflow refusal covers the q-scan (q/p <= cap).
-    """
-    if not p >= 1:
-        raise DomainError(f"exponent {p} is not at least 1")
-    base = sanchez_wp(s, cap, tol, grid)
-    if base.is_lower_bound:
-        raise CapExceededError(f"no root below cap {cap} for the base metric")
-    wp1 = base.wp
-    if math.isinf(p):
-        return (math.inf, math.inf)
-    if p == 1.0:
-        return (wp1, wp1)
-    if s.kernel[-1] is not None:
-        # dependent: D_1 is exactly singular at q = p, and no root can
-        # occur earlier, so the scaled supremum is exactly p
-        return (float(p), p * wp1)
-    _check_scan(p * float(cap), tol, p * grid)
-    signals = _PowerSignals(s.d_rows, alpha=p)
-    hit = _scan_for_roots(signals, 1.0, p * float(cap), p * grid, tol)
-    if hit is None:
-        raise CapExceededError(f"no root below {p * cap} for the transformed metric")
-    return (hit[0], p * wp1)

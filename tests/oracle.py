@@ -47,7 +47,6 @@ import numpy as np
 from cubedist import cube, identities, negtype, search, trees
 from cubedist.cube import PointSet, normalize
 from cubedist.errors import (
-    CapExceededError,
     CubedistError,
     DependenceError,
     DimensionError,
@@ -736,9 +735,11 @@ def sanchez_wp_oracle(s, cap=negtype.DEFAULT_CAP, tol=negtype.DEFAULT_TOL, grid=
             float(cap), negtype.ROOT_NONE_BELOW_CAP, (float(cap), float(cap)), None, float(cap)
         )
     root, kind, bracket, residual = hit
-    # an integer left end k >= 2 where the exact D_k (or its bordered
-    # matrix) is singular is the root itself
-    k = bracket[0]
+    # an integer k >= 2 where the exact D_k (or its bordered matrix) is
+    # singular is the root itself when it is the bracket's left end, or
+    # the right end of a bracket no wider than tol (a bisection's)
+    lo, hi = bracket
+    k = hi if hi - lo <= tol and hi == int(hi) else lo
     if k >= 2 and k == int(k):
         dk = [[d ** int(k) for d in row] for row in rows]
         if kind == negtype.ROOT_BORDERED:
@@ -751,12 +752,17 @@ def sanchez_wp_oracle(s, cap=negtype.DEFAULT_CAP, tol=negtype.DEFAULT_TOL, grid=
 def transform_scaling_check_oracle(
     s, p, cap=negtype.DEFAULT_CAP, tol=negtype.DEFAULT_TOL, grid=negtype.DEFAULT_GRID
 ):
-    """`negtype.transform_scaling_check` on the scalar scan."""
+    """Supremal negative type of (X, d_p) next to p times that of
+    (X, d_1), on the scalar scan; the two agree because the q-th power
+    of the d_p metric is the (q/p)-th power of the original distances.
+    The q-scan runs over [1, p * cap] with the grid scaled by p, raising
+    the distances to q/p, and starts unanchored. None when either scan
+    finds no root below its cap; p = infinity is answered symbolically."""
     if p < 1:
         raise DomainError(f"exponent {p} below 1")
     base = sanchez_wp_oracle(s, cap=cap, tol=tol, grid=grid)
     if base.is_lower_bound:
-        raise CapExceededError(f"no root below cap {cap} for the base metric")
+        return None
     wp1 = base.wp
     if math.isinf(p):
         return (math.inf, math.inf)
@@ -767,9 +773,7 @@ def transform_scaling_check_oracle(
         return (float(p), p * wp1)
     d_float = np.array(cube.distance_rows(sn.bits), dtype=float)
     hit = scan_for_roots_oracle(d_float, None, None, 1.0, p * float(cap), p * grid, tol, alpha=p)
-    if hit is None:
-        raise CapExceededError(f"no root below {p * cap} for the transformed metric")
-    return (hit[0], p * wp1)
+    return None if hit is None else (hit[0], p * wp1)
 
 
 def strict_p_negative_type_oracle(s, p, tol=negtype.DEFAULT_TOL):

@@ -200,7 +200,6 @@ def _every_public_call(s):
         lambda s: negtype.strict_p_negative_type(s, 1.0),
         lambda s: negtype.strict_p_negative_type(s, 1.5),
         negtype.sanchez_wp, negtype.murugan_classify,
-        lambda s: negtype.transform_scaling_check(s, 2.0),
     ]
     for call in calls:
         try:

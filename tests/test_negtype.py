@@ -4,6 +4,7 @@ import random
 import warnings
 from itertools import combinations, islice
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from cubedist import cube, identities, negtype
 from cubedist.cube import PointSet
 from cubedist.errors import (
     BudgetExceededError,
-    CapExceededError,
     CubedistError,
     DomainError,
     NotNegativeTypeError,
@@ -190,12 +190,47 @@ class TestSanchezWp:
         )
         assert negtype.murugan_classify(s) == negtype.MuruganClassification(True, True, True)
 
+    @pytest.mark.parametrize(
+        "tail,kind", [((1, 2, 13), negtype.ROOT_BORDERED), ((3, 4, 11), negtype.ROOT_DETERMINANT)]
+    )
+    def test_exact_root_at_the_right_end_of_a_bisection(self, monkeypatch, tail, kind):
+        """These H_4 sets' bisection ends at p = 2 from below, bracket
+        (1.9999999990686774, 2.0); the root kind's D_2 is singular, so
+        the root is reported as 2 exactly, not as 1.9999999995343387,
+        which a nonzero det_int keeps."""
+        s = PointSet.from_bits(4, (0,) + tail)
+        d2 = [[d**2 for d in row] for row in s.d_rows]
+        assert det_int(d2 if kind == negtype.ROOT_DETERMINANT else cube.bordered_rows(d2)) == 0
+        rep = negtype.sanchez_wp(s)
+        assert (rep.wp, rep.root_kind, rep.bracket, rep.residual) == (2.0, kind, (2.0, 2.0), 0.0)
+        assert _outcome(negtype.sanchez_wp, s) == _outcome(sanchez_wp_oracle, s)
+        monkeypatch.setattr(negtype, "det_int", lambda rows: 1)
+        rep = negtype.sanchez_wp(PointSet.from_bits(4, (0,) + tail))
+        assert (rep.wp, rep.root_kind, rep.bracket) == (
+            1.9999999995343387, kind, (1.9999999990686774, 2.0)
+        )
+
     def test_integer_left_end_with_a_nonzero_determinant_keeps_the_scan(self, monkeypatch):
         """A bracket that starts at an integer keeps the scan's answer
         when det_int there is not zero."""
         monkeypatch.setattr(negtype, "det_int", lambda rows: 1)
         rep = negtype.sanchez_wp(PointSet.from_bits(3, (0, 1, 6)))
         assert rep.wp == 2.0000000004656613 and rep.bracket == (2.0, 2.0000000009313226)
+
+    def test_no_scan_evaluates_p_1_in_floats(self, monkeypatch):
+        """Every scan starts at the exact p = 1 anchor: no batch of any
+        `sanchez_wp` scan over the H_3 subsets raises a matrix to p = 1."""
+        batches = []
+        real = negtype._PowerSignals._raise
+
+        def spy(self, ps):
+            batches.append(list(ps))
+            return real(self, ps)
+
+        monkeypatch.setattr(negtype._PowerSignals, "_raise", spy)
+        for s in _h3_subsets():
+            negtype.sanchez_wp(s)
+        assert len(batches) > 100 and not any(1.0 in ps for ps in batches)
 
 
 class TestStrictNegativeType:
@@ -320,19 +355,17 @@ class TestMuruganRoutes:
         assert calls == {"distance_rows": 1}
 
     def test_scans_run_no_rank_test_and_det_int_only_at_an_integer_root(self, monkeypatch):
-        """`det_int` runs only to settle a bracket that starts at an
-        integer k >= 2: PATH3 and CORNER3 have their root at p = 2, once
-        through each of the two calls; H3_SET's root is not an integer."""
+        """`det_int` runs only to settle a bracket that ends at an integer
+        k >= 2: PATH3 and CORNER3 have their root at p = 2, once each;
+        H3_SET's root is not an integer."""
         calls = count_calls(monkeypatch, cube, "rank_of_bits")
         count_calls(monkeypatch, negtype, "det_int", calls=calls)
         for s in (H3_SET, FULL_H2):
             negtype.sanchez_wp(s)
-            negtype.transform_scaling_check(s, 2.0)
         assert calls == {}
         for s in (PATH3, CORNER3):
             assert negtype.sanchez_wp(s).bracket == (2.0, 2.0)
-            negtype.transform_scaling_check(s, 2.0)
-        assert calls == {"det_int": 4}
+        assert calls == {"det_int": 2}
 
     def _consistent_on_h3(self):
         return all(negtype.murugan_classify(s).consistent for s in _h3_subsets())
@@ -382,8 +415,6 @@ class TestScanArguments:
     def test_domain_errors(self, kwargs):
         with pytest.raises(DomainError):
             negtype.sanchez_wp(CORNER3, **kwargs)
-        with pytest.raises(DomainError):
-            negtype.transform_scaling_check(CORNER3, 2.0, **kwargs)
         if "tol" in kwargs:
             # the path has 2-negative type but not 3-negative type
             for fn in (negtype.is_p_negative_type, negtype.strict_p_negative_type):
@@ -396,18 +427,6 @@ class TestScanArguments:
         assert negtype.sanchez_wp(TWO_POINTS, cap=2.0).is_lower_bound  # 9 grid points
         with pytest.raises(BudgetExceededError):
             negtype.sanchez_wp(TWO_POINTS, cap=2.125)
-
-    def test_transformed_scan_budget(self, monkeypatch):
-        # the base scan of [1, 3] has 17 grid points; the scan of [1, 9]
-        # in steps of 3/8 has 22.3, so it has its own check
-        monkeypatch.setattr(negtype, "MAX_GRID_POINTS", 17)
-        assert negtype.sanchez_wp(PATH3, cap=3.0).root_kind == negtype.ROOT_BORDERED
-        with pytest.raises(BudgetExceededError):
-            negtype.transform_scaling_check(PATH3, 3.0, cap=3.0)
-
-    def test_nan_exponent_rejected(self):
-        with pytest.raises(DomainError):
-            negtype.transform_scaling_check(CORNER3, math.nan)
 
 
 class TestOverflowRefusal:
@@ -425,8 +444,6 @@ class TestOverflowRefusal:
         monkeypatch.setattr(negtype, "_PowerSignals", None)  # refused before any float
         with pytest.raises(DomainError, match="overflows float64"):
             negtype.sanchez_wp(WIDE5, cap=cap, grid=grid)
-        with pytest.raises(DomainError, match="overflows float64"):
-            negtype.transform_scaling_check(WIDE5, 2.0, cap=cap, grid=grid)
 
     def test_exponent_past_the_limit_refused(self):
         # without the refusal numpy's LinAlgError escapes the eigenvalue solver
@@ -454,7 +471,6 @@ class TestOverflowRefusal:
         for s in (FULL_H2, PointSet.from_bits(6, (0, 7, 56, 63))):
             rep = negtype.sanchez_wp(s, cap=cap, grid=grid)
             assert (rep.wp, rep.root_kind, rep.residual) == (1.0, negtype.ROOT_DETERMINANT, 0.0)
-            assert negtype.transform_scaling_check(s, 2.0, cap=cap, grid=grid) == (2.0, 2.0)
             assert not negtype.murugan_classify(s).wp_exceeds_1
 
 
@@ -492,8 +508,6 @@ class TestPairs:
         # distance 64: cap 1000 would overflow float64 for a larger set
         s = PointSet.from_bits(64, (0, (1 << 64) - 1))
         assert negtype.sanchez_wp(s, cap=1000.0, grid=1.0).is_lower_bound
-        with pytest.raises(CapExceededError):
-            negtype.transform_scaling_check(s, 2.0, cap=1000.0, grid=1.0)
 
     def test_oracle_agrees(self):
         s = PointSet.from_bits(4, (0, 15))
@@ -501,29 +515,31 @@ class TestPairs:
 
 
 class TestTransformScaling:
+    """The scaling check of acceptance criterion 6, on the scalar scan:
+    wp of (X, d_p) is p times wp of (X, d_1)."""
+
     def test_path_doubled(self):
-        got = negtype.transform_scaling_check(PATH3, 2.0)
+        got = transform_scaling_check_oracle(PATH3, 2.0)
         assert abs(got[0] - 4.0) <= 1e-6
         assert abs(got[1] - 4.0) <= 1e-6
 
     def test_dependent_scales_exactly(self):
-        assert negtype.transform_scaling_check(FULL_H2, 3.0) == (3.0, 3.0)
+        assert transform_scaling_check_oracle(FULL_H2, 3.0) == (3.0, 3.0)
 
     def test_identity_at_one(self):
-        a, b = negtype.transform_scaling_check(PATH3, 1.0)
+        a, b = transform_scaling_check_oracle(PATH3, 1.0)
         assert a == b
 
     def test_infinite_exponent_symbolic(self):
-        a, b = negtype.transform_scaling_check(PATH3, math.inf)
+        a, b = transform_scaling_check_oracle(PATH3, math.inf)
         assert math.isinf(a) and math.isinf(b)
 
     def test_cap_exceeded(self):
-        with pytest.raises(CapExceededError):
-            negtype.transform_scaling_check(TWO_POINTS, 2.0)
+        assert transform_scaling_check_oracle(TWO_POINTS, 2.0) is None
 
     def test_below_one_rejected(self):
         with pytest.raises(DomainError):
-            negtype.transform_scaling_check(PATH3, 0.75)
+            transform_scaling_check_oracle(PATH3, 0.75)
 
 
 class TestExactFloatAgreement:
@@ -587,12 +603,6 @@ class TestBatchedScanAgainstOracle:
                 assert _outcome(negtype.sanchez_wp, s) == _outcome(sanchez_wp_oracle, s)
                 count += 1
         assert count == 127
-
-    @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(_point_sets(), st.sampled_from([1.5, 2.0, 3.0]))
-    def test_transform_scaling(self, s, p):
-        got = _outcome(negtype.transform_scaling_check, s, p)
-        assert got == _outcome(transform_scaling_check_oracle, s, p)
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(_point_sets(), st.sampled_from([1.0, 1.25, 1.5, 2.0, 3.0]))
@@ -676,11 +686,14 @@ def _batched(f, seen):
     return signal
 
 
-def _scan(det_f, bord_f, lo=1.0, cap=16.0, grid=0.125, tol=1e-9):
+def _scan(det_f, bord_f, cap=16.0, grid=0.125, tol=1e-9):
+    """`_scan_for_roots` of CORNER3 with its anchored signals replaced by
+    det_f and bord_f, which, like the anchored ones, are nonzero at 1."""
     det_seen, bord_seen = [], []
     signals = SimpleNamespace(det=_batched(det_f, det_seen), bordered=_batched(bord_f, bord_seen))
-    got = negtype._scan_for_roots(signals, lo, cap, grid, tol)
-    assert got == earliest_root_oracle(det_f, bord_f, lo, cap, grid, tol)
+    with mock.patch.object(negtype, "_PowerSignals", lambda *args, **kwargs: signals):
+        got = negtype._scan_for_roots(CORNER3, cap, grid, tol)
+    assert got == earliest_root_oracle(det_f, bord_f, 1.0, cap, grid, tol)
     return got, det_seen
 
 
@@ -711,15 +724,9 @@ class TestEarlyStop:
         got, det_seen = _scan(_crossing(3.37), _crossing(3.26))
         assert got[1] == negtype.ROOT_BORDERED
         full = []
-        negtype._first_root(_batched(_crossing(3.37), full), 1.0, 16.0, 0.125, 1e-9)
+        negtype._first_root(_batched(_crossing(3.37), full), 16.0, 0.125, 1e-9)
         off_grid = lambda ps: [p for p in ps if p % 0.125]
         assert 0 < len(off_grid(det_seen)) <= 2 ** negtype._BISECT_STEPS - 1 < len(off_grid(full))
-
-    def test_zero_band_at_scan_start(self):
-        got, _ = _scan(_crossing(4.0), _band(0.5, 1.3))
-        assert got[1] == negtype.ROOT_BORDERED and got[2] == (1.0, 1.25)
-        got, _ = _scan(_band(0.5, 1.3), _band(0.5, 1.3))
-        assert got[1] == negtype.ROOT_DETERMINANT and got[0] == 1.0
 
     def test_zero_band_into_the_cap(self):
         got, _ = _scan(_band(6.1, 20.0), _crossing(7.0))
@@ -738,13 +745,16 @@ class TestEarlyStop:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.data())
     def test_random_signals(self, data):
+        # every signal is nonzero at the anchor p = 1, and a crossing's
+        # ratio there, log |1 - root|, stays above log tol
         def signal_fn():
             kind = data.draw(st.sampled_from(["crossing", "band", "constant"]))
             sign = data.draw(st.sampled_from([1, -1]))
             if kind == "crossing":
-                return _crossing(data.draw(st.floats(0.5, 6.0)), sign)
+                root = data.draw(st.floats(0.5, 6.0).filter(lambda r: abs(r - 1) > 1e-5))
+                return _crossing(root, sign)
             if kind == "band":
-                a = data.draw(st.floats(0.5, 6.0))
+                a = data.draw(st.floats(1.0, 6.0, exclude_min=True))
                 b = a + data.draw(st.floats(0.0, 2.0))
                 return _band(a, b, sign, data.draw(st.sampled_from([1, -1])))
             return _constant(sign)
